@@ -14,8 +14,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from aggdec import TransformerConfig, sweep_depth
-from aggdec.metrics import depth_rows_csv
+from aggdec import DepthRow, TransformerConfig, sweep_depth
+from aggdec.metrics import rows_csv
 from aggdec.synthetic import random_sentence, synthetic_vocab
 
 
@@ -49,7 +49,7 @@ def main() -> int:
         configs, corpus, vocab,
         repetitions=args.repetitions, warmup=2, threads=args.threads,
     )
-    text = depth_rows_csv(rows)
+    text = rows_csv(DepthRow, rows)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:

@@ -14,8 +14,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from aggdec import identity_scorer, sweep_lmax
-from aggdec.metrics import lmax_rows_csv
+from aggdec import LmaxRow, identity_scorer, sweep_lmax
+from aggdec.metrics import rows_csv
 from aggdec.synthetic import random_sentence, synthetic_vocab
 
 
@@ -33,7 +33,7 @@ def main() -> int:
     corpus = [random_sentence(rng, vocab, 3, args.max_len) for _ in range(args.sentences)]
     values = [None if v == "unlimited" else int(v) for v in args.lmax.split(",")]
     rows = sweep_lmax(identity_scorer(vocab), corpus, values, repetitions=3, warmup=1)
-    text = lmax_rows_csv(rows)
+    text = rows_csv(LmaxRow, rows)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:

@@ -11,8 +11,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from aggdec import bench, scripted_edit_scorer, spearman
-from aggdec.metrics import sentence_reports_csv
+from aggdec import ScriptedEditScorer, bench, spearman
+from aggdec.metrics import SentenceRow, rows_csv
 from aggdec.synthetic import rewrite_pairs, synthetic_vocab
 
 
@@ -30,9 +30,9 @@ def main() -> int:
         rng, args.sentences, vocab, min_len=10, max_len=40,
         edit_rate=(0.0, args.max_edit_rate),
     )
-    scorer = scripted_edit_scorer(pairs, vocab)
+    scorer = ScriptedEditScorer(pairs, vocab)
     reports = bench(scorer, [src for src, _ in pairs], repetitions=1, warmup=0)
-    text = sentence_reports_csv(reports)
+    text = rows_csv(SentenceRow, map(SentenceRow.of, reports))
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:

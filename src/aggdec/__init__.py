@@ -57,14 +57,11 @@ from .scorers import (
     Scorer,
     ScriptedEditScorer,
     identity_scorer,
-    ngram_scorer,
-    scripted_edit_scorer,
 )
 from .transformer import (
     TinyTransformer,
     TransformerConfig,
     decoder_flops_per_position,
-    tiny_transformer,
 )
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import (
@@ -22,22 +23,25 @@ from .core import (
     load_corpus,
     load_parallel_corpus,
     prepare_input,
+    read_key_values,
     tokenize,
 )
 from .decoding import DecodeResult, decode
 from .metrics import (
+    DepthRow,
+    LmaxRow,
+    SentenceRow,
     bench,
     check_equivalence,
-    depth_rows_csv,
-    lmax_rows_csv,
-    sentence_reports_csv,
+    rows_csv,
+    rows_json,
     sentence_reports_json,
     sweep_depth,
     sweep_lmax,
     thread_limit,
 )
-from .scorers import Scorer, identity_scorer, ngram_scorer, scripted_edit_scorer
-from .transformer import TransformerConfig, tiny_transformer
+from .scorers import NgramScorer, Scorer, ScriptedEditScorer, identity_scorer
+from .transformer import TinyTransformer, TransformerConfig
 
 SCORER_KINDS = ("identity", "scripted", "ngram", "transformer")
 
@@ -119,8 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-len", type=int, default=None)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--threads", type=int, default=None)
-    common.add_argument("--workers", type=int, default=1)
-    common.add_argument("--format", choices=("csv", "json", "text"), default="text")
     common.add_argument("--output", metavar="PATH", default=None)
 
     parser = argparse.ArgumentParser(prog="aggdec", description=__doc__)
@@ -129,11 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", parents=[common], help="rewrite a corpus line by line")
     p.add_argument("--input", required=True, metavar="PATH")
     p.add_argument("--trace", action="store_true", help="render per-iteration segments")
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("check", parents=[common],
                        help="verify aggressive output equals greedy output")
     p.add_argument("--corpus", required=True, metavar="PATH")
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("bench", parents=[common], help="per-sentence speedup report")
@@ -141,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repetitions", type=int, default=5)
     p.add_argument("--warmup", type=int, default=2)
     p.add_argument("--with-beam", action="store_true")
+    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("sweep-lmax", parents=[common],
@@ -149,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="PATH", help="key-value file overriding flags")
     p.add_argument("--repetitions", type=int, default=1)
     p.add_argument("--warmup", type=int, default=0)
-    p.set_defaults(func=_cmd_sweep_lmax)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(func=_cmd_sweep_lmax, parser=p)
 
     p = sub.add_parser("sweep-depth", parents=[common],
                        help="wall-clock per encoder+decoder depth")
@@ -158,36 +164,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depths", default="6+6,9+3", help="comma list of ENC+DEC pairs")
     p.add_argument("--repetitions", type=int, default=5)
     p.add_argument("--warmup", type=int, default=2)
-    p.set_defaults(func=_cmd_sweep_depth)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(func=_cmd_sweep_depth, parser=p)
     return parser
 
 
-_CONFIG_COERCERS = {
-    "beam": int, "max_len": int, "seed": int, "threads": int, "workers": int,
-    "enc_layers": int, "dec_layers": int, "model_dim": int, "heads": int,
-    "ffn_dim": int, "order": int, "repetitions": int, "warmup": int,
-    "smoothing": float, "copy_bias": float, "length_penalty": float,
-}
-
-
 def _apply_config_file(args: argparse.Namespace) -> None:
-    """`--config` key-value pairs override already-parsed flags on sweeps."""
-    if getattr(args, "config", None) is None:
+    """`--config` key-value pairs override already-parsed flags on sweeps.
+
+    Each value goes through its flag's own argparse action, so `type`, `nargs`
+    and `choices` are checked exactly as on the command line. argparse has no
+    public way to convert one option's value outside a full parse, hence the
+    private `_actions` and `_get_values`.
+    """
+    if args.config is None:
         return
     path = _require_file(args.config, "config file")
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise ValueError(f"{path}:{lineno}: expected `key = value`")
-        key, _, value = text.partition("=")
-        dest = key.strip().replace("-", "_")
-        value = value.strip()
-        if not hasattr(args, dest):
-            raise ValueError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
-        coerce = _CONFIG_COERCERS.get(dest, str)
-        setattr(args, dest, coerce(value))
+    parser = args.parser
+    actions = {a.dest: a for a in parser._actions if a.option_strings and a.nargs != 0}
+    for lineno, key, value in read_key_values(path):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        strings = [value]
+        if action.nargs is not None:
+            strings = value.split()
+            if len(strings) != action.nargs:
+                raise ValueError(
+                    f"{path}:{lineno}: {key} expects {action.nargs} values, got {len(strings)}"
+                )
+        try:
+            setattr(args, action.dest, parser._get_values(action, strings))
+        except argparse.ArgumentError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
 def _load_lines(args: argparse.Namespace, attr: str) -> list[str]:
@@ -216,11 +225,11 @@ def _make_scorer(args: argparse.Namespace, vocab: Vocab, lines: list[str]) -> Sc
             (tokenize(s, args.scheme, vocab), tokenize(t, args.scheme, vocab))
             for s, t in zip(src, tgt)
         ]
-        return scripted_edit_scorer(pairs, vocab)
+        return ScriptedEditScorer(pairs, vocab)
     if args.scorer == "ngram":
         corpus_ids = corpus_to_ids(lines, args.scheme, vocab)
-        return ngram_scorer(corpus_ids, args.order, args.smoothing, vocab,
-                            copy_bias=args.copy_bias)
+        return NgramScorer(corpus_ids, args.order, args.smoothing, vocab,
+                           copy_bias=args.copy_bias)
     if args.scorer == "transformer":
         if args.transformer_config:
             config = TransformerConfig.from_file(
@@ -237,7 +246,7 @@ def _make_scorer(args: argparse.Namespace, vocab: Vocab, lines: list[str]) -> Sc
                 ffn_dim=args.ffn_dim,
                 seed=args.seed,
             )
-        return tiny_transformer(config, vocab)
+        return TinyTransformer(config, vocab)
     raise ValueError(f"unknown scorer kind: {args.scorer!r}")
 
 
@@ -270,6 +279,15 @@ def _write(args: argparse.Namespace, content: str) -> None:
 # --- subcommands ------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class DecodedLine:
+    """One `decode --format csv` row."""
+
+    sentence: int
+    iterations: int
+    output: str
+
+
 def _cmd_decode(args: argparse.Namespace) -> int:
     lines = _load_lines(args, "input")
     vocab = _make_vocab(args, lines)
@@ -291,10 +309,11 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         ]
         _write(args, json.dumps(payload, indent=2, sort_keys=True))
     elif args.format == "csv":
-        rows = ["sentence,iterations,output"]
-        for idx, res in enumerate(results):
-            rows.append(f"{idx},{res.trace.sequential_iterations},{detokenize(res.output, vocab)}")
-        _write(args, "".join(row + "\n" for row in rows))
+        rows = [
+            DecodedLine(idx, res.trace.sequential_iterations, detokenize(res.output, vocab))
+            for idx, res in enumerate(results)
+        ]
+        _write(args, rows_csv(DecodedLine, rows))
     else:
         render = (lambda r: emit_trace(r, vocab)) if args.trace else (
             lambda r: detokenize(r.output, vocab)
@@ -358,20 +377,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     reports = bench(
         scorer,
         corpus_ids,
-        cfg=DecodeConfig(
-            max_len=args.max_len,
-            l_max=_single_lmax(args),
-            beam_size=args.beam,
-            length_penalty=args.length_penalty,
-        ),
+        cfg=_decode_config(args, _single_lmax(args)),
         repetitions=args.repetitions,
         warmup=args.warmup,
         threads=args.threads,
         with_beam=args.with_beam,
-        workers=args.workers,
     )
     if args.format == "csv":
-        _write(args, sentence_reports_csv(reports))
+        _write(args, rows_csv(SentenceRow, map(SentenceRow.of, reports)))
     elif args.format == "json":
         _write(args, sentence_reports_json(reports))
     else:
@@ -399,21 +412,7 @@ def _cmd_sweep_lmax(args: argparse.Namespace) -> int:
         repetitions=args.repetitions,
         warmup=args.warmup,
     )
-    if args.format == "json":
-        payload = [
-            {
-                "l_max": "unlimited" if r.l_max is None else r.l_max,
-                "sequential_iterations": r.sequential_iterations,
-                "positions_scored": r.positions_scored,
-                "tokens_emitted": r.tokens_emitted,
-                "wall_clock": r.wall_clock,
-                "outputs_match_greedy": r.outputs_match_greedy,
-            }
-            for r in rows
-        ]
-        _write(args, json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        _write(args, lmax_rows_csv(rows))
+    _write(args, rows_json(rows) if args.format == "json" else rows_csv(LmaxRow, rows))
     return 0
 
 
@@ -444,39 +443,18 @@ def _cmd_sweep_depth(args: argparse.Namespace) -> int:
         warmup=args.warmup,
         threads=args.threads,
     )
-    if args.format == "json":
-        payload = [
-            {
-                "enc_layers": r.enc_layers,
-                "dec_layers": r.dec_layers,
-                "greedy_iterations": r.greedy_iterations,
-                "greedy_tokens": r.greedy_tokens,
-                "greedy_wall": r.greedy_wall,
-                "aggressive_iterations": r.aggressive_iterations,
-                "aggressive_tokens": r.aggressive_tokens,
-                "aggressive_wall": r.aggressive_wall,
-            }
-            for r in rows
-        ]
-        _write(args, json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        _write(args, depth_rows_csv(rows))
+    _write(args, rows_json(rows) if args.format == "json" else rows_csv(DepthRow, rows))
     return 0
 
 
-def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         with thread_limit(args.threads):
             return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv=None) -> int:
-    return run(argv)
 
 
 if __name__ == "__main__":

@@ -9,12 +9,13 @@ online setting: one sentence per decode call.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import statistics
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .core import AGGRESSIVE, BEAM, GREEDY, DecodeConfig, TokenIds, Vocab, prepare_input, strip_sentinels
 from .decoding import DecodeResult, aggressive_decode, beam_decode, greedy_decode
 from .scorers import Scorer
-from .transformer import TransformerConfig, tiny_transformer
+from .transformer import TinyTransformer, TransformerConfig
 
 
 # --- edit distance -----------------------------------------------------------
@@ -110,6 +111,42 @@ class SentenceReport:
     beam_stats: StepStats | None
     iteration_speedup: float
     wall_speedup: float
+
+
+@dataclass(frozen=True)
+class SentenceRow:
+    """One bench report as a flat CSV row; beam columns are empty without beam."""
+
+    sentence: int
+    input_len: int
+    output_len: int
+    edit_ratio: float
+    greedy_iters: int
+    aggressive_iters: int
+    beam_iters: int | None
+    iteration_speedup: float
+    wall_speedup: float
+    greedy_wall: float
+    aggressive_wall: float
+    beam_wall: float | None
+
+    @classmethod
+    def of(cls, r: SentenceReport) -> "SentenceRow":
+        beam = r.beam_stats
+        return cls(
+            sentence=r.index,
+            input_len=r.input_len,
+            output_len=r.output_len,
+            edit_ratio=r.edit_ratio,
+            greedy_iters=r.greedy_stats.sequential_iterations,
+            aggressive_iters=r.aggressive_stats.sequential_iterations,
+            beam_iters=beam.sequential_iterations if beam else None,
+            iteration_speedup=r.iteration_speedup,
+            wall_speedup=r.wall_speedup,
+            greedy_wall=r.greedy_stats.wall_clock,
+            aggressive_wall=r.aggressive_stats.wall_clock,
+            beam_wall=beam.wall_clock if beam else None,
+        )
 
 
 # --- equivalence checking -------------------------------------------------------
@@ -214,21 +251,17 @@ def bench(
     warmup: int = 2,
     threads: int | None = None,
     with_beam: bool = False,
-    workers: int = 1,
 ) -> list[SentenceReport]:
     """Per-sentence greedy vs aggressive comparison (plus beam when asked).
 
-    Each timed decode is single-sentence and timed in isolation; workers > 1
-    fans sentences out for harness throughput but makes wall-clock columns
-    noisy, so leave it at 1 when timings matter.
+    Each timed decode is single-sentence and timed in isolation.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     base = cfg or DecodeConfig()
     vocab = scorer.vocab
 
-    def one(idx_raw: tuple[int, TokenIds]) -> SentenceReport:
-        idx, raw = idx_raw
+    def one(idx: int, raw: TokenIds) -> SentenceReport:
         if not raw:
             raise ValueError(f"bench sentence {idx} is empty; edit_ratio needs input tokens")
         x = prepare_input(raw, vocab)
@@ -262,15 +295,8 @@ def bench(
             wall_speedup=greedy_wall / agg_wall if agg_wall > 0 else float("inf"),
         )
 
-
     with thread_limit(threads):
-        items = list(enumerate(corpus))
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(one, items))
-        return [one(item) for item in items]
+        return [one(idx, raw) for idx, raw in enumerate(corpus)]
 
 
 # --- sweeps ----------------------------------------------------------------------
@@ -278,7 +304,7 @@ def bench(
 
 @dataclass(frozen=True)
 class LmaxRow:
-    l_max: int | None
+    l_max: int | None = field(metadata={"none": "unlimited"})
     sequential_iterations: int
     positions_scored: int
     tokens_emitted: int
@@ -359,7 +385,7 @@ def sweep_depth(
     rows = []
     with thread_limit(threads):
         for config in configs:
-            scorer = tiny_transformer(config, vocab)
+            scorer = TinyTransformer(config, vocab)
             greedy_iters = agg_iters = greedy_tokens = agg_tokens = 0
             greedy_wall = agg_wall = 0.0
             for raw in corpus:
@@ -397,41 +423,6 @@ def sweep_depth(
 
 # --- report emission ----------------------------------------------------------------
 
-SENTENCE_COLUMNS = (
-    "sentence",
-    "input_len",
-    "output_len",
-    "edit_ratio",
-    "greedy_iters",
-    "aggressive_iters",
-    "beam_iters",
-    "iteration_speedup",
-    "wall_speedup",
-    "greedy_wall",
-    "aggressive_wall",
-    "beam_wall",
-)
-
-LMAX_COLUMNS = (
-    "l_max",
-    "sequential_iterations",
-    "positions_scored",
-    "tokens_emitted",
-    "wall_clock",
-    "outputs_match_greedy",
-)
-
-DEPTH_COLUMNS = (
-    "enc_layers",
-    "dec_layers",
-    "greedy_iterations",
-    "greedy_tokens",
-    "greedy_wall",
-    "aggressive_iterations",
-    "aggressive_tokens",
-    "aggressive_wall",
-)
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -443,27 +434,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def sentence_reports_csv(reports: Iterable[SentenceReport]) -> str:
+def _cells(row) -> dict:
+    """Field name -> value; a None field shows its `none` metadata text, if any."""
+    cells = {}
+    for f in fields(row):
+        value = getattr(row, f.name)
+        cells[f.name] = f.metadata.get("none") if value is None else value
+    return cells
+
+
+def rows_csv(row_type: type, rows: Iterable) -> str:
+    """A header of `row_type`'s field names, then one CSV line per row."""
     out = io.StringIO()
-    out.write(",".join(SENTENCE_COLUMNS) + "\n")
-    for r in reports:
-        beam = r.beam_stats
-        row = (
-            r.index,
-            r.input_len,
-            r.output_len,
-            r.edit_ratio,
-            r.greedy_stats.sequential_iterations,
-            r.aggressive_stats.sequential_iterations,
-            beam.sequential_iterations if beam else None,
-            r.iteration_speedup,
-            r.wall_speedup,
-            r.greedy_stats.wall_clock,
-            r.aggressive_stats.wall_clock,
-            beam.wall_clock if beam else None,
-        )
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(f.name for f in fields(row_type))
+    for row in rows:
+        writer.writerow(_fmt(v) for v in _cells(row).values())
     return out.getvalue()
+
+
+def rows_json(rows: Iterable) -> str:
+    """A JSON list with one object per row, keyed by field name."""
+    return json.dumps([_cells(row) for row in rows], indent=2, sort_keys=True)
 
 
 def sentence_reports_json(reports: Sequence[SentenceReport]) -> str:
@@ -487,37 +479,3 @@ def sentence_reports_json(reports: Sequence[SentenceReport]) -> str:
         ),
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def lmax_rows_csv(rows: Iterable[LmaxRow]) -> str:
-    out = io.StringIO()
-    out.write(",".join(LMAX_COLUMNS) + "\n")
-    for r in rows:
-        values = (
-            "unlimited" if r.l_max is None else r.l_max,
-            r.sequential_iterations,
-            r.positions_scored,
-            r.tokens_emitted,
-            r.wall_clock,
-            r.outputs_match_greedy,
-        )
-        out.write(",".join(_fmt(v) for v in values) + "\n")
-    return out.getvalue()
-
-
-def depth_rows_csv(rows: Iterable[DepthRow]) -> str:
-    out = io.StringIO()
-    out.write(",".join(DEPTH_COLUMNS) + "\n")
-    for r in rows:
-        values = (
-            r.enc_layers,
-            r.dec_layers,
-            r.greedy_iterations,
-            r.greedy_tokens,
-            r.greedy_wall,
-            r.aggressive_iterations,
-            r.aggressive_tokens,
-            r.aggressive_wall,
-        )
-        out.write(",".join(_fmt(v) for v in values) + "\n")
-    return out.getvalue()

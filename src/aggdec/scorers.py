@@ -126,12 +126,6 @@ class ScriptedEditScorer(Scorer):
         return rows
 
 
-def scripted_edit_scorer(
-    pairs: Iterable[tuple[Sequence[int], Sequence[int]]], vocab: Vocab
-) -> ScriptedEditScorer:
-    return ScriptedEditScorer(pairs, vocab)
-
-
 def identity_scorer(vocab: Vocab) -> ScriptedEditScorer:
     """Scorer whose greedy decode reproduces any input unchanged."""
     return ScriptedEditScorer((), vocab)
@@ -216,13 +210,3 @@ class NgramScorer(Scorer):
             row[self.vocab.pad] = NEG_INF
             rows[k] = row
         return rows
-
-
-def ngram_scorer(
-    corpus: Sequence[Sequence[int]],
-    order: int,
-    smoothing: float,
-    vocab: Vocab,
-    copy_bias: float = 0.0,
-) -> NgramScorer:
-    return NgramScorer(corpus, order, smoothing, vocab, copy_bias)

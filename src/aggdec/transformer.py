@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TokenIds, Vocab
+from .core import TokenIds, Vocab, read_key_values
 from .scorers import NEG_INF, DecodeSession, Scorer
 
 
@@ -42,17 +42,10 @@ class TransformerConfig:
         All six keys are accepted; seed is mandatory for reproducibility.
         """
         values: dict[str, int] = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ValueError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
-            key, _, value = text.partition("=")
-            key = key.strip()
+        for lineno, key, value in read_key_values(path):
             if key not in cls.__dataclass_fields__:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = int(value.strip())
+            values[key] = int(value)
         if "seed" not in values:
             raise ValueError(f"{path}: seed is mandatory")
         missing = set(cls.__dataclass_fields__) - set(values)
@@ -290,7 +283,3 @@ class _CachedSession(DecodeSession):
         dup._ids = self._ids
         dup._cache = self._cache.copy()
         return dup
-
-
-def tiny_transformer(config: TransformerConfig, vocab: Vocab, use_cache: bool = True) -> TinyTransformer:
-    return TinyTransformer(config, vocab, use_cache=use_cache)

@@ -12,6 +12,9 @@ import pytest
 
 from aggdec import (
     DecodeConfig,
+    NgramScorer,
+    ScriptedEditScorer,
+    TinyTransformer,
     TransformerConfig,
     aggressive_decode,
     bench,
@@ -21,13 +24,10 @@ from aggdec import (
     greedy_decode,
     identity_scorer,
     levenshtein,
-    ngram_scorer,
     prepare_input,
-    scripted_edit_scorer,
     spearman,
     sweep_depth,
     sweep_lmax,
-    tiny_transformer,
     tokenize,
     validate_trace,
 )
@@ -63,10 +63,10 @@ def criterion1_run() -> EquivalenceRun:
     unique_sources = list(dict.fromkeys(corpus))
     scorers = {
         "identity": identity_scorer(vocab),
-        "scripted": scripted_edit_scorer(
+        "scripted": ScriptedEditScorer(
             [(src, perturb(rng, src, 0.2, vocab)) for src in unique_sources], vocab
         ),
-        "ngram": ngram_scorer(corpus[:150], order=2, smoothing=0.1, vocab=vocab,
+        "ngram": NgramScorer(corpus[:150], order=2, smoothing=0.1, vocab=vocab,
                               copy_bias=2.0),
     }
     mismatches = dominance = trace_bad = pairs = 0
@@ -131,7 +131,7 @@ def test_criterion_2_transformer_equivalence():
             encoder_layers=enc, decoder_layers=dec, model_dim=64, heads=4,
             ffn_dim=128, seed=97,
         )
-        scorer = tiny_transformer(config, vocab)
+        scorer = TinyTransformer(config, vocab)
         for raw in corpus:
             x = prepare_input(raw, vocab)
             greedy = greedy_decode(scorer, x, DecodeConfig(max_len=48))
@@ -155,7 +155,7 @@ def test_criterion_3_iteration_dominance_and_low_edit_speedup(criterion1_run):
     vocab = synthetic_vocab(120)
     pairs = rewrite_pairs(rng, 200, vocab, min_len=15, max_len=35,
                           edit_rate=(0.0, 0.1))
-    scorer = scripted_edit_scorer(pairs, vocab)
+    scorer = ScriptedEditScorer(pairs, vocab)
     reports = bench(scorer, [src for src, _ in pairs], repetitions=1, warmup=0)
     mean_ratio = sum(r.edit_ratio for r in reports) / len(reports)
     mean_speedup = sum(r.iteration_speedup for r in reports) / len(reports)
@@ -180,7 +180,7 @@ def test_criterion_4_speedup_falls_with_edit_ratio():
     pairs = rewrite_pairs(rng, 60, vocab, min_len=10, max_len=40, edit_rate=0.0)
     pairs += rewrite_pairs(rng, 240, vocab, min_len=10, max_len=40,
                            edit_rate=(0.0, 0.5))
-    scorer = scripted_edit_scorer(pairs, vocab)
+    scorer = ScriptedEditScorer(pairs, vocab)
     reports = bench(scorer, [src for src, _ in pairs], repetitions=1, warmup=0)
     correlation = spearman(
         [r.edit_ratio for r in reports], [r.iteration_speedup for r in reports]
@@ -236,7 +236,7 @@ def test_criterion_6_decoder_depth_wall_clock():
     }
     budget = 24
     cfg = DecodeConfig(max_len=budget)
-    scorers = {key: tiny_transformer(c, vocab) for key, c in configs.items()}
+    scorers = {key: TinyTransformer(c, vocab) for key, c in configs.items()}
     corpus = []
     candidates = [random_sentence(rng, vocab, 18, 26) for _ in range(40)]
     for raw in candidates:

@@ -1,10 +1,17 @@
+import csv
 import json
 
 import pytest
 
-from aggdec import DecodeConfig, aggressive_decode, identity_scorer, prepare_input, tokenize
+from aggdec import (
+    DecodeConfig,
+    ScriptedEditScorer,
+    aggressive_decode,
+    identity_scorer,
+    prepare_input,
+    tokenize,
+)
 from aggdec.cli import emit_trace, main
-from aggdec.scorers import scripted_edit_scorer
 
 
 @pytest.fixture
@@ -24,7 +31,7 @@ def test_emit_trace_single_segment(vocab):
 
 def test_emit_trace_mixed_segments(vocab):
     pair = (tokenize("a b c d", "whitespace", vocab), tokenize("a b X d", "whitespace", vocab))
-    scorer = scripted_edit_scorer([pair], vocab)
+    scorer = ScriptedEditScorer([pair], vocab)
     result = aggressive_decode(
         scorer, prepare_input(pair[0], vocab), DecodeConfig(mode="aggressive")
     )
@@ -198,6 +205,42 @@ def test_sweep_lmax_config_overrides_flags(corpus_file, tmp_path, capsys):
     assert lines[2].startswith("unlimited,")
 
 
+def test_sweep_config_nargs_value_matches_flag(corpus_file, tmp_path, capsys):
+    src = tmp_path / "src.txt"
+    tgt = tmp_path / "tgt.txt"
+    src.write_text("a b c d\n", encoding="utf-8")
+    tgt.write_text("a b X d\n", encoding="utf-8")
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"scorer = scripted\nscripted_pairs = {src} {tgt}\n", encoding="utf-8")
+    argv = ["sweep-lmax", "--corpus", str(src), "--lmax", "1,unlimited"]
+    assert main(argv + ["--config", str(config)]) == 0
+    from_config = capsys.readouterr().out.splitlines()
+    assert main(argv + ["--scorer", "scripted", "--scripted-pairs", str(src), str(tgt)]) == 0
+    from_flags = capsys.readouterr().out.splitlines()
+    iterations = [[line.split(",")[1] for line in out] for out in (from_config, from_flags)]
+    assert iterations[0] == iterations[1] == ["sequential_iterations", "5", "3"]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("format = xml", "invalid choice"),
+    ("repetitions = two", "invalid int value"),
+    ("scripted_pairs = only-one.txt", "expects 2 values"),
+    ("workers = 2", "unknown config key"),
+    ("func = x", "unknown config key"),
+    ("lmax", "expected `key = value`"),
+])
+def test_sweep_config_value_rejected_like_flag(corpus_file, tmp_path, capsys, line, message):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"# sweep settings\n{line}\n", encoding="utf-8")
+    code = main([
+        "sweep-lmax", "--scorer", "identity", "--corpus", str(corpus_file),
+        "--config", str(config),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{config}:2: " in err and message in err
+
+
 def test_sweep_depth_smoke(corpus_file, capsys):
     code = main([
         "sweep-depth", "--corpus", str(corpus_file), "--depths", "1+1,1+2",
@@ -208,6 +251,25 @@ def test_sweep_depth_smoke(corpus_file, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("enc_layers,dec_layers")
     assert len(lines) == 3
+
+
+def test_decode_csv_quotes_text(tmp_path, capsys):
+    line = 'hello, "world" a,b'
+    path = tmp_path / "corpus.txt"
+    path.write_text(line + "\n", encoding="utf-8")
+    code = main(["decode", "--scorer", "identity", "--input", str(path), "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows == [["sentence", "iterations", "output"], ["0", "1", line]]
+
+
+@pytest.mark.parametrize("subcommand, fmt", [
+    ("check", "csv"), ("sweep-lmax", "text"), ("sweep-depth", "text"),
+])
+def test_format_limited_to_what_subcommand_renders(corpus_file, subcommand, fmt):
+    with pytest.raises(SystemExit) as excinfo:
+        main([subcommand, "--corpus", str(corpus_file), "--format", fmt])
+    assert excinfo.value.code != 0
 
 
 def test_missing_corpus_is_a_clean_error(capsys):

@@ -6,6 +6,8 @@ from aggdec import (
     AGGRESSIVE,
     AUTOREGRESSIVE,
     DecodeConfig,
+    NgramScorer,
+    ScriptedEditScorer,
     SuffixMatch,
     Vocab,
     aggressive_decode,
@@ -16,9 +18,7 @@ from aggdec import (
     find_suffix_match,
     greedy_decode,
     identity_scorer,
-    ngram_scorer,
     prepare_input,
-    scripted_edit_scorer,
     tokenize,
 )
 from oracles import naive_suffix_match, scan_argmax
@@ -158,7 +158,7 @@ def test_greedy_identity(vocab):
 
 def test_greedy_scripted(vocab):
     pair = (ids("a b c d", vocab), ids("a b X d", vocab))
-    scorer = scripted_edit_scorer([pair], vocab)
+    scorer = ScriptedEditScorer([pair], vocab)
     result = greedy_decode(scorer, prepare_input(pair[0], vocab), DecodeConfig())
     assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
     assert result.trace.sequential_iterations == 5
@@ -189,7 +189,7 @@ def test_aggressive_hand_trace(vocab):
     """Substitution example: one pass to the disagreement, one autoregressive
     step, one re-entry pass; 3 sequential iterations against greedy's 5."""
     pair = (ids("a b c d", vocab), ids("a b X d", vocab))
-    scorer = scripted_edit_scorer([pair], vocab)
+    scorer = ScriptedEditScorer([pair], vocab)
     x = prepare_input(pair[0], vocab)
     result = aggressive_decode(scorer, x, DecodeConfig(mode="aggressive"))
     assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
@@ -235,7 +235,7 @@ def test_aggressive_max_len_truncation_matches_greedy(vocab):
 
 def test_beam_size_one_reproduces_greedy(vocab, rng):
     corpus = [tuple(rng.integers(4, len(vocab), size=6)) for _ in range(12)]
-    scorer = ngram_scorer(corpus, order=2, smoothing=0.2, vocab=vocab, copy_bias=1.5)
+    scorer = NgramScorer(corpus, order=2, smoothing=0.2, vocab=vocab, copy_bias=1.5)
     for raw in corpus[:6]:
         x = prepare_input(raw, vocab)
         greedy = greedy_decode(scorer, x, DecodeConfig())
@@ -245,7 +245,7 @@ def test_beam_size_one_reproduces_greedy(vocab, rng):
 
 def test_beam_peaked_scorer_returns_target(vocab):
     pair = (ids("a b c", vocab), ids("a X c", vocab))
-    scorer = scripted_edit_scorer([pair], vocab)
+    scorer = ScriptedEditScorer([pair], vocab)
     x = prepare_input(pair[0], vocab)
     result = beam_decode(scorer, x, DecodeConfig(mode="beam", beam_size=5))
     assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
@@ -253,7 +253,7 @@ def test_beam_peaked_scorer_returns_target(vocab):
 
 def test_beam_iterations_equal_output_length(vocab):
     pair = (ids("a b c", vocab), ids("a X c", vocab))
-    scorer = scripted_edit_scorer([pair], vocab)
+    scorer = ScriptedEditScorer([pair], vocab)
     x = prepare_input(pair[0], vocab)
     result = beam_decode(scorer, x, DecodeConfig(mode="beam", beam_size=5))
     assert result.trace.sequential_iterations == len(result.output) - 1
@@ -273,10 +273,10 @@ def test_beam_max_len_truncation(vocab):
 
 def test_beam_size_one_matches_greedy_on_transformer(rng):
     """Exercises per-hypothesis session forking with a cache-backed scorer."""
-    from aggdec import TransformerConfig, Vocab, tiny_transformer
+    from aggdec import TinyTransformer, TransformerConfig, Vocab
 
     tvocab = Vocab([f"w{i}" for i in range(20)])
-    scorer = tiny_transformer(TransformerConfig(2, 2, 32, 4, 48, seed=5), tvocab)
+    scorer = TinyTransformer(TransformerConfig(2, 2, 32, 4, 48, seed=5), tvocab)
     for _ in range(6):
         raw = tuple(int(t) for t in rng.integers(4, len(tvocab), size=rng.integers(1, 9)))
         x = prepare_input(raw, tvocab)
@@ -301,8 +301,8 @@ def _scorer_from_label(label, vocab, corpus):
                     pos = idx % len(edited)
                     edited[pos] = 4 + ((edited[pos] - 4 + 1) % 5)
                 pairs[raw] = tuple(edited)
-        return scripted_edit_scorer(list(pairs.items()), vocab)
-    return ngram_scorer(corpus or [(4,)], order=2, smoothing=0.3, vocab=vocab,
+        return ScriptedEditScorer(list(pairs.items()), vocab)
+    return NgramScorer(corpus or [(4,)], order=2, smoothing=0.3, vocab=vocab,
                         copy_bias=1.0)
 
 

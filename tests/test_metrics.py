@@ -4,6 +4,8 @@ from hypothesis import given, strategies as st
 
 from aggdec import (
     DecodeConfig,
+    DepthRow,
+    LmaxRow,
     TransformerConfig,
     bench,
     build_vocab,
@@ -16,16 +18,8 @@ from aggdec import (
     sweep_lmax,
     tokenize,
 )
-from aggdec.metrics import (
-    DEPTH_COLUMNS,
-    LMAX_COLUMNS,
-    SENTENCE_COLUMNS,
-    depth_rows_csv,
-    lmax_rows_csv,
-    sentence_reports_csv,
-    sentence_reports_json,
-)
-from aggdec.scorers import scripted_edit_scorer
+from aggdec.metrics import SentenceRow, rows_csv, rows_json, sentence_reports_json
+from aggdec.scorers import ScriptedEditScorer
 from aggdec.synthetic import rewrite_pairs, synthetic_vocab
 from oracles import recursive_levenshtein
 
@@ -172,7 +166,7 @@ def test_bench_speedup_falls_as_edit_ratio_rises():
     buckets = []
     for rate in (0.0, 0.2, 0.45):
         pairs = rewrite_pairs(rng, 25, vocab, min_len=12, max_len=24, edit_rate=rate)
-        scorer = scripted_edit_scorer(pairs, vocab)
+        scorer = ScriptedEditScorer(pairs, vocab)
         reports = bench(scorer, [src for src, _ in pairs], repetitions=1, warmup=0)
         buckets.append(sum(r.iteration_speedup for r in reports) / len(reports))
     assert buckets[0] >= buckets[1] >= buckets[2]
@@ -195,13 +189,6 @@ def test_bench_with_beam_populates_stats(vocab):
 def test_bench_rejects_empty_sentence(vocab):
     with pytest.raises(ValueError):
         bench(identity_scorer(vocab), [()], repetitions=1, warmup=0)
-
-
-def test_bench_workers_match_serial(vocab, rng):
-    corpus = [tuple(rng.integers(4, len(vocab), size=5)) for _ in range(6)]
-    serial = bench(identity_scorer(vocab), corpus, repetitions=1, warmup=0)
-    fanned = bench(identity_scorer(vocab), corpus, repetitions=1, warmup=0, workers=3)
-    assert [r.iteration_speedup for r in serial] == [r.iteration_speedup for r in fanned]
 
 
 # --- sweeps ------------------------------------------------------------------------
@@ -257,7 +244,7 @@ def test_sweep_depth_encoder_cost_amortized():
 def test_sweep_depth_extreme_split_beats_balanced_shallow():
     """11+1 decodes faster than 9+3 despite the deeper encoder; compared on
     sentences both configs decode to the full budget so the workloads match."""
-    from aggdec import DecodeConfig, greedy_decode, prepare_input, tiny_transformer
+    from aggdec import DecodeConfig, TinyTransformer, greedy_decode, prepare_input
 
     vocab = synthetic_vocab(60)
     rng = np.random.default_rng(88)
@@ -266,7 +253,7 @@ def test_sweep_depth_extreme_split_beats_balanced_shallow():
         TransformerConfig(encoder_layers=9, decoder_layers=3, **base),
         TransformerConfig(encoder_layers=11, decoder_layers=1, **base),
     ]
-    scorers = [tiny_transformer(c, vocab) for c in configs]
+    scorers = [TinyTransformer(c, vocab) for c in configs]
     budget = 16
     cfg = DecodeConfig(max_len=budget)
     corpus = []
@@ -289,13 +276,14 @@ def test_sweep_depth_extreme_split_beats_balanced_shallow():
 
 def test_sentence_csv_schema(vocab):
     reports = bench(identity_scorer(vocab), [(4, 5)], repetitions=1, warmup=0)
-    text = sentence_reports_csv(reports)
-    header = text.splitlines()[0].split(",")
-    assert header == list(SENTENCE_COLUMNS)
-    for required in ("edit_ratio", "greedy_iters", "aggressive_iters",
-                     "iteration_speedup", "wall_speedup"):
-        assert required in header
-    assert len(text.splitlines()) == 2
+    lines = rows_csv(SentenceRow, map(SentenceRow.of, reports)).splitlines()
+    assert lines[0] == (
+        "sentence,input_len,output_len,edit_ratio,greedy_iters,aggressive_iters,beam_iters,"
+        "iteration_speedup,wall_speedup,greedy_wall,aggressive_wall,beam_wall"
+    )
+    assert len(lines) == 2
+    cells = lines[1].split(",")
+    assert cells[6] == cells[11] == ""  # no beam run, empty beam columns
 
 
 def test_sentence_json_aggregates(vocab):
@@ -309,11 +297,16 @@ def test_sentence_json_aggregates(vocab):
 
 
 def test_lmax_csv_schema(vocab):
+    import json
+
     rows = sweep_lmax(identity_scorer(vocab), [(4, 5)], [1, None])
-    text = lmax_rows_csv(rows)
-    lines = text.splitlines()
-    assert lines[0].split(",") == list(LMAX_COLUMNS)
+    lines = rows_csv(LmaxRow, rows).splitlines()
+    assert lines[0] == (
+        "l_max,sequential_iterations,positions_scored,tokens_emitted,wall_clock,"
+        "outputs_match_greedy"
+    )
     assert lines[-1].startswith("unlimited,")
+    assert [r["l_max"] for r in json.loads(rows_json(rows))] == [1, "unlimited"]
 
 
 def test_depth_csv_schema(vocab):
@@ -321,7 +314,9 @@ def test_depth_csv_schema(vocab):
         [TransformerConfig(1, 1, 32, 4, 32, seed=5)], [(4, 5)], vocab,
         repetitions=1, warmup=0,
     )
-    text = depth_rows_csv(rows)
-    header = text.splitlines()[0].split(",")
-    assert header == list(DEPTH_COLUMNS)
-    assert "enc_layers" in header and "dec_layers" in header
+    lines = rows_csv(DepthRow, rows).splitlines()
+    assert lines[0] == (
+        "enc_layers,dec_layers,greedy_iterations,greedy_tokens,greedy_wall,"
+        "aggressive_iterations,aggressive_tokens,aggressive_wall"
+    )
+    assert lines[1].startswith("1,1,")

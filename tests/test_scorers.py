@@ -3,12 +3,12 @@ import pytest
 
 from aggdec import (
     DecodeConfig,
+    NgramScorer,
+    ScriptedEditScorer,
     aggressive_decode,
     greedy_decode,
     identity_scorer,
-    ngram_scorer,
     prepare_input,
-    scripted_edit_scorer,
     tokenize,
 )
 from aggdec.decoding import argmax_with_tiebreak
@@ -21,7 +21,7 @@ def ids(text, vocab):
 
 def test_scripted_identity_pair(vocab):
     pair = (ids("a b", vocab), ids("a b", vocab))
-    scorer = scripted_edit_scorer([pair], vocab)
+    scorer = ScriptedEditScorer([pair], vocab)
     x = prepare_input(pair[0], vocab)
     result = greedy_decode(scorer, x, DecodeConfig())
     assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
@@ -29,7 +29,7 @@ def test_scripted_identity_pair(vocab):
 
 def test_scripted_substitution(vocab):
     pair = (ids("a b c d", vocab), ids("a b X d", vocab))
-    scorer = scripted_edit_scorer([pair], vocab)
+    scorer = ScriptedEditScorer([pair], vocab)
     x = prepare_input(pair[0], vocab)
     result = greedy_decode(scorer, x, DecodeConfig())
     assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
@@ -47,7 +47,7 @@ def test_scripted_greedy_aggressive_agree(vocab, rng):
         seen.add(src)
         tgt = tuple(rng.choice(words, size=rng.integers(1, 9)))
         pairs.append((src, tgt))
-    scorer = scripted_edit_scorer(pairs, vocab)
+    scorer = ScriptedEditScorer(pairs, vocab)
     for src, _ in pairs:
         x = prepare_input(src, vocab)
         greedy = greedy_decode(scorer, x, DecodeConfig())
@@ -65,7 +65,7 @@ def test_scripted_unknown_source_decodes_to_itself(vocab):
 def test_scripted_off_target_fallback_copies_source(vocab):
     """A prefix that diverged from the target continues by copying the source."""
     pair = (ids("a b c", vocab), ids("a X", vocab))
-    scorer = scripted_edit_scorer([pair], vocab)
+    scorer = ScriptedEditScorer([pair], vocab)
     state = scorer.encode(prepare_input(pair[0], vocab))
     diverged = (vocab.bos, vocab.id_of("b"), vocab.id_of("b"))
     assert scorer.next_token(state, diverged) == vocab.id_of("c")
@@ -76,17 +76,17 @@ def test_scripted_off_target_fallback_copies_source(vocab):
 def test_scripted_rejects_duplicate_sources(vocab):
     pair = (ids("a b", vocab), ids("a b", vocab))
     with pytest.raises(ValueError):
-        scripted_edit_scorer([pair, pair], vocab)
+        ScriptedEditScorer([pair, pair], vocab)
 
 
 def test_scripted_rejects_sentinel_pairs(vocab):
     with pytest.raises(ValueError):
-        scripted_edit_scorer([((vocab.eos,), (vocab.id_of("a"),))], vocab)
+        ScriptedEditScorer([((vocab.eos,), (vocab.id_of("a"),))], vocab)
 
 
 def test_scripted_prefix_consistency_bit_exact(vocab):
     pair = (ids("a b c d", vocab), ids("a b X d", vocab))
-    scorer = scripted_edit_scorer([pair], vocab)
+    scorer = ScriptedEditScorer([pair], vocab)
     x = prepare_input(pair[0], vocab)
     state = scorer.encode(x)
     prefix = (vocab.bos,) + pair[0]
@@ -99,7 +99,7 @@ def test_scripted_prefix_consistency_bit_exact(vocab):
 def test_ngram_uniform_counts_tie_break(vocab):
     """With all counted tokens tied, argmax falls to the smallest token id."""
     corpus = [ids("a b c", vocab)]  # every counted token appears exactly once
-    scorer = ngram_scorer(corpus, order=1, smoothing=1.0, vocab=vocab)
+    scorer = NgramScorer(corpus, order=1, smoothing=1.0, vocab=vocab)
     state = scorer.encode(prepare_input(ids("a", vocab), vocab))
     row = scorer.score_positions(state, (vocab.bos,), (0,))[0]
     tied_max = np.flatnonzero(row == row.max())
@@ -108,7 +108,7 @@ def test_ngram_uniform_counts_tie_break(vocab):
 
 
 def test_ngram_huge_copy_bias_is_identity(vocab):
-    scorer = ngram_scorer([ids("a b", vocab)], order=2, smoothing=0.5, vocab=vocab,
+    scorer = NgramScorer([ids("a b", vocab)], order=2, smoothing=0.5, vocab=vocab,
                           copy_bias=1e9)
     raw = ids("d c b a", vocab)
     result = greedy_decode(scorer, prepare_input(raw, vocab), DecodeConfig())
@@ -117,7 +117,7 @@ def test_ngram_huge_copy_bias_is_identity(vocab):
 
 def test_ngram_determinism(vocab, rng):
     corpus = [tuple(rng.integers(4, len(vocab), size=6)) for _ in range(10)]
-    scorer = ngram_scorer(corpus, order=2, smoothing=0.1, vocab=vocab, copy_bias=1.0)
+    scorer = NgramScorer(corpus, order=2, smoothing=0.1, vocab=vocab, copy_bias=1.0)
     x = prepare_input(corpus[0], vocab)
     state = scorer.encode(x)
     prefix = (vocab.bos,) + corpus[0][:3]
@@ -128,7 +128,7 @@ def test_ngram_determinism(vocab, rng):
 
 def test_ngram_prefix_consistency_bit_exact(vocab, rng):
     corpus = [tuple(rng.integers(4, len(vocab), size=8)) for _ in range(15)]
-    scorer = ngram_scorer(corpus, order=3, smoothing=0.2, vocab=vocab, copy_bias=2.0)
+    scorer = NgramScorer(corpus, order=3, smoothing=0.2, vocab=vocab, copy_bias=2.0)
     x = prepare_input(corpus[0], vocab)
     state = scorer.encode(x)
     prefix = (vocab.bos,) + corpus[1][:6]
@@ -140,17 +140,17 @@ def test_ngram_prefix_consistency_bit_exact(vocab, rng):
 
 def test_ngram_validation(vocab):
     with pytest.raises(ValueError):
-        ngram_scorer([(4,)], order=0, smoothing=0.1, vocab=vocab)
+        NgramScorer([(4,)], order=0, smoothing=0.1, vocab=vocab)
     with pytest.raises(ValueError):
-        ngram_scorer([(4,)], order=1, smoothing=0.0, vocab=vocab)
+        NgramScorer([(4,)], order=1, smoothing=0.0, vocab=vocab)
     with pytest.raises(ValueError):
-        ngram_scorer([], order=1, smoothing=0.1, vocab=vocab)
+        NgramScorer([], order=1, smoothing=0.1, vocab=vocab)
 
 
 def test_pad_logit_masked_everywhere(vocab):
     scorers = [
         identity_scorer(vocab),
-        ngram_scorer([ids("a b c", vocab)], order=2, smoothing=0.1, vocab=vocab),
+        NgramScorer([ids("a b c", vocab)], order=2, smoothing=0.1, vocab=vocab),
     ]
     raw = ids("a b", vocab)
     x = prepare_input(raw, vocab)

@@ -3,13 +3,13 @@ import pytest
 
 from aggdec import (
     DecodeConfig,
+    TinyTransformer,
     TransformerConfig,
     Vocab,
     aggressive_decode,
     decoder_flops_per_position,
     greedy_decode,
     prepare_input,
-    tiny_transformer,
 )
 from aggdec.decoding import argmax_with_tiebreak
 
@@ -27,7 +27,7 @@ def small_config():
 
 @pytest.fixture(scope="module")
 def scorer(small_config, tvocab):
-    return tiny_transformer(small_config, tvocab)
+    return TinyTransformer(small_config, tvocab)
 
 
 def random_raw(rng, tvocab, low=1, high=14):
@@ -127,8 +127,8 @@ def test_encode_is_pure(scorer, tvocab):
 
 
 def test_same_seed_same_weights(small_config, tvocab):
-    a = tiny_transformer(small_config, tvocab)
-    b = tiny_transformer(small_config, tvocab)
+    a = TinyTransformer(small_config, tvocab)
+    b = TinyTransformer(small_config, tvocab)
     x = prepare_input((5, 6), tvocab)
     rows_a = a.score_positions(a.encode(x), (tvocab.bos, 5), (0, 1))
     rows_b = b.score_positions(b.encode(x), (tvocab.bos, 5), (0, 1))
@@ -137,8 +137,8 @@ def test_same_seed_same_weights(small_config, tvocab):
 
 def test_incremental_state_matches_scratch(small_config, tvocab, rng):
     """Cached-session decoding reproduces the from-scratch argmax sequence."""
-    cached = tiny_transformer(small_config, tvocab, use_cache=True)
-    scratch = tiny_transformer(small_config, tvocab, use_cache=False)
+    cached = TinyTransformer(small_config, tvocab, use_cache=True)
+    scratch = TinyTransformer(small_config, tvocab, use_cache=False)
     for _ in range(8):
         raw = random_raw(rng, tvocab)
         x = prepare_input(raw, tvocab)
