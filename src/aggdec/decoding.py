@@ -1,20 +1,21 @@
 """Greedy, beam, and aggressive (parallel copy-and-verify) decoding.
 
-Aggressive decoding assumes the output will mostly copy the input: whenever
-the current output ends in a suffix that occurs exactly once in the input, it
-copies the input tokens following that occurrence into the decoder as pseudo
-inputs, scores them all in one call, and accepts predictions up to and
-including the first disagreement with the copied tokens. Everything after the
-disagreement is discarded and recomputed, which is exactly why the emitted
-tokens match greedy decoding token for token whenever the scorer is prefix
-consistent. A single-token autoregressive step fills the gaps where no unique
-suffix exists.
+Greedy and aggressive decoding run one verify loop. Aggressive decoding
+proposes a copy whenever the current output ends in a suffix that occurs
+exactly once in the input: the input tokens following that occurrence go into
+the decoder as pseudo inputs, all are scored in one call, and predictions are
+accepted up to and including the first disagreement with the copied tokens.
+Everything after the disagreement is discarded and recomputed, which is
+exactly why the emitted tokens match greedy decoding token for token whenever
+the scorer is prefix consistent. Without a proposal (greedy never makes one)
+the loop takes a single autoregressive step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -105,40 +106,26 @@ def _require_mode(cfg: DecodeConfig, mode: str) -> None:
         raise ValueError(f"config mode is {cfg.mode!r}, expected {mode!r}")
 
 
-def _finish(o: list[int], records: list[IterationRecord], score: float) -> DecodeResult:
-    trace = DecodeTrace(iterations=tuple(records))
-    validate_trace(trace, len(o) - 1)
-    return DecodeResult(output=tuple(o), trace=trace, score=score)
+def _choose(block: np.ndarray, first: int) -> tuple[list[int], list[float]]:
+    """Each row's argmax, ties to the smallest id, and its log-probability;
+    row r is decoder position first + r. The log-probability of the row max,
+    -log(sum(exp(row - max))), is NaN exactly when that max is not finite."""
+    tokens = block.argmax(axis=1)
+    chosen = block[np.arange(len(tokens)), tokens]
+    log_probs = (-np.log(np.exp(block - chosen[:, None]).sum(axis=1))).tolist()
+    if math.isnan(sum(log_probs)):  # some chosen logit is not finite
+        r = int(np.flatnonzero(~np.isfinite(chosen))[0])
+        bad = chosen[r]
+        what = "NaN logit" if bad != bad else "all logits are masked" if bad < 0 else "infinite logit"
+        raise ValueError(f"{what} at position {first + r}")
+    return tokens.tolist(), log_probs
 
 
-def greedy_decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeResult:
-    """One token per step, argmax with smallest-id tie-break, until EOS or max_len."""
-    _require_mode(cfg, GREEDY)
-    vocab = scorer.vocab
-    max_len = cfg.resolve_max_len(len(x) - 2)
-    session = scorer.session(x)
-    o = [vocab.bos]
-    records: list[IterationRecord] = []
-    score = 0.0
-    while o[-1] != vocab.eos and len(o) - 1 < max_len:
-        j = len(o) - 1
-        row = session.score_positions(tuple(o), (j,))[0]
-        tok = argmax_with_tiebreak(row)
-        score += float(log_softmax(row)[tok])
-        o.append(tok)
-        records.append(IterationRecord(mode=AUTOREGRESSIVE, positions_scored=1, accepted=1))
-    return _finish(o, records, score)
-
-
-def aggressive_decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeResult:
-    """Parallel copy-and-verify decoding; emits exactly greedy_decode's tokens.
-
-    Starts from the BOS suffix match (i=0, q=0), so the first pass copies the
-    whole input. Each aggressive pass copies at most l_max tokens; the copy
-    window runs through the trailing PAD, whose slot guarantees a bifurcation.
-    When no unique suffix exists, falls back to one autoregressive step.
-    """
-    _require_mode(cfg, AGGRESSIVE)
+def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callable | None) -> DecodeResult:
+    """Decode until EOS or max_len. ``propose(o, x)`` returns the suffix match
+    whose continuation to copy (through the trailing PAD, whose slot guarantees
+    a bifurcation), or None for one autoregressive step. Only accepted rows are
+    chosen and scored, so a contract breach raises where greedy would raise."""
     vocab = scorer.vocab
     n = len(x) - 2
     max_len = cfg.resolve_max_len(n)
@@ -148,39 +135,49 @@ def aggressive_decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeR
     score = 0.0
     while o[-1] != vocab.eos and len(o) - 1 < max_len:
         j = len(o) - 1
-        match = find_suffix_match(o, x)
+        match = None if propose is None else propose(o, x)
         if match is None:
-            row = session.score_positions(tuple(o), (j,))[0]
-            tok = argmax_with_tiebreak(row)
-            score += float(log_softmax(row)[tok])
-            o.append(tok)
-            records.append(
-                IterationRecord(mode=AUTOREGRESSIVE, positions_scored=1, accepted=1)
-            )
-            continue
-        w = n + 1 - match.i
-        if cfg.l_max is not None:
-            w = min(w, cfg.l_max)
-        copied = tuple(x[match.i + 1: match.i + 1 + w])
-        prefix = tuple(o) + copied[:-1]  # pseudo decoder inputs; never includes PAD
-        rows = session.score_positions(prefix, range(j, j + w))
-        predictions = tuple(argmax_with_tiebreak(row) for row in rows)
-        k = find_bifurcation(predictions, copied)
-        accepted = w if k is None else k
-        accepted = min(accepted, max_len - j)  # greedy truncates at max_len; so do we
-        for t in range(accepted):
-            score += float(log_softmax(rows[t])[predictions[t]])
-        o.extend(predictions[:accepted])
-        records.append(
-            IterationRecord(
-                mode=AGGRESSIVE,
-                positions_scored=w,
-                accepted=accepted,
-                suffix_match=(match.i, match.q),
+            rows = session.score_positions(tuple(o), (j,))
+            record = IterationRecord(mode=AUTOREGRESSIVE, positions_scored=1, accepted=1)
+        else:
+            w = n + 1 - match.i
+            if cfg.l_max is not None:
+                w = min(w, cfg.l_max)
+            copied = tuple(x[match.i + 1: match.i + 1 + w])
+            prefix = tuple(o) + copied[:-1]  # pseudo decoder inputs; never includes PAD
+            rows = session.score_positions(prefix, range(j, j + w))
+            k = find_bifurcation(rows.argmax(axis=1).tolist(), copied)
+            accepted = min(w if k is None else k, max_len - j)  # greedy truncates at max_len; so do we
+            rows = rows[:accepted]
+            record = IterationRecord(
+                mode=AGGRESSIVE, positions_scored=w, accepted=accepted, suffix_match=(match.i, match.q),
                 bifurcation=(j + k) if k is not None and k <= accepted else None,
             )
-        )
-    return _finish(o, records, score)
+        tokens, log_probs = _choose(rows, j)
+        for log_prob in log_probs:
+            score += log_prob
+        o.extend(tokens)
+        records.append(record)
+    trace = DecodeTrace(iterations=tuple(records))
+    validate_trace(trace, len(o) - 1)
+    return DecodeResult(output=tuple(o), trace=trace, score=score)
+
+
+def greedy_decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeResult:
+    """One token per step, argmax with smallest-id tie-break, until EOS or max_len."""
+    _require_mode(cfg, GREEDY)
+    return _verify_loop(scorer, x, cfg, None)
+
+
+def aggressive_decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeResult:
+    """Parallel copy-and-verify decoding; emits exactly greedy_decode's tokens.
+
+    Starts from the BOS suffix match (i=0, q=0), so the first pass copies the
+    whole input. Each aggressive pass copies at most l_max tokens. When no
+    unique suffix exists, falls back to one autoregressive step.
+    """
+    _require_mode(cfg, AGGRESSIVE)
+    return _verify_loop(scorer, x, cfg, find_suffix_match)
 
 
 @dataclass

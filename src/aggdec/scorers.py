@@ -102,6 +102,8 @@ class ScriptedEditScorer(Scorer):
                 raise ValueError("scripted pairs must be sentinel-free")
             table[key] = tuple(tgt)
         self._table = table
+        self._background = np.full(len(vocab), SCRIPTED_OFF_LOGIT)
+        self._background[vocab.pad] = NEG_INF
 
     def encode(self, x: TokenIds) -> _ScriptedState:
         source = tuple(x[1:-1])
@@ -117,12 +119,28 @@ class ScriptedEditScorer(Scorer):
         return source[j] if j < len(source) else self.vocab.eos
 
     def score_positions(self, state, prefix, positions) -> np.ndarray:
-        prefix = tuple(prefix)
+        """Row k is the one-hot of next_token(state, prefix[:positions[k] + 1]),
+        built in one pass over the prefix."""
+        emitted = tuple(prefix)[1:]
         positions = list(positions)
-        rows = np.full((len(positions), len(self.vocab)), SCRIPTED_OFF_LOGIT)
+        source, target, eos = state.source, state.target, self.vocab.eos
+        # Position p is on script iff emitted[:p] == target[:p], which holds for
+        # every p up to a boundary b: compare tuples, and scan only on a
+        # mismatch. b stays -1 when even the first requested position is off.
+        b = -1
+        lo = min(positions) if positions else 0
+        if target is not None and emitted[:lo] == target[:lo]:
+            b = min(len(emitted), len(target))
+            if emitted[lo:b] != target[lo:b]:
+                b = next(i for i in range(lo, b) if emitted[i] != target[i])
+        rows = np.empty((len(positions), len(self._background)))
+        rows[:] = self._background
         for k, p in enumerate(positions):
-            rows[k, self.next_token(state, prefix[: p + 1])] = 0.0
-        rows[:, self.vocab.pad] = NEG_INF
+            if p <= b:
+                tok = target[p] if p < len(target) else eos
+            else:
+                tok = source[p] if p < len(source) else eos
+            rows[k, tok] = 0.0
         return rows
 
 

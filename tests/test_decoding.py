@@ -21,6 +21,8 @@ from aggdec import (
     prepare_input,
     tokenize,
 )
+from aggdec.decoding import _choose
+from aggdec.scorers import log_softmax
 from oracles import naive_suffix_match, scan_argmax
 
 WORDS = ["a", "b", "c", "d", "X"]
@@ -55,6 +57,78 @@ def test_argmax_agrees_with_scan_oracle(rng):
         if rng.random() < 0.3:
             row[rng.integers(len(row))] = row.max()
         assert argmax_with_tiebreak(row) == scan_argmax(row)
+
+
+# --- block chooser -------------------------------------------------------------
+
+NEG = float("-inf")
+NAN = float("nan")
+
+# a few repeated values make ties common; -inf entries are masked tokens
+_logit = st.one_of(st.sampled_from([NEG, -3.0, 0.0, 0.5, 2.0]), st.floats(-40, 40))
+_block = st.integers(1, 9).flatmap(
+    lambda vocab_size: st.lists(
+        st.lists(_logit, min_size=vocab_size, max_size=vocab_size)
+        .filter(lambda row: max(row) > NEG),
+        min_size=1,
+        max_size=8,
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_block, first=st.integers(0, 50))
+def test_block_chooser_agrees_with_scan_oracle_row_by_row(rows, first):
+    tokens, log_probs = _choose(np.array(rows), first)
+    assert tokens == [scan_argmax(row) for row in rows]
+    for row, tok, log_prob in zip(rows, tokens, log_probs):
+        assert log_prob == pytest.approx(log_softmax(np.array(row))[tok], rel=1e-12, abs=1e-12)
+
+
+# numpy warns on the -inf - -inf of a masked row before the error is raised
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+@settings(max_examples=100, deadline=None)
+@given(rows=_block, first=st.integers(0, 50), data=st.data())
+def test_block_chooser_names_the_bad_row(rows, first, data):
+    bad = data.draw(st.integers(0, len(rows)))  # where the bad row goes
+    width = len(rows[0])
+    masked = [NEG] * width
+    nan_row, inf_row = list(rows[0]), list(rows[0])
+    nan_row[data.draw(st.integers(0, width - 1))] = NAN
+    inf_row[data.draw(st.integers(0, width - 1))] = float("inf")
+    cases = ((masked, "all logits are masked"), (nan_row, "NaN logit"), (inf_row, "infinite logit"))
+    for row, message in cases:
+        block = np.array(rows[:bad] + [row] + rows[bad:])
+        with pytest.raises(ValueError, match=f"^{message} at position {first + bad}$"):
+            _choose(block, first)
+
+
+class _BreaksAt(ScriptedEditScorer):
+    """Identity scorer that writes ``value`` into ``cells`` of the row it
+    scores for decoder position 5."""
+
+    def __init__(self, vocab, cells, value):
+        super().__init__((), vocab)
+        self.cells, self.value = cells, value
+
+    def score_positions(self, state, prefix, positions):
+        rows = super().score_positions(state, prefix, positions)
+        for k, p in enumerate(positions):
+            if p == 5:
+                rows[k, self.cells] = self.value
+        return rows
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+@pytest.mark.parametrize(
+    "cells, value, message", [(0, NAN, "NaN logit"), (slice(None), NEG, "all logits are masked")]
+)
+def test_contract_breach_raises_at_greedys_position_in_both_modes(vocab, cells, value, message):
+    x = prepare_input(ids("a b c d X a b c", vocab), vocab)
+    scorer = _BreaksAt(vocab, cells, value)
+    for mode, l_max in (("greedy", None), ("aggressive", None), ("aggressive", 3)):
+        with pytest.raises(ValueError, match=f"^{message} at position 5$"):
+            decode(scorer, x, DecodeConfig(mode=mode, l_max=l_max))
 
 
 # --- suffix matching ---------------------------------------------------------
@@ -343,6 +417,29 @@ def test_equivalence_property(data, label, l_max, max_len):
         for record in aggressive.trace.iterations:
             boundary += record.accepted
             assert aggressive.output[:boundary] == greedy.output[:boundary]
+
+
+@pytest.mark.parametrize("label", ["scripted", "ngram"])
+def test_score_is_the_sum_of_greedy_path_log_probs(label, rng):
+    """Both decoders report the same score: the oracle sum of each emitted
+    token's log_softmax, scoring every greedy prefix on its own. The scripted
+    scorer's log-probs are about -1e-12 each, so the tolerance is relative."""
+    vocab = Vocab(WORDS)
+    corpus = [tuple(int(t) for t in rng.integers(4, 9, size=rng.integers(0, 12))) for _ in range(12)]
+    scorer = _scorer_from_label(label, vocab, corpus)
+    for raw in corpus:
+        x = prepare_input(raw, vocab)
+        greedy = greedy_decode(scorer, x, DecodeConfig(mode="greedy"))
+        state = scorer.encode(x)
+        out = greedy.output
+        oracle = sum(
+            float(log_softmax(scorer.score_positions(state, out[: j + 1], (j,))[0])[out[j + 1]])
+            for j in range(len(out) - 1)
+        )
+        assert greedy.score == pytest.approx(oracle, rel=1e-12, abs=0)
+        for l_max in (2, None):
+            aggressive = aggressive_decode(scorer, x, DecodeConfig(mode="aggressive", l_max=l_max))
+            assert aggressive.score == pytest.approx(greedy.score, rel=1e-12, abs=0)
 
 
 def test_lmax_monotone_iterations_identity(vocab):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aggdec import (
     DecodeConfig,
     NgramScorer,
     ScriptedEditScorer,
+    Vocab,
     aggressive_decode,
     greedy_decode,
     identity_scorer,
@@ -12,7 +14,7 @@ from aggdec import (
     tokenize,
 )
 from aggdec.decoding import argmax_with_tiebreak
-from aggdec.scorers import log_softmax
+from aggdec.scorers import SCRIPTED_OFF_LOGIT, log_softmax
 
 
 def ids(text, vocab):
@@ -94,6 +96,30 @@ def test_scripted_prefix_consistency_bit_exact(vocab):
     for p in range(len(prefix)):
         single = scorer.score_positions(state, prefix[: p + 1], (p,))[0]
         assert np.array_equal(joint[p], single)
+
+
+_words = st.lists(st.integers(4, 8), max_size=8).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=_words, target=st.one_of(st.none(), _words), on_script=st.integers(0, 9),
+       tail=_words, data=st.data())
+def test_scripted_rows_follow_next_token(source, target, on_script, tail, data):
+    """Every row of a multi-position call is the one-hot of next_token on its
+    own prefix, on script, past the script's end, and after leaving it."""
+    vocab = Vocab(["a", "b", "c", "d", "X"])
+    pairs = [(source, target)] if target is not None else []
+    scorer = ScriptedEditScorer(pairs, vocab)
+    state = scorer.encode(prepare_input(source, vocab))
+    prefix = (vocab.bos,) + (source if target is None else target)[:on_script] + tail
+    positions = data.draw(st.lists(st.integers(0, len(prefix) - 1), unique=True).map(sorted))
+    rows = scorer.score_positions(state, prefix, positions)
+    assert rows.shape == (len(positions), len(vocab))
+    for row, p in zip(rows, positions):
+        expected = np.full(len(vocab), SCRIPTED_OFF_LOGIT)
+        expected[scorer.next_token(state, prefix[: p + 1])] = 0.0
+        expected[vocab.pad] = float("-inf")
+        assert np.array_equal(row, expected)
 
 
 def test_ngram_uniform_counts_tie_break(vocab):
