@@ -125,7 +125,8 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
     """Decode until EOS or max_len. ``propose(o, x)`` returns the suffix match
     whose continuation to copy (through the trailing PAD, whose slot guarantees
     a bifurcation), or None for one autoregressive step. Only accepted rows are
-    chosen and scored, so a contract breach raises where greedy would raise."""
+    chosen and scored, so a contract breach (a NaN or non-finite chosen logit,
+    or PAD as the chosen token) raises where greedy would raise."""
     vocab = scorer.vocab
     n = len(x) - 2
     max_len = cfg.resolve_max_len(n)
@@ -154,6 +155,8 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
                 bifurcation=(j + k) if k is not None and k <= accepted else None,
             )
         tokens, log_probs = _choose(rows, j)
+        if vocab.pad in tokens:
+            raise ValueError(f"PAD emitted at position {j + tokens.index(vocab.pad)}")
         for log_prob in log_probs:
             score += log_prob
         o.extend(tokens)

@@ -231,16 +231,23 @@ def thread_limit(threads: int | None):
         yield
 
 
-def _timed(fn: Callable[[], DecodeResult], repetitions: int, warmup: int) -> tuple[DecodeResult, float]:
+def _timed(
+    fns: Sequence[Callable[[], DecodeResult]], repetitions: int, warmup: int
+) -> list[tuple[DecodeResult, float]]:
+    """Each decode's last result and median wall time. Every repetition runs
+    all of them in turn, so a burst of load from other processes slows them
+    alike instead of landing on whichever happened to be running."""
     for _ in range(warmup):
-        fn()
-    times = []
-    result = None
+        for fn in fns:
+            fn()
+    times: list[list[float]] = [[] for _ in fns]
+    results: list = [None] * len(fns)
     for _ in range(repetitions):
-        start = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - start)
-    return result, statistics.median(times)
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            results[i] = fn()
+            times[i].append(time.perf_counter() - start)
+    return [(result, statistics.median(t)) for result, t in zip(results, times)]
 
 
 def bench(
@@ -265,20 +272,14 @@ def bench(
         if not raw:
             raise ValueError(f"bench sentence {idx} is empty; edit_ratio needs input tokens")
         x = prepare_input(raw, vocab)
-        greedy_res, greedy_wall = _timed(
-            lambda: greedy_decode(scorer, x, replace(base, mode=GREEDY)), repetitions, warmup
-        )
-        agg_res, agg_wall = _timed(
+        decoders = [
+            lambda: greedy_decode(scorer, x, replace(base, mode=GREEDY)),
             lambda: aggressive_decode(scorer, x, replace(base, mode=AGGRESSIVE)),
-            repetitions,
-            warmup,
-        )
-        beam_stats = None
+        ]
         if with_beam:
-            beam_res, beam_wall = _timed(
-                lambda: beam_decode(scorer, x, replace(base, mode=BEAM)), repetitions, warmup
-            )
-            beam_stats = StepStats.of(beam_res, beam_wall)
+            decoders.append(lambda: beam_decode(scorer, x, replace(base, mode=BEAM)))
+        (greedy_res, greedy_wall), (agg_res, agg_wall), *beam = _timed(decoders, repetitions, warmup)
+        beam_stats = StepStats.of(*beam[0]) if beam else None
         output = strip_sentinels(agg_res.output, vocab)
         greedy_stats = StepStats.of(greedy_res, greedy_wall)
         agg_stats = StepStats.of(agg_res, agg_wall)
@@ -333,8 +334,8 @@ def sweep_lmax(
         wall = 0.0
         match = True
         for x, reference in zip(prepared, greedy_outputs):
-            result, elapsed = _timed(
-                lambda: aggressive_decode(scorer, x, replace(base, mode=AGGRESSIVE, l_max=l_max)),
+            [(result, elapsed)] = _timed(
+                [lambda: aggressive_decode(scorer, x, replace(base, mode=AGGRESSIVE, l_max=l_max))],
                 repetitions,
                 warmup,
             )
@@ -377,47 +378,44 @@ def sweep_depth(
     warmup: int = 2,
     threads: int | None = None,
 ) -> list[DepthRow]:
-    """Greedy and aggressive wall-clock/iteration totals per encoder+decoder depth."""
+    """Greedy and aggressive wall-clock/iteration totals per encoder+decoder depth.
+
+    A sentence's wall time is its median over the repetitions, and each
+    repetition decodes the sentence with every config in turn.
+    """
     dims = {(c.model_dim, c.heads) for c in configs}
     if len(dims) > 1:
         raise ValueError("depth sweep configs must share model_dim and heads")
-    base = cfg or DecodeConfig()
-    rows = []
+    greedy_cfg = replace(cfg or DecodeConfig(), mode=GREEDY)
+    agg_cfg = replace(greedy_cfg, mode=AGGRESSIVE)
+    scorers = [TinyTransformer(config, vocab) for config in configs]
+    runs = []  # per sentence: (result, wall) of greedy then aggressive, config by config
     with thread_limit(threads):
-        for config in configs:
-            scorer = TinyTransformer(config, vocab)
-            greedy_iters = agg_iters = greedy_tokens = agg_tokens = 0
-            greedy_wall = agg_wall = 0.0
-            for raw in corpus:
-                x = prepare_input(raw, vocab)
-                g_res, g_time = _timed(
-                    lambda: greedy_decode(scorer, x, replace(base, mode=GREEDY)),
-                    repetitions,
-                    warmup,
-                )
-                a_res, a_time = _timed(
-                    lambda: aggressive_decode(scorer, x, replace(base, mode=AGGRESSIVE)),
-                    repetitions,
-                    warmup,
-                )
-                greedy_iters += g_res.trace.sequential_iterations
-                agg_iters += a_res.trace.sequential_iterations
-                greedy_tokens += g_res.trace.tokens_accepted
-                agg_tokens += a_res.trace.tokens_accepted
-                greedy_wall += g_time
-                agg_wall += a_time
-            rows.append(
-                DepthRow(
-                    enc_layers=config.encoder_layers,
-                    dec_layers=config.decoder_layers,
-                    greedy_iterations=greedy_iters,
-                    greedy_tokens=greedy_tokens,
-                    greedy_wall=greedy_wall,
-                    aggressive_iterations=agg_iters,
-                    aggressive_tokens=agg_tokens,
-                    aggressive_wall=agg_wall,
-                )
+        for raw in corpus:
+            x = prepare_input(raw, vocab)
+            decoders = []
+            for scorer in scorers:
+                decoders.append(lambda s=scorer: greedy_decode(s, x, greedy_cfg))
+                decoders.append(lambda s=scorer: aggressive_decode(s, x, agg_cfg))
+            # each repetition runs every config, so load from other processes
+            # cannot favour one depth over another
+            runs.append(_timed(decoders, repetitions, warmup))
+    rows = []
+    for c, config in enumerate(configs):
+        greedy = [run[2 * c] for run in runs]
+        aggressive = [run[2 * c + 1] for run in runs]
+        rows.append(
+            DepthRow(
+                enc_layers=config.encoder_layers,
+                dec_layers=config.decoder_layers,
+                greedy_iterations=sum(res.trace.sequential_iterations for res, _ in greedy),
+                greedy_tokens=sum(res.trace.tokens_accepted for res, _ in greedy),
+                greedy_wall=sum(wall for _, wall in greedy),
+                aggressive_iterations=sum(res.trace.sequential_iterations for res, _ in aggressive),
+                aggressive_tokens=sum(res.trace.tokens_accepted for res, _ in aggressive),
+                aggressive_wall=sum(wall for _, wall in aggressive),
             )
+        )
     return rows
 
 

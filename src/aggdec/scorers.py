@@ -196,24 +196,20 @@ class NgramScorer(Scorer):
                 if vec is None:
                     vec = counts[ctx] = np.zeros(size)
                 vec[toks[i]] += 1.0
-        self._counts = counts
-        self._totals = {ctx: float(vec.sum()) for ctx, vec in counts.items()}
-        self._zero = np.zeros(size)
-        self._log_cache: dict[TokenIds, np.ndarray] = {}
+        # each count vector becomes its smoothed log-probability row in place,
+        # log(count + s) - log(total + s * V), so no second table is held
+        spread = self.smoothing * size
+        for vec in counts.values():
+            log_denom = np.log(float(vec.sum()) + spread)
+            vec += self.smoothing
+            np.log(vec, out=vec)
+            vec -= log_denom
+        self._log_rows = counts
+        self._unseen_row = np.log(np.full(size, self.smoothing)) - np.log(spread)  # count 0, total 0
 
     def encode(self, x: TokenIds) -> _NgramState:
         x = tuple(x)
         return _NgramState(x=x, n=len(x) - 2)
-
-    def _base_logits(self, ctx: TokenIds) -> np.ndarray:
-        cached = self._log_cache.get(ctx)
-        if cached is None:
-            vec = self._counts.get(ctx, self._zero)
-            total = self._totals.get(ctx, 0.0)
-            denom = total + self.smoothing * len(self.vocab)
-            cached = np.log(vec + self.smoothing) - np.log(denom)
-            self._log_cache[ctx] = cached
-        return cached
 
     def score_positions(self, state, prefix, positions) -> np.ndarray:
         prefix = tuple(prefix)
@@ -222,9 +218,9 @@ class NgramScorer(Scorer):
         rows = np.empty((len(positions), len(self.vocab)))
         for k, p in enumerate(positions):
             ctx = prefix[max(0, p - self.order + 2): p + 1]
-            row = self._base_logits(ctx).copy()
+            row = rows[k]
+            row[:] = self._log_rows.get(ctx, self._unseen_row)
             aligned = x[p + 1] if p + 1 <= n else self.vocab.eos
             row[aligned] += self.copy_bias
             row[self.vocab.pad] = NEG_INF
-            rows[k] = row
         return rows

@@ -5,6 +5,17 @@ structure do not depend on weight quality, so weights are drawn once from a
 seeded generator. The decoder keeps an incremental key/value cache per decode
 session, so scoring t new positions after an accepted prefix of length j
 costs work proportional to t per layer, not j + t.
+
+A one-position decoder step is dominated by its weight matmuls, which stream
+every decoder weight through the CPU caches, so the code around them is kept
+to as few numpy calls as possible: the cache is a preallocated per-session
+buffer (rejected positions are overwritten in place) that also holds the
+sinusoid rows of its positions, the causal mask is only built when a call
+scores more than one position, and layer norm and softmax each make one pass
+and work in place. None of this changes the arithmetic: every reduction keeps
+its summation order and every matmul its operands and shapes, so the logits
+are bit-identical to those of the plain implementation that
+``tests/oracles.py`` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -79,15 +90,19 @@ def _sinusoids(start: int, count: int, dim: int) -> np.ndarray:
 
 
 def _layer_norm(h: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    mean = h.mean(axis=-1, keepdims=True)
-    var = h.var(axis=-1, keepdims=True)
-    return (h - mean) / np.sqrt(var + eps)
+    # np.mean and np.var's own arithmetic (sum, divide by the count; centre,
+    # square, sum, divide), so the result matches them bit for bit
+    dim = h.shape[-1]
+    centred = h - np.add.reduce(h, axis=-1, keepdims=True) / dim
+    return centred / np.sqrt(np.add.reduce(centred * centred, axis=-1, keepdims=True) / dim + eps)
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place in ``scores``."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def _split_heads(h: np.ndarray, heads: int) -> np.ndarray:
@@ -101,6 +116,15 @@ def _merge_heads(h: np.ndarray) -> np.ndarray:
     return h.transpose(1, 0, 2).reshape(length, heads * d_head)
 
 
+def _take_rows(logits: np.ndarray, positions: list[int], first: int) -> np.ndarray:
+    """The rows of ``positions``, where row r of ``logits`` is position first + r;
+    a slice when the positions are consecutive and ascending."""
+    lo = positions[0]
+    if positions == list(range(lo, lo + len(positions))):
+        return logits[lo - first: lo - first + len(positions)]
+    return logits[[p - first for p in positions]]
+
+
 @dataclass
 class EncoderState:
     """Per-input encoder representation, reusable across all decode iterations."""
@@ -111,32 +135,49 @@ class EncoderState:
 
 
 class _KVCache:
-    def __init__(self, layers: int):
-        self.keys: list[np.ndarray | None] = [None] * layers
-        self.values: list[np.ndarray | None] = [None] * layers
+    """Decoder state for positions 0..capacity-1: per layer one (heads,
+    capacity, d_head) buffer of self-attention keys and one of values, whose
+    first ``length`` positions are valid, and the positions' sinusoid rows.
+    A block that starts before ``length`` overwrites the rejected positions in
+    place; one that outgrows the buffers doubles them."""
+
+    def __init__(self, layers: int, heads: int, d_head: int, capacity: int):
+        self.keys = [np.empty((heads, capacity, d_head)) for _ in range(layers)]
+        self.values = [np.empty((heads, capacity, d_head)) for _ in range(layers)]
+        self.positions = _sinusoids(0, capacity, heads * d_head)  # never written to
         self.length = 0
 
-    def truncate(self, keep: int) -> None:
-        if keep >= self.length:
+    def reserve(self, start: int, end: int) -> None:
+        """Make room for positions up to ``end``, keeping those before ``start``."""
+        capacity = self.keys[0].shape[1]
+        if end <= capacity:
             return
-        for l in range(len(self.keys)):
-            if self.keys[l] is not None:
-                self.keys[l] = self.keys[l][:, :keep]
-                self.values[l] = self.values[l][:, :keep]
-        self.length = keep
+        capacity = max(2 * capacity, end)
+        for buffers in (self.keys, self.values):
+            for layer, old in enumerate(buffers):
+                new = np.empty((old.shape[0], capacity, old.shape[2]))
+                new[:, :start] = old[:, :start]
+                buffers[layer] = new
+        self.positions = _sinusoids(0, capacity, self.positions.shape[1])
 
-    def extend(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.keys[layer] is None or self.keys[layer].shape[1] == 0:
-            self.keys[layer], self.values[layer] = k, v
-        else:
-            self.keys[layer] = np.concatenate([self.keys[layer], k], axis=1)
-            self.values[layer] = np.concatenate([self.values[layer], v], axis=1)
-        return self.keys[layer], self.values[layer]
+    def extend(self, layer: int, start: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Write positions start.. of one layer (after ``reserve``) and return
+        views of its keys and values up to them."""
+        end = start + k.shape[1]
+        keys, values = self.keys[layer], self.values[layer]
+        keys[:, start:end] = k
+        values[:, start:end] = v
+        return keys[:, :end], values[:, :end]
 
     def copy(self) -> "_KVCache":
-        dup = _KVCache(len(self.keys))
-        dup.keys = [None if k is None else k.copy() for k in self.keys]
-        dup.values = [None if v is None else v.copy() for v in self.values]
+        dup = object.__new__(_KVCache)
+        dup.keys, dup.values = [], []
+        for buffers, copies in ((self.keys, dup.keys), (self.values, dup.values)):
+            for buf in buffers:
+                new = np.empty_like(buf)
+                new[:, : self.length] = buf[:, : self.length]
+                copies.append(new)
+        dup.positions = self.positions
         dup.length = self.length
         return dup
 
@@ -176,25 +217,33 @@ class TinyTransformer(Scorer):
             for _ in range(config.decoder_layers)
         ]
         self._out_proj = mat(d, v)
+        # scales as Python floats, equal to the np.sqrt values they replace
+        self._emb_scale = float(np.sqrt(d))
+        self._attn_scale = float(np.sqrt(d // config.heads))
+
+    def _new_cache(self, capacity: int) -> _KVCache:
+        cfg = self.config
+        return _KVCache(cfg.decoder_layers, cfg.heads, cfg.model_dim // cfg.heads, capacity)
 
     # -- encoder ---------------------------------------------------------
 
     def encode(self, x: TokenIds) -> EncoderState:
-        cfg = self.config
+        heads = self.config.heads
         ids = np.asarray(tuple(x), dtype=int)
-        h = self._enc_emb[ids] * np.sqrt(cfg.model_dim) + _sinusoids(0, len(ids), cfg.model_dim)
+        h = self._enc_emb[ids] * self._emb_scale + _sinusoids(0, len(ids), self.config.model_dim)
         for layer in self._enc_layers:
             a = _layer_norm(h)
-            q = _split_heads(a @ layer["wq"], cfg.heads)
-            k = _split_heads(a @ layer["wk"], cfg.heads)
-            v = _split_heads(a @ layer["wv"], cfg.heads)
-            scores = q @ k.transpose(0, 2, 1) / np.sqrt(cfg.model_dim // cfg.heads)
-            h = h + _merge_heads(_softmax_rows(scores) @ v) @ layer["wo"]
-            a = _layer_norm(h)
-            h = h + np.maximum(a @ layer["w1"], 0.0) @ layer["w2"]
+            q = _split_heads(a @ layer["wq"], heads)
+            k = _split_heads(a @ layer["wk"], heads)
+            v = _split_heads(a @ layer["wv"], heads)
+            scores = q @ k.transpose(0, 2, 1)
+            scores /= self._attn_scale
+            h += _merge_heads(_softmax_rows(scores) @ v) @ layer["wo"]
+            ffn = _layer_norm(h) @ layer["w1"]
+            h += np.maximum(ffn, 0.0, out=ffn) @ layer["w2"]
         memory = _layer_norm(h)
-        cross_k = [_split_heads(memory @ layer["ck"], cfg.heads) for layer in self._dec_layers]
-        cross_v = [_split_heads(memory @ layer["cv"], cfg.heads) for layer in self._dec_layers]
+        cross_k = [_split_heads(memory @ layer["ck"], heads) for layer in self._dec_layers]
+        cross_v = [_split_heads(memory @ layer["cv"], heads) for layer in self._dec_layers]
         return EncoderState(memory=memory, cross_k=cross_k, cross_v=cross_v)
 
     # -- decoder ---------------------------------------------------------
@@ -206,46 +255,42 @@ class TinyTransformer(Scorer):
 
         Returns logits rows for exactly those positions.
         """
-        cfg = self.config
-        d_head = cfg.model_dim // cfg.heads
+        heads = self.config.heads
         t = len(new_ids)
-        ids = np.asarray(new_ids, dtype=int)
-        h = self._dec_emb[ids] * np.sqrt(cfg.model_dim) + _sinusoids(start, t, cfg.model_dim)
-        causal = None
+        end = start + t
+        cache.reserve(start, end)
+        h = self._dec_emb[np.asarray(new_ids, dtype=int)] * self._emb_scale + cache.positions[start:end]
+        # query at absolute position start+r may attend keys 0..start+r; a
+        # single query attends every key, so it needs no mask
+        causal = np.arange(end) > np.arange(start, end)[:, None] if t > 1 else None
         for idx, layer in enumerate(self._dec_layers):
             a = _layer_norm(h)
-            q = _split_heads(a @ layer["wq"], cfg.heads)
-            k_new = _split_heads(a @ layer["wk"], cfg.heads)
-            v_new = _split_heads(a @ layer["wv"], cfg.heads)
-            k_all, v_all = cache.extend(idx, k_new, v_new)
-            scores = q @ k_all.transpose(0, 2, 1) / np.sqrt(d_head)
-            if causal is None:
-                # query at absolute position start+r may attend keys 0..start+r
-                total = k_all.shape[1]
-                key_pos = np.arange(total)
-                query_pos = np.arange(start, start + t)[:, None]
-                causal = key_pos[None, :] > query_pos
-            scores = np.where(causal[None, :, :], NEG_INF, scores)
-            h = h + _merge_heads(_softmax_rows(scores) @ v_all) @ layer["wo"]
+            q = _split_heads(a @ layer["wq"], heads)
+            k_new = _split_heads(a @ layer["wk"], heads)
+            v_new = _split_heads(a @ layer["wv"], heads)
+            k_all, v_all = cache.extend(idx, start, k_new, v_new)
+            scores = q @ k_all.transpose(0, 2, 1)
+            scores /= self._attn_scale
+            if causal is not None:
+                np.copyto(scores, NEG_INF, where=causal)
+            h += _merge_heads(_softmax_rows(scores) @ v_all) @ layer["wo"]
 
-            a = _layer_norm(h)
-            cq = _split_heads(a @ layer["cq"], cfg.heads)
-            cross = cq @ state.cross_k[idx].transpose(0, 2, 1) / np.sqrt(d_head)
-            h = h + _merge_heads(_softmax_rows(cross) @ state.cross_v[idx]) @ layer["co"]
+            cq = _split_heads(_layer_norm(h) @ layer["cq"], heads)
+            cross = cq @ state.cross_k[idx].transpose(0, 2, 1)
+            cross /= self._attn_scale
+            h += _merge_heads(_softmax_rows(cross) @ state.cross_v[idx]) @ layer["co"]
 
-            a = _layer_norm(h)
-            h = h + np.maximum(a @ layer["w1"], 0.0) @ layer["w2"]
-        cache.length = start + t
+            ffn = _layer_norm(h) @ layer["w1"]
+            h += np.maximum(ffn, 0.0, out=ffn) @ layer["w2"]
+        cache.length = end
         logits = _layer_norm(h) @ self._out_proj
         logits[:, self.vocab.pad] = NEG_INF
         return logits
 
     def score_positions(self, state, prefix, positions) -> np.ndarray:
         prefix = tuple(prefix)
-        positions = list(positions)
-        cache = _KVCache(self.config.decoder_layers)
-        logits = self._decoder_block(state, prefix, 0, cache)
-        return np.stack([logits[p] for p in positions])
+        logits = self._decoder_block(state, prefix, 0, self._new_cache(len(prefix)))
+        return _take_rows(logits, list(positions), 0)
 
     def session(self, x: TokenIds) -> DecodeSession:
         if not self.use_cache:
@@ -254,27 +299,30 @@ class TinyTransformer(Scorer):
 
 
 class _CachedSession(DecodeSession):
-    """Keeps decoder K/V keyed by prefix length; entries past the accepted
-    prefix are dropped whenever the incoming prefix diverges from the cached
-    one (the verified-then-rejected positions after a disagreement)."""
+    """Keeps decoder K/V keyed by prefix length. When the incoming prefix
+    diverges from the cached one (the verified-then-rejected positions after a
+    disagreement), decoding resumes at the divergence and overwrites the
+    cached positions from there on."""
 
     def __init__(self, scorer: TinyTransformer, x: TokenIds):
         super().__init__(scorer, x)
         self._ids: TokenIds = ()
-        self._cache = _KVCache(scorer.config.decoder_layers)
+        # room for the first copy pass over the whole input before any growth
+        self._cache = scorer._new_cache(len(x))
 
     def score_positions(self, prefix, positions) -> np.ndarray:
         prefix = tuple(prefix)
         positions = list(positions)
-        keep = 0
-        limit = min(len(self._ids), len(prefix))
-        while keep < limit and self._ids[keep] == prefix[keep]:
-            keep += 1
+        keep = len(self._ids)
+        if prefix[:keep] != self._ids:  # diverged: find where
+            keep = 0
+            limit = min(len(self._ids), len(prefix))
+            while keep < limit and self._ids[keep] == prefix[keep]:
+                keep += 1
         keep = min(keep, min(positions))
-        self._cache.truncate(keep)
         logits = self.scorer._decoder_block(self.state, prefix[keep:], keep, self._cache)
         self._ids = prefix
-        return np.stack([logits[p - keep] for p in positions])
+        return _take_rows(logits, positions, keep)
 
     def fork(self) -> "_CachedSession":
         dup = object.__new__(_CachedSession)

@@ -121,7 +121,9 @@ class _BreaksAt(ScriptedEditScorer):
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
 @pytest.mark.parametrize(
-    "cells, value, message", [(0, NAN, "NaN logit"), (slice(None), NEG, "all logits are masked")]
+    "cells, value, message",
+    # cell 2 is PAD: 1.0 makes it the finite maximum of the row
+    [(0, NAN, "NaN logit"), (slice(None), NEG, "all logits are masked"), (2, 1.0, "PAD emitted")],
 )
 def test_contract_breach_raises_at_greedys_position_in_both_modes(vocab, cells, value, message):
     x = prepare_input(ids("a b c d X a b c", vocab), vocab)

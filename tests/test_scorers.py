@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from aggdec import (
 )
 from aggdec.decoding import argmax_with_tiebreak
 from aggdec.scorers import SCRIPTED_OFF_LOGIT, log_softmax
+from oracles import ReferenceNgram
 
 
 def ids(text, vocab):
@@ -196,3 +199,41 @@ def test_log_softmax_normalizes():
 def test_log_softmax_rejects_all_masked():
     with pytest.raises(ValueError):
         log_softmax(np.array([float("-inf")] * 3))
+
+
+_NGRAM_WORDS = ["a", "b", "c", "d", "X"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    corpus=st.lists(_words, min_size=1, max_size=6),
+    order=st.integers(1, 4),
+    smoothing=st.sampled_from([0.1, 0.37, 1.0, 2.5]),
+    copy_bias=st.sampled_from([0.0, 2.0]),
+    source=_words,
+    tail=_words,
+)
+def test_ngram_rows_match_oracle_bit_for_bit(corpus, order, smoothing, copy_bias, source, tail):
+    """Rows for seen and unseen contexts equal the on-demand count formula."""
+    vocab = Vocab(_NGRAM_WORDS)
+    scorer = NgramScorer(corpus, order=order, smoothing=smoothing, vocab=vocab, copy_bias=copy_bias)
+    reference = ReferenceNgram(corpus, order, smoothing, vocab, copy_bias)
+    x = prepare_input(source, vocab)
+    prefix = (vocab.bos,) + tail
+    positions = range(len(prefix))
+    rows = scorer.score_positions(scorer.encode(x), prefix, positions)
+    assert np.array_equal(rows, reference.score_positions(x, prefix, positions))
+
+
+def test_ngram_scorer_is_not_changed_by_decoding(rng):
+    """The scorer is immutable: decoding, which visits seen and unseen
+    contexts, leaves every attribute byte for byte as constructed."""
+    vocab = Vocab(_NGRAM_WORDS)
+    corpus = [tuple(int(t) for t in rng.integers(4, 7, size=6)) for _ in range(10)]
+    scorer = NgramScorer(corpus, order=3, smoothing=0.1, vocab=vocab, copy_bias=1.0)
+    before = pickle.dumps(vars(scorer))
+    for raw in corpus[:3] + [(8, 8, 7, 4), (7,)]:
+        x = prepare_input(raw, vocab)
+        greedy_decode(scorer, x, DecodeConfig())
+        aggressive_decode(scorer, x, DecodeConfig(mode="aggressive"))
+    assert pickle.dumps(vars(scorer)) == before

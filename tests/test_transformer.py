@@ -1,5 +1,8 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aggdec import (
     DecodeConfig,
@@ -12,6 +15,7 @@ from aggdec import (
     prepare_input,
 )
 from aggdec.decoding import argmax_with_tiebreak
+from oracles import ReferenceTransformer
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +171,80 @@ def test_decoder_cost_scales_with_layers():
     shallow = TransformerConfig(encoder_layers=9, decoder_layers=3, seed=1, **base)
     ratio = decoder_flops_per_position(shallow, 20, 20) / decoder_flops_per_position(deep, 20, 20)
     assert ratio == 0.5
+
+
+# --- bit-identity with the plain forward pass -----------------------------------
+
+ORACLE_CONFIGS = (
+    TransformerConfig(encoder_layers=1, decoder_layers=1, model_dim=16, heads=2, ffn_dim=24, seed=3),
+    TransformerConfig(encoder_layers=2, decoder_layers=2, model_dim=32, heads=4, ffn_dim=48, seed=7),
+    TransformerConfig(encoder_layers=2, decoder_layers=3, model_dim=24, heads=3, ffn_dim=40, seed=11),
+)
+ORACLE_VOCAB = Vocab([f"w{i}" for i in range(24)])
+_token = st.integers(4, len(ORACLE_VOCAB) - 1)
+_config = st.integers(0, len(ORACLE_CONFIGS) - 1)
+
+
+@lru_cache(maxsize=None)
+def _model(index, use_cache=True):
+    scorer = TinyTransformer(ORACLE_CONFIGS[index], ORACLE_VOCAB, use_cache=use_cache)
+    return scorer, ReferenceTransformer(scorer)
+
+
+def _walk(data, session, reference, o, steps, accept_all=False):
+    """Score copy windows the way the verify loop does, asserting bit-identical
+    rows: each window puts its copied tokens after the output ``o``, and the
+    accepted part ends in a prediction that may differ from the copy, so the
+    next window overwrites the cache from there."""
+    for _ in range(steps):
+        copied = data.draw(st.lists(_token, min_size=1, max_size=12))
+        j = len(o) - 1
+        prefix = tuple(o) + tuple(copied[:-1])
+        positions = range(j, j + len(copied))
+        rows = session.score_positions(prefix, positions)
+        assert np.array_equal(rows, reference.score_positions(prefix, positions))
+        accepted = len(copied) if accept_all else data.draw(st.integers(1, len(copied)))
+        o = o + copied[: accepted - 1] + [data.draw(_token)]
+    return o
+
+
+@settings(max_examples=60, deadline=None)
+@given(index=_config, raw=st.lists(_token, min_size=1, max_size=10), data=st.data())
+def test_session_logits_equal_oracle_bit_for_bit(index, raw, data):
+    """Windows, accept-then-diverge truncation and growth past the initial
+    cache capacity (the input length), with the cache's sinusoid rows, give
+    the oracle's exact logits."""
+    scorer, oracle = _model(index)
+    x = prepare_input(tuple(raw), ORACLE_VOCAB)
+    _walk(data, scorer.session(x), oracle.session(x), [ORACLE_VOCAB.bos], data.draw(st.integers(1, 10)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=_config, raw=st.lists(_token, min_size=1, max_size=10), data=st.data())
+def test_forked_session_leaves_its_parent_unchanged(index, raw, data):
+    """A fork that writes new rows, from the end of the scored prefix (as beam
+    search extends it) or from inside it, does not touch the rows its parent
+    keeps, and vice versa."""
+    scorer, oracle = _model(index)
+    x = prepare_input(tuple(raw), ORACLE_VOCAB)
+    session, reference = scorer.session(x), oracle.session(x)
+    o = _walk(data, session, reference, [ORACLE_VOCAB.bos], data.draw(st.integers(0, 3)))
+    o = _walk(data, session, reference, o, 1, accept_all=True)  # every cached row is kept
+    fork, reference_fork = session.fork(), reference.fork()
+    cut = data.draw(st.one_of(st.just(len(o)), st.integers(1, len(o))))
+    _walk(data, fork, reference_fork, o[:cut], data.draw(st.integers(1, 4)))
+    o = _walk(data, session, reference, o, data.draw(st.integers(1, 4)))
+    _walk(data, fork, reference_fork, o[:cut], 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(index=_config, raw=st.lists(_token, min_size=1, max_size=10),
+       tail=st.lists(_token, max_size=20), data=st.data())
+def test_uncached_scoring_equals_oracle_bit_for_bit(index, raw, tail, data):
+    """``use_cache=False`` scores every call from scratch, in any position order."""
+    scorer, oracle = _model(index, use_cache=False)
+    x = prepare_input(tuple(raw), ORACLE_VOCAB)
+    prefix = (ORACLE_VOCAB.bos,) + tuple(tail)
+    positions = data.draw(st.lists(st.integers(0, len(prefix) - 1), min_size=1, max_size=8))
+    rows = scorer.session(x).score_positions(prefix, positions)
+    assert np.array_equal(rows, oracle.score_positions(oracle.encode(x), prefix, positions))
