@@ -272,14 +272,20 @@ def bench(
         if not raw:
             raise ValueError(f"bench sentence {idx} is empty; edit_ratio needs input tokens")
         x = prepare_input(raw, vocab)
-        decoders = [
-            lambda: greedy_decode(scorer, x, replace(base, mode=GREEDY)),
-            lambda: aggressive_decode(scorer, x, replace(base, mode=AGGRESSIVE)),
-        ]
+        [(greedy_res, greedy_wall)] = _timed(
+            [lambda: greedy_decode(scorer, x, replace(base, mode=GREEDY))], repetitions, warmup
+        )
+        [(agg_res, agg_wall)] = _timed(
+            [lambda: aggressive_decode(scorer, x, replace(base, mode=AGGRESSIVE))],
+            repetitions,
+            warmup,
+        )
+        beam_stats = None
         if with_beam:
-            decoders.append(lambda: beam_decode(scorer, x, replace(base, mode=BEAM)))
-        (greedy_res, greedy_wall), (agg_res, agg_wall), *beam = _timed(decoders, repetitions, warmup)
-        beam_stats = StepStats.of(*beam[0]) if beam else None
+            [(beam_res, beam_wall)] = _timed(
+                [lambda: beam_decode(scorer, x, replace(base, mode=BEAM))], repetitions, warmup
+            )
+            beam_stats = StepStats.of(beam_res, beam_wall)
         output = strip_sentinels(agg_res.output, vocab)
         greedy_stats = StepStats.of(greedy_res, greedy_wall)
         agg_stats = StepStats.of(agg_res, agg_wall)
@@ -381,7 +387,8 @@ def sweep_depth(
     """Greedy and aggressive wall-clock/iteration totals per encoder+decoder depth.
 
     A sentence's wall time is its median over the repetitions, and each
-    repetition decodes the sentence with every config in turn.
+    repetition decodes the sentence with every config in turn, so every
+    config's weights are held at once.
     """
     dims = {(c.model_dim, c.heads) for c in configs}
     if len(dims) > 1:

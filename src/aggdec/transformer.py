@@ -116,15 +116,6 @@ def _merge_heads(h: np.ndarray) -> np.ndarray:
     return h.transpose(1, 0, 2).reshape(length, heads * d_head)
 
 
-def _take_rows(logits: np.ndarray, positions: list[int], first: int) -> np.ndarray:
-    """The rows of ``positions``, where row r of ``logits`` is position first + r;
-    a slice when the positions are consecutive and ascending."""
-    lo = positions[0]
-    if positions == list(range(lo, lo + len(positions))):
-        return logits[lo - first: lo - first + len(positions)]
-    return logits[[p - first for p in positions]]
-
-
 @dataclass
 class EncoderState:
     """Per-input encoder representation, reusable across all decode iterations."""
@@ -290,7 +281,7 @@ class TinyTransformer(Scorer):
     def score_positions(self, state, prefix, positions) -> np.ndarray:
         prefix = tuple(prefix)
         logits = self._decoder_block(state, prefix, 0, self._new_cache(len(prefix)))
-        return _take_rows(logits, list(positions), 0)
+        return logits[list(positions)]
 
     def session(self, x: TokenIds) -> DecodeSession:
         if not self.use_cache:
@@ -313,16 +304,14 @@ class _CachedSession(DecodeSession):
     def score_positions(self, prefix, positions) -> np.ndarray:
         prefix = tuple(prefix)
         positions = list(positions)
-        keep = len(self._ids)
-        if prefix[:keep] != self._ids:  # diverged: find where
-            keep = 0
-            limit = min(len(self._ids), len(prefix))
-            while keep < limit and self._ids[keep] == prefix[keep]:
-                keep += 1
+        keep = 0
+        limit = min(len(self._ids), len(prefix))
+        while keep < limit and self._ids[keep] == prefix[keep]:
+            keep += 1
         keep = min(keep, min(positions))
         logits = self.scorer._decoder_block(self.state, prefix[keep:], keep, self._cache)
         self._ids = prefix
-        return _take_rows(logits, positions, keep)
+        return logits[[p - keep for p in positions]]
 
     def fork(self) -> "_CachedSession":
         dup = object.__new__(_CachedSession)

@@ -179,6 +179,8 @@ ORACLE_CONFIGS = (
     TransformerConfig(encoder_layers=1, decoder_layers=1, model_dim=16, heads=2, ffn_dim=24, seed=3),
     TransformerConfig(encoder_layers=2, decoder_layers=2, model_dim=32, heads=4, ffn_dim=48, seed=7),
     TransformerConfig(encoder_layers=2, decoder_layers=3, model_dim=24, heads=3, ffn_dim=40, seed=11),
+    # the benchmark's width, so the matmuls run at its BLAS shapes and strides
+    TransformerConfig(encoder_layers=1, decoder_layers=1, model_dim=256, heads=8, ffn_dim=512, seed=0),
 )
 ORACLE_VOCAB = Vocab([f"w{i}" for i in range(24)])
 _token = st.integers(4, len(ORACLE_VOCAB) - 1)
