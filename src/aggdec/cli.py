@@ -297,29 +297,29 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     for line in lines:
         raw = tokenize(line, args.scheme, vocab)
         results.append(decode(scorer, prepare_input(raw, vocab), cfg))
+    outputs = [detokenize(res.output, vocab, args.scheme) for res in results]
     if args.format == "json":
         payload = [
             {
                 "input": line,
-                "output": detokenize(res.output, vocab),
+                "output": output,
                 "iterations": res.trace.sequential_iterations,
                 "trace": emit_trace(res, vocab),
             }
-            for line, res in zip(lines, results)
+            for line, output, res in zip(lines, outputs, results)
         ]
         _write(args, json.dumps(payload, indent=2, sort_keys=True))
     elif args.format == "csv":
         rows = [
-            DecodedLine(idx, res.trace.sequential_iterations, detokenize(res.output, vocab))
-            for idx, res in enumerate(results)
+            DecodedLine(idx, res.trace.sequential_iterations, output)
+            for idx, (output, res) in enumerate(zip(outputs, results))
         ]
         _write(args, rows_csv(DecodedLine, rows))
     else:
-        render = (lambda r: emit_trace(r, vocab)) if args.trace else (
-            lambda r: detokenize(r.output, vocab)
-        )
+        if args.trace:
+            outputs = [emit_trace(res, vocab) for res in results]
         # one newline-terminated line per input line, even when a line is empty
-        _write(args, "".join(render(res) + "\n" for res in results))
+        _write(args, "".join(line + "\n" for line in outputs))
     return 0
 
 
@@ -342,8 +342,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 {
                     "sentence": m.sentence,
                     "l_max": "unlimited" if m.l_max is None else m.l_max,
-                    "greedy": detokenize(m.greedy_output, vocab),
-                    "aggressive": detokenize(m.aggressive_output, vocab),
+                    "greedy": detokenize(m.greedy_output, vocab, args.scheme),
+                    "aggressive": detokenize(m.aggressive_output, vocab, args.scheme),
                     "greedy_trace": emit_trace(m.greedy_result, vocab),
                     "aggressive_trace": emit_trace(m.aggressive_result, vocab),
                 }
@@ -354,8 +354,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         detail = "".join(
             f"sentence {m.sentence} l_max={m.l_max}:\n"
-            f"  greedy:     {detokenize(m.greedy_output, vocab)}\n"
-            f"  aggressive: {detokenize(m.aggressive_output, vocab)}\n"
+            f"  greedy:     {detokenize(m.greedy_output, vocab, args.scheme)}\n"
+            f"  aggressive: {detokenize(m.aggressive_output, vocab, args.scheme)}\n"
             f"  greedy trace:     {emit_trace(m.greedy_result, vocab)}\n"
             f"  aggressive trace: {emit_trace(m.aggressive_result, vocab)}\n"
             for m in report.mismatches

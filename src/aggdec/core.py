@@ -102,10 +102,18 @@ def tokenize(text: str, scheme: str, vocab: Vocab) -> TokenIds:
     return tuple(vocab.id_of(p) for p in pieces)
 
 
-def detokenize(seq: Sequence[int], vocab: Vocab) -> str:
-    """Ids -> space-joined surfaces. Sentinels render as empty; UNK renders as "<unk>"."""
+def detokenize(seq: Sequence[int], vocab: Vocab, scheme: str = WHITESPACE) -> str:
+    """Ids -> surfaces joined as `scheme` split them: with spaces (whitespace
+    scheme) or with nothing (character scheme, where a space is a token).
+    Sentinels render as empty; UNK renders as "<unk>"."""
+    if scheme == WHITESPACE:
+        sep = " "
+    elif scheme == CHARACTER:
+        sep = ""
+    else:
+        raise ValueError(f"unsupported scheme: {scheme!r}")
     sentinels = vocab.sentinel_ids
-    return " ".join(vocab.surface(t) for t in seq if t not in sentinels)
+    return sep.join(vocab.surface(t) for t in seq if t not in sentinels)
 
 
 def prepare_input(raw: Sequence[int], vocab: Vocab) -> TokenIds:

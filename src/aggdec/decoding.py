@@ -9,6 +9,14 @@ Everything after the disagreement is discarded and recomputed, which is
 exactly why the emitted tokens match greedy decoding token for token whenever
 the scorer is prefix consistent. Without a proposal (greedy never makes one)
 the loop takes a single autoregressive step.
+
+The copy window adapts to the scorer. After three aggressive passes in a row
+whose first copied token was rejected, each pass scores only its own position
+and one copied token, until a pass accepts its first copied token; the next
+pass gets the full window back. Autoregressive steps leave the count alone.
+This only narrows the window a pass verifies, never what a scored row means,
+so the output is greedy's by the same argument as for an ``l_max`` cap; it
+saves the positions a disagreeing scorer would score and throw away.
 """
 
 from __future__ import annotations
@@ -31,6 +39,13 @@ from .core import (
     validate_trace,
 )
 from .scorers import DecodeSession, Scorer, log_softmax
+
+# After this many consecutive passes that reject their first copied token, a
+# pass scores at most _PROBE_WINDOW positions: its own and one copied token.
+# The second position is what lets a pass whose first copied token is accepted
+# emit two tokens; with a window of 1 the random transformer took more iterations.
+_PROBE_AFTER = 3
+_PROBE_WINDOW = 2
 
 
 @dataclass(frozen=True)
@@ -134,6 +149,7 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
     o = [vocab.bos]
     records: list[IterationRecord] = []
     score = 0.0
+    rejections = 0  # consecutive aggressive passes whose first copied token was rejected
     while o[-1] != vocab.eos and len(o) - 1 < max_len:
         j = len(o) - 1
         match = None if propose is None else propose(o, x)
@@ -144,10 +160,13 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
             w = n + 1 - match.i
             if cfg.l_max is not None:
                 w = min(w, cfg.l_max)
+            if rejections >= _PROBE_AFTER:
+                w = min(w, _PROBE_WINDOW)
             copied = tuple(x[match.i + 1: match.i + 1 + w])
             prefix = tuple(o) + copied[:-1]  # pseudo decoder inputs; never includes PAD
             rows = session.score_positions(prefix, range(j, j + w))
             k = find_bifurcation(rows.argmax(axis=1).tolist(), copied)
+            rejections = rejections + 1 if k == 1 else 0
             accepted = min(w if k is None else k, max_len - j)  # greedy truncates at max_len; so do we
             rows = rows[:accepted]
             record = IterationRecord(
@@ -178,6 +197,13 @@ def aggressive_decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeR
     Starts from the BOS suffix match (i=0, q=0), so the first pass copies the
     whole input. Each aggressive pass copies at most l_max tokens. When no
     unique suffix exists, falls back to one autoregressive step.
+
+    After three consecutive passes whose first copied token was rejected, a
+    pass scores at most two positions (its own and one copied token) until a
+    pass accepts its first copied token again. Only the window shrinks and
+    every accepted row is still verified against its scored prefix, so the
+    output stays greedy's; a scorer that keeps disagreeing with the copy then
+    costs about what greedy costs.
     """
     _require_mode(cfg, AGGRESSIVE)
     return _verify_loop(scorer, x, cfg, find_suffix_match)

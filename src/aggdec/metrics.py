@@ -14,6 +14,7 @@ import io
 import json
 import statistics
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, Sequence
@@ -218,13 +219,19 @@ def check_equivalence(
 
 @contextmanager
 def thread_limit(threads: int | None):
-    """Pin the scorer's internal math to `threads` BLAS threads when possible."""
+    """Pin the scorer's internal math to `threads` BLAS threads. Without
+    threadpoolctl the limit cannot be applied: warn once and run unpinned."""
     if threads is None:
         yield
         return
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
+        warnings.warn(
+            f"cannot limit BLAS to {threads} thread(s): threadpoolctl is not installed",
+            RuntimeWarning,
+            stacklevel=3,
+        )
         yield
         return
     with threadpool_limits(limits=threads):

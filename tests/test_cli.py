@@ -263,6 +263,19 @@ def test_decode_csv_quotes_text(tmp_path, capsys):
     assert rows == [["sentence", "iterations", "output"], ["0", "1", line]]
 
 
+def test_decode_character_scheme_round_trips_text(tmp_path, capsys):
+    path = tmp_path / "corpus.txt"
+    path.write_text("hello world\n", encoding="utf-8")
+    argv = ["decode", "--scorer", "identity", "--scheme", "character", "--input", str(path)]
+    assert main(argv + ["--format", "text"]) == 0
+    assert capsys.readouterr().out == "hello world\n"
+    assert main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["output"] == "hello world"
+    assert main(argv + ["--format", "csv"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[1] == ["0", "1", "hello world"]
+
+
 @pytest.mark.parametrize("subcommand, fmt", [
     ("check", "csv"), ("sweep-lmax", "text"), ("sweep-depth", "text"),
 ])

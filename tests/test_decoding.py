@@ -7,6 +7,7 @@ from aggdec import (
     AUTOREGRESSIVE,
     DecodeConfig,
     NgramScorer,
+    Scorer,
     ScriptedEditScorer,
     SuffixMatch,
     Vocab,
@@ -306,6 +307,66 @@ def test_aggressive_max_len_truncation_matches_greedy(vocab):
         assert len(greedy.output) - 1 <= max_len
 
 
+# --- adaptive copy window ----------------------------------------------------------
+
+# twelve distinct source words, so every emitted source word anchors a unique
+# suffix match; "X" is absent from the source and forces an autoregressive step
+_RULE_VOCAB = Vocab([f"w{i}" for i in range(12)] + ["X"])
+_RULE_SOURCE = " ".join(f"w{i}" for i in range(12))
+
+
+def _decode_rule_case(target, l_max=None):
+    """Aggressive decode of the twelve-word source under a scorer that rewrites
+    it to ``target``; checks the output against greedy's and returns the trace."""
+    vocab = _RULE_VOCAB
+    pair = (ids(_RULE_SOURCE, vocab), ids(target, vocab))
+    scorer = ScriptedEditScorer([pair], vocab)
+    x = prepare_input(pair[0], vocab)
+    result = aggressive_decode(scorer, x, DecodeConfig(mode="aggressive", l_max=l_max))
+    assert result.output == greedy_decode(scorer, x, DecodeConfig()).output
+    assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
+    return result.trace.iterations
+
+
+def _full_window(record):
+    return len(_RULE_SOURCE.split()) + 1 - record.suffix_match[0]
+
+
+def test_window_narrows_after_three_first_token_rejections():
+    # target word j is source word 3j+1 (mod 12): every word is replaced, and
+    # the copy after each emitted word never proposes the next target word
+    target = " ".join(f"w{(3 * j + 1) % 12}" for j in range(12))
+    records = _decode_rule_case(target)
+    assert all(r.mode == AGGRESSIVE and r.accepted == 1 for r in records)
+    assert [r.positions_scored for r in records[:3]] == [_full_window(r) for r in records[:3]]
+    assert all(r.positions_scored <= 2 for r in records[3:])
+    assert sum(r.positions_scored for r in records) < sum(_full_window(r) for r in records)
+
+
+def test_window_returns_after_the_scorer_accepts_a_copied_token():
+    # three rejected passes, then a two-position probe whose first copied token
+    # (w10) is accepted, then a pass from w0 whose copy runs w1 w2 w3 w4
+    records = _decode_rule_case("w3 w6 w9 w10 w0 w1 w2 w3 w4")
+    assert [r.accepted for r in records] == [1, 1, 1, 2, 5]
+    probe, after = records[3], records[4]
+    assert probe.positions_scored == 2 and probe.suffix_match == (10, 0)
+    assert after.positions_scored == _full_window(after) == 12
+
+
+def test_window_rule_keeps_lmax_and_ignores_autoregressive_steps():
+    target = "w3 X w6 w1 w9"
+    capped = _decode_rule_case(target, l_max=1)
+    assert {r.positions_scored for r in capped} == {1}
+    # the narrowed window applies on top of a wider l_max
+    capped = _decode_rule_case(target, l_max=3)
+    assert [r.positions_scored for r in capped] == [3, 3, 1, 3, 2, 2]
+    # rejections at w0 and w4, a fallback step after X, a rejection at w7:
+    # the count reaches three across the fallback, so the passes after it narrow
+    records = _decode_rule_case(target)
+    assert [r.mode for r in records] == [AGGRESSIVE, AGGRESSIVE, AUTOREGRESSIVE] + [AGGRESSIVE] * 3
+    assert [r.positions_scored for r in records] == [13, 9, 1, 6, 2, 2]
+
+
 # --- beam ------------------------------------------------------------------------
 
 
@@ -382,10 +443,38 @@ def _scorer_from_label(label, vocab, corpus):
                         copy_bias=1.0)
 
 
+class _TableScorer(Scorer):
+    """Random prefix-consistent scorer. Position p's row is a seeded random
+    row looked up by the prefix's last two tokens, plus ``copy_bias`` on the
+    token that follows the first occurrence of prefix[p] in the input (EOS
+    after the last input token), so the bias sets how often it copies."""
+
+    def __init__(self, vocab, seed, copy_bias):
+        self.vocab = vocab
+        size = len(vocab)
+        self.table = np.random.default_rng(seed).normal(size=(size, size, size))
+        self.table[:, :, vocab.pad] = NEG
+        self.copy_bias = copy_bias
+
+    def encode(self, x):
+        return tuple(x)
+
+    def score_positions(self, state, prefix, positions):
+        x, n = state, len(state) - 2
+        rows = np.empty((len(positions), len(self.vocab)))
+        for k, p in enumerate(positions):
+            last = prefix[p]
+            rows[k] = self.table[prefix[p - 1] if p else self.vocab.bos, last]
+            if last in x[: n + 1]:
+                i = x.index(last)
+                rows[k, x[i + 1] if i < n else self.vocab.eos] += self.copy_bias
+        return rows
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
-    label=st.sampled_from(["identity", "scripted", "ngram"]),
+    label=st.sampled_from(["identity", "scripted", "ngram", "table"]),
     l_max=st.sampled_from([1, 2, 3, 7, None]),
     max_len=st.sampled_from([2, 5, None]),
 )
@@ -401,7 +490,11 @@ def test_equivalence_property(data, label, l_max, max_len):
             max_size=6,
         )
     )
-    scorer = _scorer_from_label(label, vocab, corpus)
+    if label == "table":
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        scorer = _TableScorer(vocab, seed, data.draw(st.floats(0.0, 6.0)))
+    else:
+        scorer = _scorer_from_label(label, vocab, corpus)
     for raw in corpus:
         x = prepare_input(raw, vocab)
         greedy = greedy_decode(scorer, x, DecodeConfig(mode="greedy", max_len=max_len))
@@ -414,9 +507,16 @@ def test_equivalence_property(data, label, l_max, max_len):
             aggressive.trace.sequential_iterations
             <= greedy.trace.sequential_iterations
         )
-        # accepted-prefix soundness at every iteration boundary
+        # accepted-prefix soundness at every iteration boundary; and after three
+        # aggressive passes in a row that rejected their first copied token (a
+        # bifurcation at the boundary itself), a pass scores at most 2 positions
         boundary = 1
+        rejections = 0
         for record in aggressive.trace.iterations:
+            if record.mode == AGGRESSIVE:
+                if rejections >= 3:
+                    assert record.positions_scored <= 2
+                rejections = rejections + 1 if record.bifurcation == boundary else 0
             boundary += record.accepted
             assert aggressive.output[:boundary] == greedy.output[:boundary]
 

@@ -1,3 +1,6 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +21,7 @@ from aggdec import (
     sweep_lmax,
     tokenize,
 )
-from aggdec.metrics import SentenceRow, rows_csv, rows_json, sentence_reports_json
+from aggdec.metrics import SentenceRow, rows_csv, rows_json, sentence_reports_json, thread_limit
 from aggdec.scorers import ScriptedEditScorer
 from aggdec.synthetic import rewrite_pairs, synthetic_vocab
 from oracles import recursive_levenshtein
@@ -320,3 +323,15 @@ def test_depth_csv_schema(vocab):
         "aggressive_iterations,aggressive_tokens,aggressive_wall"
     )
     assert lines[1].startswith("1,1,")
+
+
+def test_thread_limit_warns_when_it_cannot_pin(monkeypatch):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises ImportError
+    with pytest.warns(RuntimeWarning, match="cannot limit BLAS to 1 thread") as caught:
+        with thread_limit(1):
+            pass
+    assert len(caught) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with thread_limit(None):  # no limit requested, nothing to warn about
+            pass
