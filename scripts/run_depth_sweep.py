@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from aggdec import DepthRow, TransformerConfig, sweep_depth
-from aggdec.metrics import rows_csv
+from aggdec.metrics import rows_csv, thread_limit
 from aggdec.synthetic import random_sentence, synthetic_vocab
 
 
@@ -45,10 +45,8 @@ def main() -> int:
                 ffn_dim=args.ffn_dim, seed=args.seed,
             )
         )
-    rows = sweep_depth(
-        configs, corpus, vocab,
-        repetitions=args.repetitions, warmup=2, threads=args.threads,
-    )
+    with thread_limit(args.threads):
+        rows = sweep_depth(configs, corpus, vocab, repetitions=args.repetitions, warmup=2)
     text = rows_csv(DepthRow, rows)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")

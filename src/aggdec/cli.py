@@ -10,16 +10,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .core import (
     AGGRESSIVE,
+    WHITESPACE,
     DecodeConfig,
     Vocab,
     build_vocab,
     corpus_to_ids,
     detokenize,
+    join_surfaces,
     load_corpus,
     load_parallel_corpus,
     prepare_input,
@@ -46,12 +48,13 @@ from .transformer import TinyTransformer, TransformerConfig
 SCORER_KINDS = ("identity", "scripted", "ngram", "transformer")
 
 
-def emit_trace(result: DecodeResult, vocab: Vocab) -> str:
+def emit_trace(result: DecodeResult, vocab: Vocab, scheme: str = WHITESPACE) -> str:
     """Render the output as bracketed per-iteration segments.
 
-    Tokens inside one bracket were emitted by a single sequential iteration;
-    the subscript is the iteration index and the tag is agg (parallel
-    copy-and-verify) or ar (one-by-one).
+    Tokens inside one bracket were emitted by a single sequential iteration
+    and are joined as `detokenize` joins them under `scheme`, sentinels
+    included; the subscript is the iteration index and the tag is agg
+    (parallel copy-and-verify) or ar (one-by-one).
     """
     tokens = result.output[1:]
     parts = []
@@ -60,7 +63,7 @@ def emit_trace(result: DecodeResult, vocab: Vocab) -> str:
         segment = tokens[pos: pos + record.accepted]
         pos += record.accepted
         tag = "agg" if record.mode == AGGRESSIVE else "ar"
-        parts.append(f"[{' '.join(vocab.surface(t) for t in segment)}]_{idx}({tag})")
+        parts.append(f"[{join_surfaces(map(vocab.surface, segment), scheme)}]_{idx}({tag})")
     return " ".join(parts)
 
 
@@ -70,13 +73,16 @@ def _parse_lmax(text: str) -> list[int | None]:
         piece = piece.strip()
         if piece == "unlimited":
             values.append(None)
-        else:
+            continue
+        try:
             value = int(piece)
             if value < 1:
-                raise ValueError(f"--lmax values must be >= 1 or 'unlimited', got {piece}")
-            values.append(value)
-    if not values:
-        raise ValueError("--lmax needs at least one value")
+                raise ValueError
+        except ValueError:
+            raise ValueError(
+                f"--lmax values must be ints >= 1 or 'unlimited', got {piece!r}"
+            ) from None
+        values.append(value)
     return values
 
 
@@ -84,7 +90,10 @@ def _parse_depths(text: str) -> list[tuple[int, int]]:
     depths = []
     for piece in text.split(","):
         enc, _, dec = piece.strip().partition("+")
-        depths.append((int(enc), int(dec)))
+        try:
+            depths.append((int(enc), int(dec)))
+        except ValueError:
+            raise ValueError(f"--depths expects ENC+DEC pairs, got {piece.strip()!r}") from None
     return depths
 
 
@@ -96,51 +105,58 @@ def _require_file(path: str, what: str) -> Path:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scorer", choices=SCORER_KINDS, default="identity")
-    common.add_argument(
-        "--scripted-pairs",
-        nargs=2,
-        metavar=("SRC", "TGT"),
-        help="aligned source/target files backing the scripted scorer",
-    )
-    common.add_argument("--transformer-config", metavar="PATH",
-                        help="key-value file with encoder_layers/decoder_layers/model_dim/heads/ffn_dim/seed")
-    common.add_argument("--enc-layers", type=int, default=6)
-    common.add_argument("--dec-layers", type=int, default=6)
+    # Each subcommand takes only the parents whose options it reads.
+    common = argparse.ArgumentParser(add_help=False)  # every subcommand
     common.add_argument("--model-dim", type=int, default=64)
     common.add_argument("--heads", type=int, default=4)
     common.add_argument("--ffn-dim", type=int, default=128)
-    common.add_argument("--order", type=int, default=2, help="n-gram order")
-    common.add_argument("--smoothing", type=float, default=0.1)
-    common.add_argument("--copy-bias", type=float, default=0.0)
     common.add_argument("--scheme", choices=("whitespace", "character"), default="whitespace")
-    common.add_argument("--mode", choices=("greedy", "beam", "aggressive"), default="aggressive")
-    common.add_argument("--beam", type=int, default=5)
-    common.add_argument("--length-penalty", type=float, default=0.0)
-    common.add_argument("--lmax", default="unlimited",
-                        help="comma list of ints or 'unlimited'")
     common.add_argument("--max-len", type=int, default=None)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--threads", type=int, default=None)
     common.add_argument("--output", metavar="PATH", default=None)
 
+    scoring = argparse.ArgumentParser(add_help=False)  # all but sweep-depth
+    scoring.add_argument("--scorer", choices=SCORER_KINDS, default="identity")
+    scoring.add_argument(
+        "--scripted-pairs",
+        nargs=2,
+        metavar=("SRC", "TGT"),
+        help="aligned source/target files backing the scripted scorer",
+    )
+    scoring.add_argument("--transformer-config", metavar="PATH",
+                         help="key-value file with encoder_layers/decoder_layers/model_dim/heads/ffn_dim/seed")
+    scoring.add_argument("--enc-layers", type=int, default=6)
+    scoring.add_argument("--dec-layers", type=int, default=6)
+    scoring.add_argument("--order", type=int, default=2, help="n-gram order")
+    scoring.add_argument("--smoothing", type=float, default=0.1)
+    scoring.add_argument("--copy-bias", type=float, default=0.0)
+    scoring.add_argument("--lmax", default="unlimited",
+                         help="comma list of ints or 'unlimited'")
+
+    beam = argparse.ArgumentParser(add_help=False)  # decode and bench
+    beam.add_argument("--beam", type=int, default=5)
+    beam.add_argument("--length-penalty", type=float, default=0.0)
+
     parser = argparse.ArgumentParser(prog="aggdec", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("decode", parents=[common], help="rewrite a corpus line by line")
+    p = sub.add_parser("decode", parents=[common, scoring, beam],
+                       help="rewrite a corpus line by line")
+    p.add_argument("--mode", choices=("greedy", "beam", "aggressive"), default="aggressive")
     p.add_argument("--input", required=True, metavar="PATH")
     p.add_argument("--trace", action="store_true", help="render per-iteration segments")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[common, scoring],
                        help="verify aggressive output equals greedy output")
     p.add_argument("--corpus", required=True, metavar="PATH")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("bench", parents=[common], help="per-sentence speedup report")
+    p = sub.add_parser("bench", parents=[common, scoring, beam],
+                       help="per-sentence speedup report")
     p.add_argument("--corpus", required=True, metavar="PATH")
     p.add_argument("--repetitions", type=int, default=5)
     p.add_argument("--warmup", type=int, default=2)
@@ -148,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("sweep-lmax", parents=[common],
+    p = sub.add_parser("sweep-lmax", parents=[common, scoring],
                        help="aggregate stats per copy-window cap")
     p.add_argument("--corpus", required=True, metavar="PATH")
     p.add_argument("--config", metavar="PATH", help="key-value file overriding flags")
@@ -172,16 +188,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config_file(args: argparse.Namespace) -> None:
     """`--config` key-value pairs override already-parsed flags on sweeps.
 
+    A key names any flag of the sweep but `--config` itself. `main` applies
+    the file before it pins BLAS threads, so a `threads` key takes effect.
     Each value goes through its flag's own argparse action, so `type`, `nargs`
     and `choices` are checked exactly as on the command line. argparse has no
     public way to convert one option's value outside a full parse, hence the
     private `_actions` and `_get_values`.
     """
-    if args.config is None:
+    if getattr(args, "config", None) is None:  # only the sweeps take --config
         return
     path = _require_file(args.config, "config file")
     parser = args.parser
-    actions = {a.dest: a for a in parser._actions if a.option_strings and a.nargs != 0}
+    actions = {
+        a.dest: a for a in parser._actions
+        if a.option_strings and a.nargs != 0 and a.dest != "config"
+    }
     for lineno, key, value in read_key_values(path):
         action = actions.get(key.replace("-", "_"))
         if action is None:
@@ -250,11 +271,11 @@ def _make_scorer(args: argparse.Namespace, vocab: Vocab, lines: list[str]) -> Sc
     raise ValueError(f"unknown scorer kind: {args.scorer!r}")
 
 
-def _decode_config(args: argparse.Namespace, l_max: int | None) -> DecodeConfig:
+def _decode_config(args: argparse.Namespace) -> DecodeConfig:
+    """The limits `decode` and `bench` share; `bench` sets the mode per decode."""
     return DecodeConfig(
-        mode=args.mode,
         max_len=args.max_len,
-        l_max=l_max,
+        l_max=_single_lmax(args),
         beam_size=args.beam,
         length_penalty=args.length_penalty,
     )
@@ -292,7 +313,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     lines = _load_lines(args, "input")
     vocab = _make_vocab(args, lines)
     scorer = _make_scorer(args, vocab, lines)
-    cfg = _decode_config(args, _single_lmax(args))
+    cfg = replace(_decode_config(args), mode=args.mode)
     results = []
     for line in lines:
         raw = tokenize(line, args.scheme, vocab)
@@ -304,7 +325,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
                 "input": line,
                 "output": output,
                 "iterations": res.trace.sequential_iterations,
-                "trace": emit_trace(res, vocab),
+                "trace": emit_trace(res, vocab, args.scheme),
             }
             for line, output, res in zip(lines, outputs, results)
         ]
@@ -317,7 +338,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         _write(args, rows_csv(DecodedLine, rows))
     else:
         if args.trace:
-            outputs = [emit_trace(res, vocab) for res in results]
+            outputs = [emit_trace(res, vocab, args.scheme) for res in results]
         # one newline-terminated line per input line, even when a line is empty
         _write(args, "".join(line + "\n" for line in outputs))
     return 0
@@ -344,8 +365,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     "l_max": "unlimited" if m.l_max is None else m.l_max,
                     "greedy": detokenize(m.greedy_output, vocab, args.scheme),
                     "aggressive": detokenize(m.aggressive_output, vocab, args.scheme),
-                    "greedy_trace": emit_trace(m.greedy_result, vocab),
-                    "aggressive_trace": emit_trace(m.aggressive_result, vocab),
+                    "greedy_trace": emit_trace(m.greedy_result, vocab, args.scheme),
+                    "aggressive_trace": emit_trace(m.aggressive_result, vocab, args.scheme),
                 }
                 for m in report.mismatches
             ],
@@ -356,8 +377,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             f"sentence {m.sentence} l_max={m.l_max}:\n"
             f"  greedy:     {detokenize(m.greedy_output, vocab, args.scheme)}\n"
             f"  aggressive: {detokenize(m.aggressive_output, vocab, args.scheme)}\n"
-            f"  greedy trace:     {emit_trace(m.greedy_result, vocab)}\n"
-            f"  aggressive trace: {emit_trace(m.aggressive_result, vocab)}\n"
+            f"  greedy trace:     {emit_trace(m.greedy_result, vocab, args.scheme)}\n"
+            f"  aggressive trace: {emit_trace(m.aggressive_result, vocab, args.scheme)}\n"
             for m in report.mismatches
         )
         _write(args, detail + report.summary())
@@ -377,10 +398,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     reports = bench(
         scorer,
         corpus_ids,
-        cfg=_decode_config(args, _single_lmax(args)),
+        cfg=_decode_config(args),
         repetitions=args.repetitions,
         warmup=args.warmup,
-        threads=args.threads,
         with_beam=args.with_beam,
     )
     if args.format == "csv":
@@ -399,7 +419,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_lmax(args: argparse.Namespace) -> int:
-    _apply_config_file(args)
     lines = _load_lines(args, "corpus")
     vocab = _make_vocab(args, lines)
     scorer = _make_scorer(args, vocab, lines)
@@ -417,7 +436,6 @@ def _cmd_sweep_lmax(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_depth(args: argparse.Namespace) -> int:
-    _apply_config_file(args)
     if args.seed is None:
         raise ValueError("sweep-depth requires --seed for the transformer weights")
     lines = _load_lines(args, "corpus")
@@ -441,7 +459,6 @@ def _cmd_sweep_depth(args: argparse.Namespace) -> int:
         cfg=DecodeConfig(max_len=args.max_len),
         repetitions=args.repetitions,
         warmup=args.warmup,
-        threads=args.threads,
     )
     _write(args, rows_json(rows) if args.format == "json" else rows_csv(DepthRow, rows))
     return 0
@@ -450,6 +467,7 @@ def _cmd_sweep_depth(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _apply_config_file(args)
         with thread_limit(args.threads):
             return args.func(args)
     except (ValueError, OSError) as exc:

@@ -102,18 +102,23 @@ def tokenize(text: str, scheme: str, vocab: Vocab) -> TokenIds:
     return tuple(vocab.id_of(p) for p in pieces)
 
 
-def detokenize(seq: Sequence[int], vocab: Vocab, scheme: str = WHITESPACE) -> str:
-    """Ids -> surfaces joined as `scheme` split them: with spaces (whitespace
-    scheme) or with nothing (character scheme, where a space is a token).
-    Sentinels render as empty; UNK renders as "<unk>"."""
+def join_surfaces(surfaces: Iterable[str], scheme: str = WHITESPACE) -> str:
+    """Surfaces joined as `scheme` split them: with spaces (whitespace scheme)
+    or with nothing (character scheme, where a space is a token)."""
     if scheme == WHITESPACE:
         sep = " "
     elif scheme == CHARACTER:
         sep = ""
     else:
         raise ValueError(f"unsupported scheme: {scheme!r}")
+    return sep.join(surfaces)
+
+
+def detokenize(seq: Sequence[int], vocab: Vocab, scheme: str = WHITESPACE) -> str:
+    """Ids -> surfaces joined by `join_surfaces`. Sentinels render as empty;
+    UNK renders as "<unk>"."""
     sentinels = vocab.sentinel_ids
-    return sep.join(vocab.surface(t) for t in seq if t not in sentinels)
+    return join_surfaces((vocab.surface(t) for t in seq if t not in sentinels), scheme)
 
 
 def prepare_input(raw: Sequence[int], vocab: Vocab) -> TokenIds:

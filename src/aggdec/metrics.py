@@ -219,7 +219,8 @@ def check_equivalence(
 
 @contextmanager
 def thread_limit(threads: int | None):
-    """Pin the scorer's internal math to `threads` BLAS threads. Without
+    """Pin the scorer's internal math to `threads` BLAS threads. Entry points
+    enter it once around a whole run; the harnesses below never pin. Without
     threadpoolctl the limit cannot be applied: warn once and run unpinned."""
     if threads is None:
         yield
@@ -244,6 +245,8 @@ def _timed(
     """Each decode's last result and median wall time. Every repetition runs
     all of them in turn, so a burst of load from other processes slows them
     alike instead of landing on whichever happened to be running."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
     for _ in range(warmup):
         for fn in fns:
             fn()
@@ -263,15 +266,12 @@ def bench(
     cfg: DecodeConfig | None = None,
     repetitions: int = 5,
     warmup: int = 2,
-    threads: int | None = None,
     with_beam: bool = False,
 ) -> list[SentenceReport]:
     """Per-sentence greedy vs aggressive comparison (plus beam when asked).
 
     Each timed decode is single-sentence and timed in isolation.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
     base = cfg or DecodeConfig()
     vocab = scorer.vocab
 
@@ -309,8 +309,7 @@ def bench(
             wall_speedup=greedy_wall / agg_wall if agg_wall > 0 else float("inf"),
         )
 
-    with thread_limit(threads):
-        return [one(idx, raw) for idx, raw in enumerate(corpus)]
+    return [one(idx, raw) for idx, raw in enumerate(corpus)]
 
 
 # --- sweeps ----------------------------------------------------------------------
@@ -389,7 +388,6 @@ def sweep_depth(
     cfg: DecodeConfig | None = None,
     repetitions: int = 5,
     warmup: int = 2,
-    threads: int | None = None,
 ) -> list[DepthRow]:
     """Greedy and aggressive wall-clock/iteration totals per encoder+decoder depth.
 
@@ -404,16 +402,15 @@ def sweep_depth(
     agg_cfg = replace(greedy_cfg, mode=AGGRESSIVE)
     scorers = [TinyTransformer(config, vocab) for config in configs]
     runs = []  # per sentence: (result, wall) of greedy then aggressive, config by config
-    with thread_limit(threads):
-        for raw in corpus:
-            x = prepare_input(raw, vocab)
-            decoders = []
-            for scorer in scorers:
-                decoders.append(lambda s=scorer: greedy_decode(s, x, greedy_cfg))
-                decoders.append(lambda s=scorer: aggressive_decode(s, x, agg_cfg))
-            # each repetition runs every config, so load from other processes
-            # cannot favour one depth over another
-            runs.append(_timed(decoders, repetitions, warmup))
+    for raw in corpus:
+        x = prepare_input(raw, vocab)
+        decoders = []
+        for scorer in scorers:
+            decoders.append(lambda s=scorer: greedy_decode(s, x, greedy_cfg))
+            decoders.append(lambda s=scorer: aggressive_decode(s, x, agg_cfg))
+        # each repetition runs every config, so load from other processes
+        # cannot favour one depth over another
+        runs.append(_timed(decoders, repetitions, warmup))
     rows = []
     for c, config in enumerate(configs):
         greedy = [run[2 * c] for run in runs]

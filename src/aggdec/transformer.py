@@ -179,10 +179,9 @@ class TinyTransformer(Scorer):
     encoder-decoder cross-attention, causal decoder masking, PAD-masked logits.
     """
 
-    def __init__(self, config: TransformerConfig, vocab: Vocab, use_cache: bool = True):
+    def __init__(self, config: TransformerConfig, vocab: Vocab):
         self.config = config
         self.vocab = vocab
-        self.use_cache = use_cache
         rng = np.random.default_rng(config.seed)
         d, f, v = config.model_dim, config.ffn_dim, len(vocab)
         scale = d ** -0.5
@@ -284,8 +283,6 @@ class TinyTransformer(Scorer):
         return logits[list(positions)]
 
     def session(self, x: TokenIds) -> DecodeSession:
-        if not self.use_cache:
-            return DecodeSession(self, x)
         return _CachedSession(self, x)
 
 

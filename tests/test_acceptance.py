@@ -31,6 +31,7 @@ from aggdec import (
     tokenize,
     validate_trace,
 )
+from aggdec.metrics import thread_limit
 from aggdec.synthetic import perturb, random_sentence, rewrite_pairs, synthetic_vocab
 from oracles import naive_suffix_match, recursive_levenshtein
 
@@ -250,10 +251,10 @@ def test_criterion_6_decoder_depth_wall_clock():
             break
     assert len(corpus) >= 3, "not enough full-budget sentences for stable timing"
     start = time.perf_counter()
-    rows = sweep_depth(
-        list(configs.values()), corpus, vocab, cfg=cfg,
-        repetitions=5, warmup=2, threads=1,
-    )
+    with thread_limit(1):
+        rows = sweep_depth(
+            list(configs.values()), corpus, vocab, cfg=cfg, repetitions=5, warmup=2,
+        )
     elapsed = time.perf_counter() - start
     wall = {(r.enc_layers, r.dec_layers): r.greedy_wall for r in rows}
     margins = {

@@ -1,5 +1,7 @@
 import csv
 import json
+import sys
+import warnings
 
 import pytest
 
@@ -227,6 +229,8 @@ def test_sweep_config_nargs_value_matches_flag(corpus_file, tmp_path, capsys):
     ("scripted_pairs = only-one.txt", "expects 2 values"),
     ("workers = 2", "unknown config key"),
     ("func = x", "unknown config key"),
+    ("mode = beam", "unknown config key"),
+    ("config = other.cfg", "unknown config key"),
     ("lmax", "expected `key = value`"),
 ])
 def test_sweep_config_value_rejected_like_flag(corpus_file, tmp_path, capsys, line, message):
@@ -274,15 +278,51 @@ def test_decode_character_scheme_round_trips_text(tmp_path, capsys):
     assert main(argv + ["--format", "csv"]) == 0
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))
     assert rows[1] == ["0", "1", "hello world"]
+    assert main(argv + ["--trace"]) == 0
+    assert capsys.readouterr().out == "[hello world<eos>]_0(agg)\n"
 
 
-@pytest.mark.parametrize("subcommand, fmt", [
-    ("check", "csv"), ("sweep-lmax", "text"), ("sweep-depth", "text"),
+@pytest.mark.parametrize("subcommand, tail", [
+    pytest.param("check", ["--format", "csv"], id="check-csv"),
+    pytest.param("sweep-lmax", ["--format", "text"], id="sweep-lmax-text"),
+    pytest.param("sweep-depth", ["--format", "text"], id="sweep-depth-text"),
+    # options a subcommand never reads are not accepted either
+    pytest.param("check", ["--mode", "beam"], id="check-mode"),
+    pytest.param("bench", ["--mode", "greedy"], id="bench-mode"),
+    pytest.param("sweep-lmax", ["--beam", "2"], id="sweep-lmax-beam"),
+    pytest.param("sweep-depth", ["--lmax", "2"], id="sweep-depth-lmax"),
+    pytest.param("sweep-depth", ["--scorer", "ngram"], id="sweep-depth-scorer"),
 ])
-def test_format_limited_to_what_subcommand_renders(corpus_file, subcommand, fmt):
+def test_format_limited_to_what_subcommand_renders(corpus_file, subcommand, tail):
     with pytest.raises(SystemExit) as excinfo:
-        main([subcommand, "--corpus", str(corpus_file), "--format", fmt])
+        main([subcommand, "--corpus", str(corpus_file), *tail])
     assert excinfo.value.code != 0
+
+
+SWEEP_DEPTH = ["sweep-depth", "--depths", "1+1", "--model-dim", "16", "--heads", "2",
+               "--ffn-dim", "16", "--seed", "9", "--repetitions", "1", "--warmup", "0"]
+
+
+@pytest.mark.parametrize("argv, from_config", [
+    (["bench", "--scorer", "identity", "--repetitions", "1", "--warmup", "0"], False),
+    (SWEEP_DEPTH, False),
+    (SWEEP_DEPTH, True),
+    (["sweep-lmax", "--scorer", "identity"], True),
+], ids=["bench", "sweep-depth", "sweep-depth-config", "sweep-lmax-config"])
+def test_threads_pinned_once_per_run(corpus_file, tmp_path, monkeypatch, argv, from_config):
+    """`--threads 1`, or `threads = 1` in a sweep's config file, asks for the
+    pin once; without threadpoolctl that request warns."""
+    if from_config:
+        config = tmp_path / "sweep.cfg"
+        config.write_text("threads = 1\n", encoding="utf-8")
+        tail = ["--config", str(config)]
+    else:
+        tail = ["--threads", "1"]
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises ImportError
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--corpus", str(corpus_file), *tail]) == 0
+    assert sum(issubclass(w.category, RuntimeWarning) for w in caught) == 1
 
 
 def test_missing_corpus_is_a_clean_error(capsys):
@@ -305,10 +345,16 @@ def test_unknown_flag_exits_nonzero(corpus_file):
     assert excinfo.value.code != 0
 
 
-def test_bad_lmax_rejected(corpus_file, capsys):
-    code = main([
-        "check", "--scorer", "identity", "--corpus", str(corpus_file),
-        "--lmax", "0",
-    ])
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["check", "--scorer", "identity", "--lmax", "0"], "lmax", id="lmax-0"),
+    pytest.param(["check", "--scorer", "identity", "--lmax", "two"],
+                 "--lmax values must be ints >= 1 or 'unlimited', got 'two'", id="lmax-two"),
+    pytest.param(["sweep-depth", "--seed", "1", "--depths", "6"],
+                 "--depths expects ENC+DEC pairs, got '6'", id="depths-6"),
+    pytest.param(["sweep-depth", "--seed", "1", "--depths", "6+x"],
+                 "--depths expects ENC+DEC pairs, got '6+x'", id="depths-6+x"),
+])
+def test_bad_lmax_rejected(corpus_file, capsys, argv, message):
+    code = main([*argv, "--corpus", str(corpus_file)])
     assert code == 1
-    assert "lmax" in capsys.readouterr().err
+    assert message in capsys.readouterr().err

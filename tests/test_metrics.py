@@ -194,6 +194,17 @@ def test_bench_rejects_empty_sentence(vocab):
         bench(identity_scorer(vocab), [()], repetitions=1, warmup=0)
 
 
+@pytest.mark.parametrize("harness", [
+    lambda vocab: bench(identity_scorer(vocab), [(4, 5)], repetitions=0),
+    lambda vocab: sweep_lmax(identity_scorer(vocab), [(4, 5)], [None], repetitions=0),
+    lambda vocab: sweep_depth([TransformerConfig(1, 1, 16, 2, 16, seed=1)], [(4, 5)], vocab,
+                              repetitions=0),
+], ids=["bench", "sweep_lmax", "sweep_depth"])
+def test_harness_rejects_zero_repetitions(vocab, harness):
+    with pytest.raises(ValueError, match="repetitions must be >= 1"):
+        harness(vocab)
+
+
 # --- sweeps ------------------------------------------------------------------------
 
 
@@ -238,7 +249,8 @@ def test_sweep_depth_encoder_cost_amortized():
         TransformerConfig(3, 4, 128, 4, 256, seed=5),
         TransformerConfig(9, 4, 128, 4, 256, seed=5),
     ]
-    rows = sweep_depth(configs, corpus, vocab, repetitions=3, warmup=1, threads=1)
+    with thread_limit(1):
+        rows = sweep_depth(configs, corpus, vocab, repetitions=3, warmup=1)
     shallow_enc, deep_enc = rows
     per_token = [r.greedy_wall / r.greedy_tokens for r in (shallow_enc, deep_enc)]
     assert per_token[1] < 2.0 * per_token[0]
@@ -268,8 +280,8 @@ def test_sweep_depth_extreme_split_beats_balanced_shallow():
         if len(corpus) == 3:
             break
     assert corpus, "no full-budget sentences found"
-    rows = sweep_depth(configs, corpus, vocab, cfg=cfg, repetitions=3, warmup=1,
-                       threads=1)
+    with thread_limit(1):
+        rows = sweep_depth(configs, corpus, vocab, cfg=cfg, repetitions=3, warmup=1)
     nine_three, eleven_one = rows
     assert eleven_one.greedy_wall < nine_three.greedy_wall
 

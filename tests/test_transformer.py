@@ -15,7 +15,15 @@ from aggdec import (
     prepare_input,
 )
 from aggdec.decoding import argmax_with_tiebreak
+from aggdec.scorers import DecodeSession
 from oracles import ReferenceTransformer
+
+
+class UncachedTransformer(TinyTransformer):
+    """Scores every call from scratch through ``score_positions(state, ...)``."""
+
+    def session(self, x):
+        return DecodeSession(self, x)
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +149,8 @@ def test_same_seed_same_weights(small_config, tvocab):
 
 def test_incremental_state_matches_scratch(small_config, tvocab, rng):
     """Cached-session decoding reproduces the from-scratch argmax sequence."""
-    cached = TinyTransformer(small_config, tvocab, use_cache=True)
-    scratch = TinyTransformer(small_config, tvocab, use_cache=False)
+    cached = TinyTransformer(small_config, tvocab)
+    scratch = UncachedTransformer(small_config, tvocab)
     for _ in range(8):
         raw = random_raw(rng, tvocab)
         x = prepare_input(raw, tvocab)
@@ -188,8 +196,8 @@ _config = st.integers(0, len(ORACLE_CONFIGS) - 1)
 
 
 @lru_cache(maxsize=None)
-def _model(index, use_cache=True):
-    scorer = TinyTransformer(ORACLE_CONFIGS[index], ORACLE_VOCAB, use_cache=use_cache)
+def _model(index, cls=TinyTransformer):
+    scorer = cls(ORACLE_CONFIGS[index], ORACLE_VOCAB)
     return scorer, ReferenceTransformer(scorer)
 
 
@@ -243,8 +251,8 @@ def test_forked_session_leaves_its_parent_unchanged(index, raw, data):
 @given(index=_config, raw=st.lists(_token, min_size=1, max_size=10),
        tail=st.lists(_token, max_size=20), data=st.data())
 def test_uncached_scoring_equals_oracle_bit_for_bit(index, raw, tail, data):
-    """``use_cache=False`` scores every call from scratch, in any position order."""
-    scorer, oracle = _model(index, use_cache=False)
+    """Uncached scoring runs every call from scratch, in any position order."""
+    scorer, oracle = _model(index, UncachedTransformer)
     x = prepare_input(tuple(raw), ORACLE_VOCAB)
     prefix = (ORACLE_VOCAB.bos,) + tuple(tail)
     positions = data.draw(st.lists(st.integers(0, len(prefix) - 1), min_size=1, max_size=8))
