@@ -25,7 +25,6 @@ from .core import (
     load_corpus,
     load_parallel_corpus,
     prepare_input,
-    read_key_values,
     tokenize,
 )
 from .decoding import DecodeResult, decode
@@ -34,6 +33,7 @@ from .metrics import (
     LmaxRow,
     SentenceRow,
     bench,
+    bench_summary,
     check_equivalence,
     rows_csv,
     rows_json,
@@ -115,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--threads", type=int, default=None)
     common.add_argument("--output", metavar="PATH", default=None)
+    common.add_argument("--config", metavar="PATH", help="key-value file overriding flags")
 
     scoring = argparse.ArgumentParser(add_help=False)  # all but sweep-depth
     scoring.add_argument("--scorer", choices=SCORER_KINDS, default="identity")
@@ -124,8 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("SRC", "TGT"),
         help="aligned source/target files backing the scripted scorer",
     )
-    scoring.add_argument("--transformer-config", metavar="PATH",
-                         help="key-value file with encoder_layers/decoder_layers/model_dim/heads/ffn_dim/seed")
     scoring.add_argument("--enc-layers", type=int, default=6)
     scoring.add_argument("--dec-layers", type=int, default=6)
     scoring.add_argument("--order", type=int, default=2, help="n-gram order")
@@ -147,13 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, metavar="PATH")
     p.add_argument("--trace", action="store_true", help="render per-iteration segments")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(func=_cmd_decode)
+    p.set_defaults(func=_cmd_decode, parser=p)
 
     p = sub.add_parser("check", parents=[common, scoring],
                        help="verify aggressive output equals greedy output")
     p.add_argument("--corpus", required=True, metavar="PATH")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=_cmd_check, parser=p)
 
     p = sub.add_parser("bench", parents=[common, scoring, beam],
                        help="per-sentence speedup report")
@@ -162,12 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=2)
     p.add_argument("--with-beam", action="store_true")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.set_defaults(func=_cmd_bench)
+    p.set_defaults(func=_cmd_bench, parser=p)
 
     p = sub.add_parser("sweep-lmax", parents=[common, scoring],
                        help="aggregate stats per copy-window cap")
     p.add_argument("--corpus", required=True, metavar="PATH")
-    p.add_argument("--config", metavar="PATH", help="key-value file overriding flags")
     p.add_argument("--repetitions", type=int, default=1)
     p.add_argument("--warmup", type=int, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -176,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-depth", parents=[common],
                        help="wall-clock per encoder+decoder depth")
     p.add_argument("--corpus", required=True, metavar="PATH")
-    p.add_argument("--config", metavar="PATH", help="key-value file overriding flags")
     p.add_argument("--depths", default="6+6,9+3", help="comma list of ENC+DEC pairs")
     p.add_argument("--repetitions", type=int, default=5)
     p.add_argument("--warmup", type=int, default=2)
@@ -186,16 +183,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
-    """`--config` key-value pairs override already-parsed flags on sweeps.
+    """`--config` lines `key = value` override already-parsed flags.
 
-    A key names any flag of the sweep but `--config` itself. `main` applies
-    the file before it pins BLAS threads, so a `threads` key takes effect.
-    Each value goes through its flag's own argparse action, so `type`, `nargs`
-    and `choices` are checked exactly as on the command line. argparse has no
-    public way to convert one option's value outside a full parse, hence the
-    private `_actions` and `_get_values`.
+    A key names any flag of the subcommand that takes a value, but `--config`
+    itself; `#` starts a comment. `main` applies the file before it pins BLAS
+    threads, so a `threads` key takes effect. Each value goes through its
+    flag's own argparse action, so `type`, `nargs` and `choices` are checked
+    exactly as on the command line. argparse has no public way to convert one
+    option's value outside a full parse, hence the private `_actions` and
+    `_get_values`.
     """
-    if getattr(args, "config", None) is None:  # only the sweeps take --config
+    if args.config is None:
         return
     path = _require_file(args.config, "config file")
     parser = args.parser
@@ -203,7 +201,13 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         a.dest: a for a in parser._actions
         if a.option_strings and a.nargs != 0 and a.dest != "config"
     }
-    for lineno, key, value in read_key_values(path):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ValueError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
+        key, _, value = (part.strip() for part in text.partition("="))
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
@@ -224,7 +228,8 @@ def _load_lines(args: argparse.Namespace, attr: str) -> list[str]:
     return load_corpus(_require_file(getattr(args, attr), f"--{attr} corpus"))
 
 
-def _make_vocab(args: argparse.Namespace, lines: list[str]) -> Vocab:
+def _make_scorer(args: argparse.Namespace, lines: list[str]) -> Scorer:
+    """The `--scorer` over a vocabulary of the corpus (and scripted pairs)."""
     pool = list(lines)
     if args.scorer == "scripted":
         if not args.scripted_pairs:
@@ -234,14 +239,10 @@ def _make_vocab(args: argparse.Namespace, lines: list[str]) -> Vocab:
             _require_file(args.scripted_pairs[1], "scripted target corpus"),
         )
         pool += src + tgt
-    return build_vocab(pool, args.scheme)
-
-
-def _make_scorer(args: argparse.Namespace, vocab: Vocab, lines: list[str]) -> Scorer:
+    vocab = build_vocab(pool, args.scheme)
     if args.scorer == "identity":
         return identity_scorer(vocab)
     if args.scorer == "scripted":
-        src, tgt = load_parallel_corpus(args.scripted_pairs[0], args.scripted_pairs[1])
         pairs = [
             (tokenize(s, args.scheme, vocab), tokenize(t, args.scheme, vocab))
             for s, t in zip(src, tgt)
@@ -252,21 +253,16 @@ def _make_scorer(args: argparse.Namespace, vocab: Vocab, lines: list[str]) -> Sc
         return NgramScorer(corpus_ids, args.order, args.smoothing, vocab,
                            copy_bias=args.copy_bias)
     if args.scorer == "transformer":
-        if args.transformer_config:
-            config = TransformerConfig.from_file(
-                _require_file(args.transformer_config, "transformer config")
-            )
-        else:
-            if args.seed is None:
-                raise ValueError("--scorer transformer requires --seed (or a config file)")
-            config = TransformerConfig(
-                encoder_layers=args.enc_layers,
-                decoder_layers=args.dec_layers,
-                model_dim=args.model_dim,
-                heads=args.heads,
-                ffn_dim=args.ffn_dim,
-                seed=args.seed,
-            )
+        if args.seed is None:
+            raise ValueError("--scorer transformer requires --seed")
+        config = TransformerConfig(
+            encoder_layers=args.enc_layers,
+            decoder_layers=args.dec_layers,
+            model_dim=args.model_dim,
+            heads=args.heads,
+            ffn_dim=args.ffn_dim,
+            seed=args.seed,
+        )
         return TinyTransformer(config, vocab)
     raise ValueError(f"unknown scorer kind: {args.scorer!r}")
 
@@ -311,8 +307,8 @@ class DecodedLine:
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     lines = _load_lines(args, "input")
-    vocab = _make_vocab(args, lines)
-    scorer = _make_scorer(args, vocab, lines)
+    scorer = _make_scorer(args, lines)
+    vocab = scorer.vocab
     cfg = replace(_decode_config(args), mode=args.mode)
     results = []
     for line in lines:
@@ -346,8 +342,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     lines = _load_lines(args, "corpus")
-    vocab = _make_vocab(args, lines)
-    scorer = _make_scorer(args, vocab, lines)
+    scorer = _make_scorer(args, lines)
+    vocab = scorer.vocab
     corpus_ids = corpus_to_ids(lines, args.scheme, vocab)
     report = check_equivalence(
         scorer,
@@ -392,9 +388,8 @@ def _nonempty_corpus(lines: list[str], vocab: Vocab, scheme: str):
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     lines = _load_lines(args, "corpus")
-    vocab = _make_vocab(args, lines)
-    scorer = _make_scorer(args, vocab, lines)
-    corpus_ids = _nonempty_corpus(lines, vocab, args.scheme)
+    scorer = _make_scorer(args, lines)
+    corpus_ids = _nonempty_corpus(lines, scorer.vocab, args.scheme)
     reports = bench(
         scorer,
         corpus_ids,
@@ -408,21 +403,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     elif args.format == "json":
         _write(args, sentence_reports_json(reports))
     else:
-        mean_iter = sum(r.iteration_speedup for r in reports) / len(reports)
-        mean_wall = sum(r.wall_speedup for r in reports) / len(reports)
+        summary = bench_summary(reports)
         _write(
             args,
-            f"{len(reports)} sentences; mean iteration speedup {mean_iter:.2f}x; "
-            f"mean wall-clock speedup {mean_wall:.2f}x",
+            f"{summary['sentences']} sentences; "
+            f"mean iteration speedup {summary['mean_iteration_speedup']:.2f}x; "
+            f"mean wall-clock speedup {summary['mean_wall_speedup']:.2f}x",
         )
     return 0
 
 
 def _cmd_sweep_lmax(args: argparse.Namespace) -> int:
     lines = _load_lines(args, "corpus")
-    vocab = _make_vocab(args, lines)
-    scorer = _make_scorer(args, vocab, lines)
-    corpus_ids = _nonempty_corpus(lines, vocab, args.scheme)
+    scorer = _make_scorer(args, lines)
+    corpus_ids = _nonempty_corpus(lines, scorer.vocab, args.scheme)
     rows = sweep_lmax(
         scorer,
         corpus_ids,

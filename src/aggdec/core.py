@@ -264,22 +264,5 @@ def load_parallel_corpus(source_path: str | Path, target_path: str | Path) -> tu
     return src, tgt
 
 
-def read_key_values(path: str | Path) -> list[tuple[int, str, str]]:
-    """`(lineno, key, value)` for each `key = value` line; `#` starts a comment.
-
-    Callers decide which keys exist and what their values mean.
-    """
-    entries = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise ValueError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
-        key, _, value = text.partition("=")
-        entries.append((lineno, key.strip(), value.strip()))
-    return entries
-
-
 def corpus_to_ids(lines: Iterable[str], scheme: str, vocab: Vocab) -> list[TokenIds]:
     return [tokenize(line, scheme, vocab) for line in lines]

@@ -270,7 +270,7 @@ def bench(
 ) -> list[SentenceReport]:
     """Per-sentence greedy vs aggressive comparison (plus beam when asked).
 
-    Each timed decode is single-sentence and timed in isolation.
+    Each decode is of one sentence; a repetition runs every mode in turn.
     """
     base = cfg or DecodeConfig()
     vocab = scorer.vocab
@@ -279,20 +279,16 @@ def bench(
         if not raw:
             raise ValueError(f"bench sentence {idx} is empty; edit_ratio needs input tokens")
         x = prepare_input(raw, vocab)
-        [(greedy_res, greedy_wall)] = _timed(
-            [lambda: greedy_decode(scorer, x, replace(base, mode=GREEDY))], repetitions, warmup
-        )
-        [(agg_res, agg_wall)] = _timed(
-            [lambda: aggressive_decode(scorer, x, replace(base, mode=AGGRESSIVE))],
-            repetitions,
-            warmup,
-        )
-        beam_stats = None
+        decoders = [
+            lambda: greedy_decode(scorer, x, replace(base, mode=GREEDY)),
+            lambda: aggressive_decode(scorer, x, replace(base, mode=AGGRESSIVE)),
+        ]
         if with_beam:
-            [(beam_res, beam_wall)] = _timed(
-                [lambda: beam_decode(scorer, x, replace(base, mode=BEAM))], repetitions, warmup
-            )
-            beam_stats = StepStats.of(beam_res, beam_wall)
+            decoders.append(lambda: beam_decode(scorer, x, replace(base, mode=BEAM)))
+        (greedy_res, greedy_wall), (agg_res, agg_wall), *beam = _timed(
+            decoders, repetitions, warmup
+        )
+        beam_stats = StepStats.of(*beam[0]) if beam else None
         output = strip_sentinels(agg_res.output, vocab)
         greedy_stats = StepStats.of(greedy_res, greedy_wall)
         agg_stats = StepStats.of(agg_res, agg_wall)
@@ -467,13 +463,14 @@ def rows_json(rows: Iterable) -> str:
     return json.dumps([_cells(row) for row in rows], indent=2, sort_keys=True)
 
 
-def sentence_reports_json(reports: Sequence[SentenceReport]) -> str:
-    """Aggregates over a bench run; per-sentence detail belongs to the CSV."""
+def bench_summary(reports: Sequence[SentenceReport]) -> dict:
+    """Aggregates over a bench run, with means of 0.0 when it has no
+    sentences; per-sentence detail belongs to the CSV."""
     ratios = [r.edit_ratio for r in reports]
     speedups = [r.iteration_speedup for r in reports]
     walls = [r.wall_speedup for r in reports]
     correlation = spearman(ratios, speedups) if len(reports) > 2 else float("nan")
-    payload = {
+    return {
         "sentences": len(reports),
         "mean_edit_ratio": statistics.fmean(ratios) if reports else 0.0,
         "mean_iteration_speedup": statistics.fmean(speedups) if reports else 0.0,
@@ -487,4 +484,8 @@ def sentence_reports_json(reports: Sequence[SentenceReport]) -> str:
             correlation if np.isfinite(correlation) else None
         ),
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def sentence_reports_json(reports: Sequence[SentenceReport]) -> str:
+    """`bench_summary` as a JSON object."""
+    return json.dumps(bench_summary(reports), indent=2, sort_keys=True)

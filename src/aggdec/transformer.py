@@ -21,11 +21,10 @@ are bit-identical to those of the plain implementation that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .core import TokenIds, Vocab, read_key_values
+from .core import TokenIds, Vocab
 from .scorers import NEG_INF, DecodeSession, Scorer
 
 
@@ -45,24 +44,6 @@ class TransformerConfig:
             raise ValueError("model_dim, ffn_dim, and heads must be positive")
         if self.model_dim % self.heads:
             raise ValueError("model_dim must be divisible by heads")
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "TransformerConfig":
-        """Load from a key-value file: one `key = value` per line, # comments allowed.
-
-        All six keys are accepted; seed is mandatory for reproducibility.
-        """
-        values: dict[str, int] = {}
-        for lineno, key, value in read_key_values(path):
-            if key not in cls.__dataclass_fields__:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = int(value)
-        if "seed" not in values:
-            raise ValueError(f"{path}: seed is mandatory")
-        missing = set(cls.__dataclass_fields__) - set(values)
-        if missing:
-            raise ValueError(f"{path}: missing keys: {sorted(missing)}")
-        return cls(**values)
 
 
 def decoder_flops_per_position(config: TransformerConfig, context_len: int, memory_len: int) -> float:
@@ -120,7 +101,6 @@ def _merge_heads(h: np.ndarray) -> np.ndarray:
 class EncoderState:
     """Per-input encoder representation, reusable across all decode iterations."""
 
-    memory: np.ndarray                 # (src_len, model_dim)
     cross_k: list[np.ndarray]          # per decoder layer, (heads, src_len, d_head)
     cross_v: list[np.ndarray]
 
@@ -234,7 +214,7 @@ class TinyTransformer(Scorer):
         memory = _layer_norm(h)
         cross_k = [_split_heads(memory @ layer["ck"], heads) for layer in self._dec_layers]
         cross_v = [_split_heads(memory @ layer["cv"], heads) for layer in self._dec_layers]
-        return EncoderState(memory=memory, cross_k=cross_k, cross_v=cross_v)
+        return EncoderState(cross_k=cross_k, cross_v=cross_v)
 
     # -- decoder ---------------------------------------------------------
 

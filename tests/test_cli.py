@@ -94,19 +94,20 @@ def test_decode_scripted_pairs(tmp_path, capsys):
     assert capsys.readouterr().out == "a b X d\n"
 
 
-def test_decode_transformer_config_file(corpus_file, tmp_path, capsys):
+def test_decode_transformer_from_config(corpus_file, tmp_path, capsys):
     cfg = tmp_path / "model.cfg"
     cfg.write_text(
-        "encoder_layers = 1\ndecoder_layers = 1\nmodel_dim = 16\n"
+        "# shallow decoder\nenc_layers = 1\ndec_layers = 1\nmodel_dim = 16\n"
         "heads = 2\nffn_dim = 16\nseed = 3\n",
         encoding="utf-8",
     )
-    code = main([
-        "decode", "--scorer", "transformer", "--transformer-config", str(cfg),
-        "--input", str(corpus_file), "--format", "text",
-    ])
-    assert code == 0
-    assert capsys.readouterr().out.count("\n") == 3  # one line per input line
+    argv = ["decode", "--scorer", "transformer", "--input", str(corpus_file)]
+    assert main(argv + ["--config", str(cfg)]) == 0
+    from_config = capsys.readouterr().out
+    assert from_config.count("\n") == 3  # one line per input line
+    assert main(argv + ["--enc-layers", "1", "--dec-layers", "1", "--model-dim", "16",
+                        "--heads", "2", "--ffn-dim", "16", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == from_config
 
 
 def test_check_reports_zero_mismatches(corpus_file, capsys):
@@ -169,6 +170,23 @@ def test_bench_csv(corpus_file, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("sentence,input_len,output_len,edit_ratio,greedy_iters")
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_bench_all_lines_empty(tmp_path, capsys, fmt):
+    path = tmp_path / "empty.txt"
+    path.write_text("\n\n", encoding="utf-8")
+    code = main([
+        "bench", "--scorer", "identity", "--corpus", str(path),
+        "--repetitions", "1", "--warmup", "0", "--format", fmt,
+    ])
+    assert code == 0
+    out = capsys.readouterr().out
+    if fmt == "text":
+        assert out == "0 sentences; mean iteration speedup 0.00x; mean wall-clock speedup 0.00x\n"
+    else:
+        payload = json.loads(out)
+        assert payload["sentences"] == 0 and payload["mean_iteration_speedup"] == 0.0
 
 
 def test_bench_json(corpus_file, capsys):
@@ -303,17 +321,21 @@ SWEEP_DEPTH = ["sweep-depth", "--depths", "1+1", "--model-dim", "16", "--heads",
                "--ffn-dim", "16", "--seed", "9", "--repetitions", "1", "--warmup", "0"]
 
 
+BENCH = ["bench", "--scorer", "identity", "--repetitions", "1", "--warmup", "0"]
+
+
 @pytest.mark.parametrize("argv, from_config", [
-    (["bench", "--scorer", "identity", "--repetitions", "1", "--warmup", "0"], False),
+    (BENCH, False),
+    (BENCH, True),
     (SWEEP_DEPTH, False),
     (SWEEP_DEPTH, True),
     (["sweep-lmax", "--scorer", "identity"], True),
-], ids=["bench", "sweep-depth", "sweep-depth-config", "sweep-lmax-config"])
+], ids=["bench", "bench-config", "sweep-depth", "sweep-depth-config", "sweep-lmax-config"])
 def test_threads_pinned_once_per_run(corpus_file, tmp_path, monkeypatch, argv, from_config):
-    """`--threads 1`, or `threads = 1` in a sweep's config file, asks for the
-    pin once; without threadpoolctl that request warns."""
+    """`--threads 1`, or `threads = 1` in a config file, asks for the pin
+    once; without threadpoolctl that request warns."""
     if from_config:
-        config = tmp_path / "sweep.cfg"
+        config = tmp_path / "run.cfg"
         config.write_text("threads = 1\n", encoding="utf-8")
         tail = ["--config", str(config)]
     else:

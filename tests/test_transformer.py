@@ -55,40 +55,6 @@ def test_config_validation():
         TransformerConfig(1, 1, 30, 4, 48, seed=1)  # dim not divisible by heads
 
 
-def test_config_from_file(tmp_path):
-    path = tmp_path / "model.cfg"
-    path.write_text(
-        "# shallow decoder\n"
-        "encoder_layers = 9\n"
-        "decoder_layers = 3\n"
-        "model_dim = 64\n"
-        "heads = 4\n"
-        "ffn_dim = 128\n"
-        "seed = 42\n",
-        encoding="utf-8",
-    )
-    config = TransformerConfig.from_file(path)
-    assert config.encoder_layers == 9 and config.decoder_layers == 3
-    assert config.seed == 42
-
-
-def test_config_from_file_requires_seed(tmp_path):
-    path = tmp_path / "model.cfg"
-    path.write_text(
-        "encoder_layers = 6\ndecoder_layers = 6\nmodel_dim = 64\nheads = 4\nffn_dim = 128\n",
-        encoding="utf-8",
-    )
-    with pytest.raises(ValueError, match="seed"):
-        TransformerConfig.from_file(path)
-
-
-def test_config_from_file_rejects_unknown_key(tmp_path):
-    path = tmp_path / "model.cfg"
-    path.write_text("dropout = 0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="unknown key"):
-        TransformerConfig.from_file(path)
-
-
 def test_causal_mask(scorer, tvocab, rng):
     """Logits at position j must not move when tokens after j change."""
     raw = random_raw(rng, tvocab, low=6, high=12)
