@@ -27,7 +27,7 @@ from .core import (
     prepare_input,
     tokenize,
 )
-from .decoding import DecodeResult, decode
+from .decoding import OUTPUT, DecodeResult, decode
 from .metrics import (
     DepthRow,
     LmaxRow,
@@ -53,8 +53,9 @@ def emit_trace(result: DecodeResult, vocab: Vocab, scheme: str = WHITESPACE) -> 
 
     Tokens inside one bracket were emitted by a single sequential iteration
     and are joined as `detokenize` joins them under `scheme`, sentinels
-    included; the subscript is the iteration index and the tag is agg
-    (parallel copy-and-verify) or ar (one-by-one).
+    included; the subscript is the iteration index and the tag is agg (a
+    parallel pass verifying a copy of the input), look (a parallel pass
+    verifying a draft looked up in the output) or ar (one-by-one).
     """
     tokens = result.output[1:]
     parts = []
@@ -62,7 +63,7 @@ def emit_trace(result: DecodeResult, vocab: Vocab, scheme: str = WHITESPACE) -> 
     for idx, record in enumerate(result.trace.iterations):
         segment = tokens[pos: pos + record.accepted]
         pos += record.accepted
-        tag = "agg" if record.mode == AGGRESSIVE else "ar"
+        tag = "ar" if record.mode != AGGRESSIVE else "look" if record.source == OUTPUT else "agg"
         parts.append(f"[{join_surfaces(map(vocab.surface, segment), scheme)}]_{idx}({tag})")
     return " ".join(parts)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 TokenIds = tuple[int, ...]
 
@@ -184,15 +184,22 @@ class DecodeConfig:
 # --- decode traces ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+# A NamedTuple: the decode loop builds one per pass, and a frozen dataclass
+# takes three times as long to build.
+class IterationRecord(NamedTuple):
     """One sequential decode-loop step.
 
-    mode is "aggressive" (a parallel copy-and-verify pass) or
-    "autoregressive" (a single-token step). suffix_match carries the
-    (input index, suffix length - 1) pair that licensed a parallel pass;
+    mode is "aggressive" (a parallel draft-and-verify pass) or
+    "autoregressive" (a single-token step). source names where a pass's
+    draft came from: "input" (a copy after a unique input suffix match) or
+    "output" (the continuation of an earlier occurrence of the output's last
+    two tokens). suffix_match carries the (index, anchor length - 1) pair
+    that licensed the pass, indexing the draft's source sequence;
     bifurcation is the output index of the first disagreeing token, when one
-    was accepted.
+    was accepted. fallback says why aggressive decoding took an
+    autoregressive step: "absent" (the last output token is not in the
+    input) or "ambiguous" (it is, but no suffix is unique and the output
+    offers no draft); it is None in every other record.
     """
 
     mode: str
@@ -200,6 +207,8 @@ class IterationRecord:
     accepted: int
     suffix_match: tuple[int, int] | None = None
     bifurcation: int | None = None
+    source: str | None = None
+    fallback: str | None = None
 
 
 @dataclass(frozen=True)

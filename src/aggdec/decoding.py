@@ -1,29 +1,45 @@
-"""Greedy, beam, and aggressive (parallel copy-and-verify) decoding.
+"""Greedy, beam, and aggressive (parallel draft-and-verify) decoding.
 
-Greedy and aggressive decoding run one verify loop. Aggressive decoding
-proposes a copy whenever the current output ends in a suffix that occurs
-exactly once in the input: the input tokens following that occurrence go into
-the decoder as pseudo inputs, all are scored in one call, and predictions are
-accepted up to and including the first disagreement with the copied tokens.
-Everything after the disagreement is discarded and recomputed, which is
-exactly why the emitted tokens match greedy decoding token for token whenever
-the scorer is prefix consistent. Without a proposal (greedy never makes one)
-the loop takes a single autoregressive step.
+Greedy and aggressive decoding run one verify loop. Each iteration asks a
+proposer for a draft: the tokens it expects to come next. The loop feeds them
+into the decoder as pseudo inputs, scores all of them in one call, and
+accepts predictions up to and including the first disagreement with the
+draft. Everything after the disagreement is discarded and recomputed, which
+is exactly why the emitted tokens match greedy decoding token for token
+whenever the scorer is prefix consistent, wherever the draft came from.
+Without a draft (greedy never asks for one) the loop takes a single
+autoregressive step.
 
-The copy window adapts to the scorer. After three aggressive passes in a row
-whose first copied token was rejected, each pass scores only its own position
-and one copied token, until a pass accepts its first copied token; the next
-pass gets the full window back. Autoregressive steps leave the count alone.
-This only narrows the window a pass verifies, never what a scored row means,
-so the output is greedy's by the same argument as for an ``l_max`` cap; it
-saves the positions a disagreeing scorer would score and throw away.
+Aggressive decoding's proposer tries, in this order:
+
+1. An input anchor of two or more tokens: the output ends in a suffix that
+   occurs exactly once in the input. The draft copies the input after that
+   occurrence, through the trailing PAD.
+2. The output's own repeats (prompt-lookup decoding): the output's last two
+   tokens also occur earlier in the output. The draft is the at most
+   ``_LOOKUP_DRAFT`` tokens that followed their latest earlier occurrence,
+   then a PAD slot. This catches an output that repeats itself where the
+   input does not.
+3. A one-token input anchor, drafted as in 1.
+
+PAD is never emitted, so a pass whose draft is accepted up to its PAD slot
+still earns the token that slot's row predicts.
+
+The draft window adapts to the scorer. After three aggressive passes in a
+row whose first drafted token was rejected, each pass scores only its own
+position and one drafted token, until a pass accepts its first drafted
+token; the next pass gets the full window back. Autoregressive steps leave
+the count alone. This only narrows the window a pass verifies, never what a
+scored row means, so the output is greedy's by the same argument as for an
+``l_max`` cap; it saves the positions a disagreeing scorer would score and
+throw away.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,20 +56,43 @@ from .core import (
 )
 from .scorers import DecodeSession, Scorer, log_softmax
 
-# After this many consecutive passes that reject their first copied token, a
-# pass scores at most _PROBE_WINDOW positions: its own and one copied token.
-# The second position is what lets a pass whose first copied token is accepted
+# After this many consecutive passes that reject their first drafted token, a
+# pass scores at most _PROBE_WINDOW positions: its own and one drafted token.
+# The second position is what lets a pass whose first drafted token is accepted
 # emit two tokens; with a window of 1 the random transformer took more iterations.
 _PROBE_AFTER = 3
 _PROBE_WINDOW = 2
+# An output draft holds at most this many looked-up tokens before its PAD slot.
+_LOOKUP_DRAFT = 2
+
+INPUT = "input"
+OUTPUT = "output"
+
+# Records are immutable, so every autoregressive step with the same fallback
+# reason shares one.
+_STEPS = {
+    reason: IterationRecord(mode=AUTOREGRESSIVE, positions_scored=1, accepted=1, fallback=reason)
+    for reason in (None, "absent", "ambiguous")
+}
 
 
-@dataclass(frozen=True)
-class SuffixMatch:
+# SuffixMatch and Draft are NamedTuples, as IterationRecord is: the decode loop
+# builds them on every iteration, and a frozen dataclass takes three times as long.
+class SuffixMatch(NamedTuple):
     """Output suffix o[j-q..j] matching input window x[i-q..i] uniquely."""
 
     i: int
     q: int
+
+
+class Draft(NamedTuple):
+    """Tokens to verify from the next output position on, and their source:
+    INPUT or OUTPUT. anchor is the (index, anchor length - 1) pair in that
+    source whose continuation the tokens are."""
+
+    tokens: TokenIds
+    source: str
+    anchor: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -79,11 +118,15 @@ def find_suffix_match(o: Sequence[int], x: Sequence[int]) -> SuffixMatch | None:
     PAD can be copied but never anchors a match. Grows the suffix from length
     one, filtering the surviving anchor positions, and stops at the first
     count of exactly one (match) or zero (no match can ever revive), or once
-    the suffix would outgrow the output.
+    the suffix would outgrow the output. Length one, the usual answer, is
+    settled by counting alone.
     """
     n = len(x) - 2
     j = len(o) - 1
     last = o[j]
+    count = x.count(last) - (x[n + 1] == last)
+    if count < 2:
+        return SuffixMatch(i=x.index(last), q=0) if count else None
     candidates = [i for i in range(n + 1) if x[i] == last]
     q = 0
     while True:
@@ -96,6 +139,35 @@ def find_suffix_match(o: Sequence[int], x: Sequence[int]) -> SuffixMatch | None:
             return None
         tok = o[j - q]
         candidates = [i for i in candidates if i >= q and x[i - q] == tok]
+
+
+def propose_draft(o: list[int], x: TokenIds) -> Draft | None:
+    """Aggressive decoding's proposer; the longer anchor wins.
+
+    An input suffix match of two or more tokens drafts the input after it.
+    Otherwise, if o's last two tokens occur earlier in o, the draft is the
+    at most _LOOKUP_DRAFT tokens that followed their latest earlier
+    occurrence, then a PAD slot. Otherwise a one-token input match drafts
+    the input after it, and without one the answer is None, for one
+    autoregressive step. The output lookup walks only the earlier
+    occurrences of the last token, with list.index, so it keeps no index
+    between calls and costs about a microsecond.
+    """
+    match = find_suffix_match(o, x)
+    if match is not None and match.q:
+        return Draft(x[match.i + 1:], INPUT, (match.i, match.q))
+    j = len(o) - 1
+    last, prev = o[j], o[j - 1]
+    p = best = -1
+    for _ in range(o.count(last) - 1):  # the occurrences before o[j], in order
+        p = o.index(last, p + 1)
+        if p and o[p - 1] == prev:
+            best = p
+    if best >= 0:
+        return Draft(tuple(o[best + 1: best + 1 + _LOOKUP_DRAFT]) + (x[-1],), OUTPUT, (best, 1))
+    if match is None:
+        return None
+    return Draft(x[match.i + 1:], INPUT, (match.i, 0))
 
 
 def find_bifurcation(predictions: Sequence[int], copied: Sequence[int]) -> int | None:
@@ -137,11 +209,12 @@ def _choose(block: np.ndarray, first: int) -> tuple[list[int], list[float]]:
 
 
 def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callable | None) -> DecodeResult:
-    """Decode until EOS or max_len. ``propose(o, x)`` returns the suffix match
-    whose continuation to copy (through the trailing PAD, whose slot guarantees
-    a bifurcation), or None for one autoregressive step. Only accepted rows are
-    chosen and scored, so a contract breach (a NaN or non-finite chosen logit,
-    or PAD as the chosen token) raises where greedy would raise."""
+    """Decode until EOS or max_len. ``propose(o, x)`` returns a Draft to
+    verify, capped by l_max and the narrowed window, or None for one
+    autoregressive step, whose record then names the fallback reason. Only
+    accepted rows are chosen and scored, so a contract breach (a NaN or
+    non-finite chosen logit, or PAD as the chosen token) raises where greedy
+    would raise."""
     vocab = scorer.vocab
     n = len(x) - 2
     max_len = cfg.resolve_max_len(n)
@@ -149,20 +222,21 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
     o = [vocab.bos]
     records: list[IterationRecord] = []
     score = 0.0
-    rejections = 0  # consecutive aggressive passes whose first copied token was rejected
+    rejections = 0  # consecutive aggressive passes whose first drafted token was rejected
     while o[-1] != vocab.eos and len(o) - 1 < max_len:
         j = len(o) - 1
-        match = None if propose is None else propose(o, x)
-        if match is None:
+        draft = None if propose is None else propose(o, x)
+        if draft is None:
             rows = session.score_positions(tuple(o), (j,))
-            record = IterationRecord(mode=AUTOREGRESSIVE, positions_scored=1, accepted=1)
+            # o[j] is never PAD, so searching all of x searches x[0..n]
+            record = _STEPS[None if propose is None else "ambiguous" if o[j] in x else "absent"]
         else:
-            w = n + 1 - match.i
+            w = len(draft.tokens)
             if cfg.l_max is not None:
                 w = min(w, cfg.l_max)
             if rejections >= _PROBE_AFTER:
                 w = min(w, _PROBE_WINDOW)
-            copied = tuple(x[match.i + 1: match.i + 1 + w])
+            copied = draft.tokens[:w]
             prefix = tuple(o) + copied[:-1]  # pseudo decoder inputs; never includes PAD
             rows = session.score_positions(prefix, range(j, j + w))
             k = find_bifurcation(rows.argmax(axis=1).tolist(), copied)
@@ -170,8 +244,8 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
             accepted = min(w if k is None else k, max_len - j)  # greedy truncates at max_len; so do we
             rows = rows[:accepted]
             record = IterationRecord(
-                mode=AGGRESSIVE, positions_scored=w, accepted=accepted, suffix_match=(match.i, match.q),
-                bifurcation=(j + k) if k is not None and k <= accepted else None,
+                mode=AGGRESSIVE, positions_scored=w, accepted=accepted, suffix_match=draft.anchor,
+                bifurcation=(j + k) if k is not None and k <= accepted else None, source=draft.source,
             )
         tokens, log_probs = _choose(rows, j)
         if vocab.pad in tokens:
@@ -192,21 +266,27 @@ def greedy_decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeResul
 
 
 def aggressive_decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeResult:
-    """Parallel copy-and-verify decoding; emits exactly greedy_decode's tokens.
+    """Parallel draft-and-verify decoding; emits exactly greedy_decode's tokens.
 
     Starts from the BOS suffix match (i=0, q=0), so the first pass copies the
-    whole input. Each aggressive pass copies at most l_max tokens. When no
-    unique suffix exists, falls back to one autoregressive step.
+    whole input. Each later pass verifies the draft of propose_draft: the
+    input after a unique suffix match of two or more tokens, else up to two
+    tokens that followed the latest earlier occurrence of the output's last
+    two tokens (plus a PAD slot), else the input after a one-token match.
+    Records name the draft's source, "input" or "output". Each pass verifies
+    at most l_max tokens. Without a draft, decoding falls back to one
+    autoregressive step, recorded as "absent" (the last token is not in the
+    input) or "ambiguous" (no unique suffix and no output draft).
 
-    After three consecutive passes whose first copied token was rejected, a
-    pass scores at most two positions (its own and one copied token) until a
-    pass accepts its first copied token again. Only the window shrinks and
-    every accepted row is still verified against its scored prefix, so the
-    output stays greedy's; a scorer that keeps disagreeing with the copy then
-    costs about what greedy costs.
+    After three consecutive passes whose first drafted token was rejected, a
+    pass scores at most two positions (its own and one drafted token) until
+    a pass accepts its first drafted token again. Only the window shrinks
+    and every accepted row is still verified against its scored prefix, so
+    the output stays greedy's; a scorer that keeps disagreeing with the
+    draft then costs about what greedy costs.
     """
     _require_mode(cfg, AGGRESSIVE)
-    return _verify_loop(scorer, x, cfg, find_suffix_match)
+    return _verify_loop(scorer, x, cfg, propose_draft)
 
 
 @dataclass
@@ -281,11 +361,7 @@ def beam_decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeResult:
         return (-penalized(logprob, len(ids) - 1), len(ids), ids)
 
     best_ids, best_score = min(pool, key=ranking)
-    records = tuple(
-        IterationRecord(mode=AUTOREGRESSIVE, positions_scored=1, accepted=1)
-        for _ in range(len(best_ids) - 1)
-    )
-    trace = DecodeTrace(iterations=records)
+    trace = DecodeTrace(iterations=(_STEPS[None],) * (len(best_ids) - 1))
     validate_trace(trace, len(best_ids) - 1)
     return DecodeResult(output=best_ids, trace=trace, score=best_score)
 

@@ -10,6 +10,7 @@ online setting: one sentence per decode call.
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import json
 import statistics
@@ -17,6 +18,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -217,26 +219,57 @@ def check_equivalence(
 # --- benchmarking ---------------------------------------------------------------
 
 
+def _bundled_openblas():
+    """The thread-count getter and setter of the OpenBLAS that numpy's wheels
+    bundle (``numpy.libs/libscipy_openblas64_*.so``), or None. Loading it
+    again through ctypes returns the copy numpy already uses."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
 @contextmanager
 def thread_limit(threads: int | None):
     """Pin the scorer's internal math to `threads` BLAS threads. Entry points
-    enter it once around a whole run; the harnesses below never pin. Without
-    threadpoolctl the limit cannot be applied: warn once and run unpinned."""
+    enter it once around a whole run; the harnesses below never pin. Pins
+    through threadpoolctl when it is installed, else through numpy's bundled
+    OpenBLAS, restoring the old count on exit; with neither, warn once and
+    run unpinned."""
     if threads is None:
         yield
         return
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
+        pass
+    else:
+        with threadpool_limits(limits=threads):
+            yield
+        return
+    openblas = _bundled_openblas()
+    if openblas is None:
         warnings.warn(
-            f"cannot limit BLAS to {threads} thread(s): threadpoolctl is not installed",
+            f"cannot limit BLAS to {threads} thread(s): neither threadpoolctl nor "
+            "numpy's bundled OpenBLAS is available",
             RuntimeWarning,
             stacklevel=3,
         )
         yield
         return
-    with threadpool_limits(limits=threads):
+    get, set_ = openblas
+    old = get()
+    set_(threads)
+    try:
         yield
+    finally:
+        set_(old)
 
 
 def _timed(

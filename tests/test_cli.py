@@ -13,6 +13,7 @@ from aggdec import (
     prepare_input,
     tokenize,
 )
+from aggdec import metrics
 from aggdec.cli import emit_trace, main
 
 
@@ -38,6 +39,19 @@ def test_emit_trace_mixed_segments(vocab):
         scorer, prepare_input(pair[0], vocab), DecodeConfig(mode="aggressive")
     )
     assert emit_trace(result, vocab) == "[a b X]_0(agg) [d]_1(ar) [<eos>]_2(agg)"
+
+
+def test_emit_trace_tags_output_lookup_passes(vocab):
+    """Once `X a` repeats in the output, its continuation `b X` is drafted
+    from the output and accepted along with the PAD row's token."""
+    pair = (tokenize("a b c d", "whitespace", vocab), tokenize("X a b X a b X a", "whitespace", vocab))
+    scorer = ScriptedEditScorer([pair], vocab)
+    result = aggressive_decode(
+        scorer, prepare_input(pair[0], vocab), DecodeConfig(mode="aggressive")
+    )
+    assert emit_trace(result, vocab) == (
+        "[X]_0(agg) [a]_1(ar) [b X]_2(agg) [a]_3(ar) [b X a]_4(look) [<eos>]_5(look)"
+    )
 
 
 def test_decode_text_output(corpus_file, capsys):
@@ -333,7 +347,8 @@ BENCH = ["bench", "--scorer", "identity", "--repetitions", "1", "--warmup", "0"]
 ], ids=["bench", "bench-config", "sweep-depth", "sweep-depth-config", "sweep-lmax-config"])
 def test_threads_pinned_once_per_run(corpus_file, tmp_path, monkeypatch, argv, from_config):
     """`--threads 1`, or `threads = 1` in a config file, asks for the pin
-    once; without threadpoolctl that request warns."""
+    once; with neither threadpoolctl nor numpy's bundled OpenBLAS to pin
+    through, that request warns."""
     if from_config:
         config = tmp_path / "run.cfg"
         config.write_text("threads = 1\n", encoding="utf-8")
@@ -341,6 +356,7 @@ def test_threads_pinned_once_per_run(corpus_file, tmp_path, monkeypatch, argv, f
     else:
         tail = ["--threads", "1"]
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises ImportError
+    monkeypatch.setattr(metrics, "_bundled_openblas", lambda: None)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([*argv, "--corpus", str(corpus_file), *tail]) == 0

@@ -22,7 +22,7 @@ from aggdec import (
     prepare_input,
     tokenize,
 )
-from aggdec.decoding import _choose
+from aggdec.decoding import Draft, _choose, propose_draft
 from aggdec.scorers import log_softmax
 from oracles import naive_suffix_match, scan_argmax
 
@@ -230,7 +230,7 @@ def test_greedy_identity(vocab):
     result = greedy_decode(scorer, x, DecodeConfig())
     assert result.output == (vocab.bos,) + ids("a b", vocab) + (vocab.eos,)
     assert result.trace.sequential_iterations == 3
-    assert all(r.mode == AUTOREGRESSIVE for r in result.trace.iterations)
+    assert all(r.mode == AUTOREGRESSIVE and r.fallback is None for r in result.trace.iterations)
 
 
 def test_greedy_scripted(vocab):
@@ -271,16 +271,31 @@ def test_aggressive_hand_trace(vocab):
     result = aggressive_decode(scorer, x, DecodeConfig(mode="aggressive"))
     assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
     first, second, third = result.trace.iterations
-    assert first.mode == AGGRESSIVE
+    assert first.mode == AGGRESSIVE and first.source == "input"
     assert first.suffix_match == (0, 0)
     assert first.positions_scored == 5 and first.accepted == 3
     assert first.bifurcation == 3
     assert second.mode == AUTOREGRESSIVE
-    assert third.mode == AGGRESSIVE
+    assert second.fallback == "absent" and second.source is None  # X is not in the input
+    assert third.mode == AGGRESSIVE and third.source == "input"
     assert third.suffix_match == (4, 0) and third.accepted == 1
+    assert first.fallback is None and third.fallback is None
     greedy = greedy_decode(scorer, x, DecodeConfig())
     assert greedy.output == result.output
     assert greedy.trace.sequential_iterations == 5
+    assert all(r.fallback is None and r.source is None for r in greedy.trace.iterations)
+
+
+def test_fallback_after_an_ambiguous_suffix(vocab):
+    """After X, the output's `X a` and then `X a b` occur nowhere in the
+    input, while `a` and `b` each occur twice there: no suffix is unique and
+    the output has no repeat to draft from."""
+    pair = (ids("a b a b", vocab), ids("a X a b", vocab))
+    scorer = ScriptedEditScorer([pair], vocab)
+    result = aggressive_decode(scorer, prepare_input(pair[0], vocab), DecodeConfig(mode="aggressive"))
+    assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
+    assert [r.mode for r in result.trace.iterations] == [AGGRESSIVE] + [AUTOREGRESSIVE] * 3
+    assert [r.fallback for r in result.trace.iterations] == [None, "absent", "ambiguous", "ambiguous"]
 
 
 def test_aggressive_lmax_window_cap(vocab):
@@ -333,9 +348,10 @@ def _full_window(record):
 
 
 def test_window_narrows_after_three_first_token_rejections():
-    # target word j is source word 3j+1 (mod 12): every word is replaced, and
-    # the copy after each emitted word never proposes the next target word
-    target = " ".join(f"w{(3 * j + 1) % 12}" for j in range(12))
+    # target word j is source word 5j+1 (mod 12): every word is replaced, the
+    # copy after each emitted word never proposes the next target word, and
+    # no bigram repeats, so the output never offers a draft of its own
+    target = " ".join(f"w{(5 * j + 1) % 12}" for j in range(12))
     records = _decode_rule_case(target)
     assert all(r.mode == AGGRESSIVE and r.accepted == 1 for r in records)
     assert [r.positions_scored for r in records[:3]] == [_full_window(r) for r in records[:3]]
@@ -367,6 +383,53 @@ def test_window_rule_keeps_lmax_and_ignores_autoregressive_steps():
     assert [r.positions_scored for r in records] == [13, 9, 1, 6, 2, 2]
 
 
+# --- drafts from the output -------------------------------------------------------
+
+
+def test_output_lookup_drafts_after_the_latest_earlier_bigram(vocab):
+    """`a b` occurs twice before the end of the output, followed by `c a` and
+    by `d a b`; the draft takes the later continuation, cut to two tokens,
+    then a PAD slot."""
+    x = prepare_input(ids("X", vocab), vocab)  # b is absent: no input anchor
+    o = [vocab.bos, *ids("a b c a b d a b", vocab)]
+    a, b, d, pad = vocab.id_of("a"), vocab.id_of("b"), vocab.id_of("d"), vocab.pad
+    assert propose_draft(o, x) == Draft((d, a, pad), "output", (5, 1))
+    # a single repeated token is no anchor, and neither is a bigram seen only at the end
+    assert propose_draft([vocab.bos, *ids("a b X b", vocab)], x) is None
+    assert propose_draft([vocab.bos, *ids("a b", vocab)], x) is None
+    # a repeat that reaches the end of the output drafts what there is
+    assert propose_draft([vocab.bos, *ids("b b b", vocab)], x) == Draft((b, pad), "output", (2, 1))
+
+
+def test_longer_anchor_wins_between_input_and_output(vocab):
+    o = [vocab.bos, *ids("a b X a b", vocab)]
+    c, d, pad = vocab.id_of("c"), vocab.id_of("d"), vocab.pad
+    # `a b` is unique in the input: a two-token input anchor beats the output's
+    x = prepare_input(ids("b c a b d", vocab), vocab)
+    assert propose_draft(o, x) == Draft((d, pad), "input", (4, 1))
+    # `b` alone is unique in the input: the output's two-token anchor wins
+    x = prepare_input(ids("c b d", vocab), vocab)
+    assert propose_draft(o, x) == Draft((vocab.id_of("X"), vocab.id_of("a"), pad), "output", (2, 1))
+    # with no repeat in the output, the one-token input anchor drafts
+    assert propose_draft(o[:3], x) == Draft((d, pad), "input", (2, 0))
+
+
+def test_output_pass_accepts_its_draft_and_the_pad_rows_token():
+    """A target that loops with period 4 over a source it never copies: once a
+    bigram repeats, the output drafts the loop. The first lookup is cut to the
+    narrowed window of two; the next verifies two looked-up tokens and its
+    PAD slot, and emits all three."""
+    target = " ".join(f"w{(3 * j + 1) % 12}" for j in range(12))
+    records = _decode_rule_case(target)
+    assert [r.source for r in records[:6]] == ["input"] * 6
+    assert [(r.source, r.suffix_match, r.positions_scored, r.accepted) for r in records[6:]] == [
+        ("output", (2, 1), 2, 2),
+        ("output", (4, 1), 3, 3),
+        ("output", (7, 1), 3, 2),  # w10, then EOS where the draft said w1
+    ]
+    assert len(records) == 9
+
+
 # --- beam ------------------------------------------------------------------------
 
 
@@ -395,7 +458,8 @@ def test_beam_iterations_equal_output_length(vocab):
     result = beam_decode(scorer, x, DecodeConfig(mode="beam", beam_size=5))
     assert result.trace.sequential_iterations == len(result.output) - 1
     assert all(
-        r.mode == AUTOREGRESSIVE and r.positions_scored == 1 for r in result.trace.iterations
+        r.mode == AUTOREGRESSIVE and r.positions_scored == 1 and r.fallback is None
+        for r in result.trace.iterations
     )
 
 
@@ -498,9 +562,8 @@ def test_equivalence_property(data, label, l_max, max_len):
     for raw in corpus:
         x = prepare_input(raw, vocab)
         greedy = greedy_decode(scorer, x, DecodeConfig(mode="greedy", max_len=max_len))
-        aggressive = aggressive_decode(
-            scorer, x, DecodeConfig(mode="aggressive", l_max=l_max, max_len=max_len)
-        )
+        aggressive_cfg = DecodeConfig(mode="aggressive", l_max=l_max, max_len=max_len)
+        aggressive = aggressive_decode(scorer, x, aggressive_cfg)
         assert aggressive.output == greedy.output
         # iteration dominance: every parallel pass accepts at least one token
         assert (
@@ -508,7 +571,7 @@ def test_equivalence_property(data, label, l_max, max_len):
             <= greedy.trace.sequential_iterations
         )
         # accepted-prefix soundness at every iteration boundary; and after three
-        # aggressive passes in a row that rejected their first copied token (a
+        # aggressive passes in a row that rejected their first drafted token (a
         # bifurcation at the boundary itself), a pass scores at most 2 positions
         boundary = 1
         rejections = 0
@@ -517,6 +580,12 @@ def test_equivalence_property(data, label, l_max, max_len):
                 if rejections >= 3:
                     assert record.positions_scored <= 2
                 rejections = rejections + 1 if record.bifurcation == boundary else 0
+            if label == "table" and record.source == "output":
+                # a table row depends only on the last two tokens, so a
+                # looked-up draft is right; only max_len can cut its pass short
+                assert record.accepted == record.positions_scored or (
+                    boundary - 1 + record.accepted == aggressive_cfg.resolve_max_len(len(raw))
+                )
             boundary += record.accepted
             assert aggressive.output[:boundary] == greedy.output[:boundary]
 

@@ -21,6 +21,7 @@ from aggdec import (
     sweep_lmax,
     tokenize,
 )
+from aggdec import metrics
 from aggdec.metrics import SentenceRow, rows_csv, rows_json, sentence_reports_json, thread_limit
 from aggdec.scorers import ScriptedEditScorer
 from aggdec.synthetic import rewrite_pairs, synthetic_vocab
@@ -339,6 +340,7 @@ def test_depth_csv_schema(vocab):
 
 def test_thread_limit_warns_when_it_cannot_pin(monkeypatch):
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises ImportError
+    monkeypatch.setattr(metrics, "_bundled_openblas", lambda: None)
     with pytest.warns(RuntimeWarning, match="cannot limit BLAS to 1 thread") as caught:
         with thread_limit(1):
             pass
@@ -347,3 +349,15 @@ def test_thread_limit_warns_when_it_cannot_pin(monkeypatch):
         warnings.simplefilter("error")
         with thread_limit(None):  # no limit requested, nothing to warn about
             pass
+
+
+@pytest.mark.skipif(metrics._bundled_openblas() is None, reason="numpy bundles no OpenBLAS here")
+def test_thread_limit_pins_bundled_openblas_and_restores_it(monkeypatch):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # pin through ctypes
+    get, _ = metrics._bundled_openblas()
+    before = get()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with thread_limit(1):
+            assert get() == 1
+    assert get() == before
