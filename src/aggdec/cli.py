@@ -87,6 +87,16 @@ def _parse_lmax(text: str) -> list[int | None]:
     return values
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an int >= 1, got {text!r}")
+    return value
+
+
 def _parse_depths(text: str) -> list[tuple[int, int]]:
     depths = []
     for piece in text.split(","):
@@ -114,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--scheme", choices=("whitespace", "character"), default="whitespace")
     common.add_argument("--max-len", type=int, default=None)
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=None)
+    common.add_argument("--threads", type=_thread_count, default=None)
     common.add_argument("--output", metavar="PATH", default=None)
     common.add_argument("--config", metavar="PATH", help="key-value file overriding flags")
 

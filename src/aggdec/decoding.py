@@ -13,7 +13,8 @@ autoregressive step.
 Aggressive decoding's proposer tries, in this order:
 
 1. An input anchor of two or more tokens: the output ends in a suffix that
-   occurs exactly once in the input. The draft copies the input after that
+   occurs exactly once in the input, and the input agrees with at least the
+   output's last two tokens there. The draft copies the input after that
    occurrence, through the trailing PAD.
 2. The output's own repeats (prompt-lookup decoding): the output's last two
    tokens also occur earlier in the output. The draft is the at most
@@ -118,20 +119,16 @@ def find_suffix_match(o: Sequence[int], x: Sequence[int]) -> SuffixMatch | None:
     PAD can be copied but never anchors a match. Grows the suffix from length
     one, filtering the surviving anchor positions, and stops at the first
     count of exactly one (match) or zero (no match can ever revive), or once
-    the suffix would outgrow the output. Length one, the usual answer, is
-    settled by counting alone.
+    the suffix would outgrow the output.
     """
     n = len(x) - 2
     j = len(o) - 1
     last = o[j]
-    count = x.count(last) - (x[n + 1] == last)
-    if count < 2:
-        return SuffixMatch(i=x.index(last), q=0) if count else None
     candidates = [i for i in range(n + 1) if x[i] == last]
     q = 0
     while True:
         if len(candidates) == 1:
-            return SuffixMatch(i=candidates[0], q=q)
+            return SuffixMatch(candidates[0], q)
         if not candidates:
             return None
         q += 1
@@ -144,20 +141,23 @@ def find_suffix_match(o: Sequence[int], x: Sequence[int]) -> SuffixMatch | None:
 def propose_draft(o: list[int], x: TokenIds) -> Draft | None:
     """Aggressive decoding's proposer; the longer anchor wins.
 
-    An input suffix match of two or more tokens drafts the input after it.
-    Otherwise, if o's last two tokens occur earlier in o, the draft is the
-    at most _LOOKUP_DRAFT tokens that followed their latest earlier
-    occurrence, then a PAD slot. Otherwise a one-token input match drafts
-    the input after it, and without one the answer is None, for one
-    autoregressive step. The output lookup walks only the earlier
-    occurrences of the last token, with list.index, so it keeps no index
-    between calls and costs about a microsecond.
+    An input suffix match whose input agrees with o's last two tokens drafts
+    the input after it: every match of two or more tokens does, and so does
+    a one-token match (find_suffix_match stops at the shortest unique
+    suffix) whose input token before it agrees too. Otherwise, if o's last
+    two tokens occur earlier in o, the draft is the at most _LOOKUP_DRAFT
+    tokens that followed their latest earlier occurrence, then a PAD slot.
+    Otherwise a one-token input match drafts the input after it, and
+    without one the answer is None, for one autoregressive step. The output
+    lookup walks only the earlier occurrences of the last token, with
+    list.index, so it keeps no index between calls and costs about a
+    microsecond.
     """
     match = find_suffix_match(o, x)
-    if match is not None and match.q:
-        return Draft(x[match.i + 1:], INPUT, (match.i, match.q))
     j = len(o) - 1
     last, prev = o[j], o[j - 1]
+    if match is not None and match.i and x[match.i - 1] == prev:  # a two-token input anchor
+        return Draft(x[match.i + 1:], INPUT, (match.i, match.q))
     p = best = -1
     for _ in range(o.count(last) - 1):  # the occurrences before o[j], in order
         p = o.index(last, p + 1)

@@ -363,6 +363,17 @@ def test_threads_pinned_once_per_run(corpus_file, tmp_path, monkeypatch, argv, f
     assert sum(issubclass(w.category, RuntimeWarning) for w in caught) == 1
 
 
+def test_threads_below_one_rejected(corpus_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*BENCH, "--corpus", str(corpus_file), "--threads", "0"])
+    assert excinfo.value.code != 0
+    assert "--threads: expected an int >= 1, got '0'" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text("threads = 0\n", encoding="utf-8")
+    assert main([*BENCH, "--corpus", str(corpus_file), "--config", str(config)]) == 1
+    assert "--threads: expected an int >= 1, got '0'" in capsys.readouterr().err
+
+
 def test_missing_corpus_is_a_clean_error(capsys):
     code = main(["decode", "--scorer", "identity", "--input", "no-such-file.txt"])
     assert code == 1

@@ -407,6 +407,10 @@ def test_longer_anchor_wins_between_input_and_output(vocab):
     # `a b` is unique in the input: a two-token input anchor beats the output's
     x = prepare_input(ids("b c a b d", vocab), vocab)
     assert propose_draft(o, x) == Draft((d, pad), "input", (4, 1))
+    # `b` alone is unique in the input, and the input agrees on `a b` there:
+    # that is a two-token input anchor too
+    x = prepare_input(ids("c a b d", vocab), vocab)
+    assert propose_draft(o, x) == Draft((d, pad), "input", (3, 0))
     # `b` alone is unique in the input: the output's two-token anchor wins
     x = prepare_input(ids("c b d", vocab), vocab)
     assert propose_draft(o, x) == Draft((vocab.id_of("X"), vocab.id_of("a"), pad), "output", (2, 1))
