@@ -17,23 +17,32 @@ Aggressive decoding's proposer tries, in this order:
    output's last two tokens there. The draft copies the input after that
    occurrence, through the trailing PAD.
 2. The output's own repeats (prompt-lookup decoding): the output's last two
-   tokens also occur earlier in the output. The draft is the at most
-   ``_LOOKUP_DRAFT`` tokens that followed their latest earlier occurrence,
-   then a PAD slot. This catches an output that repeats itself where the
-   input does not.
+   tokens also occur earlier in the output. The draft is what followed their
+   latest earlier occurrence, repeated: an output that has started a loop is
+   drafted as running on in it, then a PAD slot, in as many tokens as the
+   output may still grow by. This catches an output that repeats itself
+   where the input does not.
 3. A one-token input anchor, drafted as in 1.
 
 PAD is never emitted, so a pass whose draft is accepted up to its PAD slot
 still earns the token that slot's row predicts.
 
-The draft window adapts to the scorer. After three aggressive passes in a
-row whose first drafted token was rejected, each pass scores only its own
-position and one drafted token, until a pass accepts its first drafted
-token; the next pass gets the full window back. Autoregressive steps leave
-the count alone. This only narrows the window a pass verifies, never what a
-scored row means, so the output is greedy's by the same argument as for an
-``l_max`` cap; it saves the positions a disagreeing scorer would score and
-throw away.
+How much of a draft a pass verifies comes from a cost model, the optimal
+draft length of speculative decoding (Leviathan et al., arXiv 2211.17192,
+section 3.5). A pass that scores w positions costs 1 + c(w - 1) one-position
+passes, where c is the scorer's declared ``position_cost``, and if each
+drafted token is accepted with probability a it emits (1 - a^w) / (1 - a)
+tokens on average. Each pass scores the w, up to the draft's length and
+l_max, that maximises emitted tokens per unit cost. a is the sentence's
+running rate of drafted tokens accepted out of those compared, pooled over
+both draft sources from a prior of 9 of 10: a pass that matches m drafted
+tokens adds m accepted and min(w, m + 1) compared. So a scorer that keeps
+rejecting drafts soon verifies one or two positions a pass, and one that
+keeps accepting them verifies long ones; a scorer whose extra positions are
+free (c = 0) verifies every draft in full. This only narrows the window a
+pass verifies, never what a scored row means, so the output is greedy's by
+the same argument as for an ``l_max`` cap. c is a fixed property of the
+scorer, never timed, so iteration counts repeat exactly.
 """
 
 from __future__ import annotations
@@ -57,14 +66,10 @@ from .core import (
 )
 from .scorers import DecodeSession, Scorer, log_softmax
 
-# After this many consecutive passes that reject their first drafted token, a
-# pass scores at most _PROBE_WINDOW positions: its own and one drafted token.
-# The second position is what lets a pass whose first drafted token is accepted
-# emit two tokens; with a window of 1 the random transformer took more iterations.
-_PROBE_AFTER = 3
-_PROBE_WINDOW = 2
-# An output draft holds at most this many looked-up tokens before its PAD slot.
-_LOOKUP_DRAFT = 2
+# Prior of the running acceptance rate: 9 of 10 drafted tokens accepted. It
+# lets the first pass of a sentence verify a long draft.
+_PRIOR_ACCEPTED = 9
+_PRIOR_COMPARED = 10
 
 INPUT = "input"
 OUTPUT = "output"
@@ -119,12 +124,17 @@ def find_suffix_match(o: Sequence[int], x: Sequence[int]) -> SuffixMatch | None:
     PAD can be copied but never anchors a match. Grows the suffix from length
     one, filtering the surviving anchor positions, and stops at the first
     count of exactly one (match) or zero (no match can ever revive), or once
-    the suffix would outgrow the output.
+    the suffix would outgrow the output. The first candidates are the
+    occurrences of o's last token, found with ``index`` rather than by
+    testing every input position.
     """
-    n = len(x) - 2
     j = len(o) - 1
     last = o[j]
-    candidates = [i for i in range(n + 1) if x[i] == last]
+    candidates = []
+    i = -1
+    for _ in range(x.count(last) - (x[-1] == last)):  # x[-1] is outside x[0..n]
+        i = x.index(last, i + 1)
+        candidates.append(i)
     q = 0
     while True:
         if len(candidates) == 1:
@@ -138,20 +148,22 @@ def find_suffix_match(o: Sequence[int], x: Sequence[int]) -> SuffixMatch | None:
         candidates = [i for i in candidates if i >= q and x[i - q] == tok]
 
 
-def propose_draft(o: list[int], x: TokenIds) -> Draft | None:
+def propose_draft(o: list[int], x: TokenIds, budget: int) -> Draft | None:
     """Aggressive decoding's proposer; the longer anchor wins.
 
     An input suffix match whose input agrees with o's last two tokens drafts
     the input after it: every match of two or more tokens does, and so does
     a one-token match (find_suffix_match stops at the shortest unique
     suffix) whose input token before it agrees too. Otherwise, if o's last
-    two tokens occur earlier in o, the draft is the at most _LOOKUP_DRAFT
-    tokens that followed their latest earlier occurrence, then a PAD slot.
-    Otherwise a one-token input match drafts the input after it, and
-    without one the answer is None, for one autoregressive step. The output
-    lookup walks only the earlier occurrences of the last token, with
-    list.index, so it keeps no index between calls and costs about a
-    microsecond.
+    two tokens occur earlier in o, at latest at index best, the draft is
+    o[best+1:] repeated with period len(o) - 1 - best, then a PAD slot, cut
+    so that the draft is ``budget`` tokens long: budget is the number of
+    tokens o may still grow by, so a pass that accepts the draft through its
+    PAD slot fills o exactly. Otherwise a one-token input match drafts the
+    input after it, and without one the answer is None, for one
+    autoregressive step. The output lookup walks only the earlier
+    occurrences of the last token, with list.index, so it keeps no index
+    between calls and costs about a microsecond.
     """
     match = find_suffix_match(o, x)
     j = len(o) - 1
@@ -164,7 +176,8 @@ def propose_draft(o: list[int], x: TokenIds) -> Draft | None:
         if p and o[p - 1] == prev:
             best = p
     if best >= 0:
-        return Draft(tuple(o[best + 1: best + 1 + _LOOKUP_DRAFT]) + (x[-1],), OUTPUT, (best, 1))
+        loop = o[best + 1:]
+        return Draft(tuple((loop * -(-budget // len(loop)))[:budget - 1]) + (x[-1],), OUTPUT, (best, 1))
     if match is None:
         return None
     return Draft(x[match.i + 1:], INPUT, (match.i, 0))
@@ -193,11 +206,14 @@ def _require_mode(cfg: DecodeConfig, mode: str) -> None:
         raise ValueError(f"config mode is {cfg.mode!r}, expected {mode!r}")
 
 
-def _choose(block: np.ndarray, first: int) -> tuple[list[int], list[float]]:
+def _choose(block: np.ndarray, first: int, tokens: np.ndarray | None = None) -> tuple[list[int], list[float]]:
     """Each row's argmax, ties to the smallest id, and its log-probability;
-    row r is decoder position first + r. The log-probability of the row max,
-    -log(sum(exp(row - max))), is NaN exactly when that max is not finite."""
-    tokens = block.argmax(axis=1)
+    row r is decoder position first + r. ``tokens`` are the rows' argmaxes
+    when the caller has taken them already. The log-probability of the row
+    max, -log(sum(exp(row - max))), is NaN exactly when that max is not
+    finite."""
+    if tokens is None:
+        tokens = block.argmax(axis=1)
     chosen = block[np.arange(len(tokens)), tokens]
     log_probs = (-np.log(np.exp(block - chosen[:, None]).sum(axis=1))).tolist()
     if math.isnan(sum(log_probs)):  # some chosen logit is not finite
@@ -208,46 +224,67 @@ def _choose(block: np.ndarray, first: int) -> tuple[list[int], list[float]]:
     return tokens.tolist(), log_probs
 
 
+def _window(rate: float, cost: float, cap: int) -> int:
+    """The w in 1..cap that maximises (1 - rate^w) / ((1 - rate)(1 + cost(w - 1))),
+    the tokens a pass of w positions emits per unit cost when each drafted
+    token is accepted with probability rate. The ratio rises to one peak and
+    then falls, so the search stops at the first w past it."""
+    w, term, tokens, best = 1, 1.0, 1.0, 1.0
+    while w < cap:
+        term *= rate
+        tokens += term  # (1 - rate^(w+1)) / (1 - rate)
+        value = tokens / (1.0 + cost * w)
+        if value < best:
+            break
+        best = value
+        w += 1
+    return w
+
+
 def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callable | None) -> DecodeResult:
-    """Decode until EOS or max_len. ``propose(o, x)`` returns a Draft to
-    verify, capped by l_max and the narrowed window, or None for one
-    autoregressive step, whose record then names the fallback reason. Only
-    accepted rows are chosen and scored, so a contract breach (a NaN or
+    """Decode until EOS or max_len. ``propose(o, x, budget)`` returns a Draft
+    to verify, or None for one autoregressive step, whose record then names
+    the fallback reason; budget is the number of tokens o may still grow by.
+    A pass verifies the draft's first _window(...) tokens, capped by l_max.
+    Only accepted rows are chosen and scored, so a contract breach (a NaN or
     non-finite chosen logit, or PAD as the chosen token) raises where greedy
     would raise."""
     vocab = scorer.vocab
     n = len(x) - 2
     max_len = cfg.resolve_max_len(n)
     session = scorer.session(x)
+    cost = getattr(scorer, "position_cost", 0.0)  # scorers are duck-typed; 0 verifies drafts in full
     o = [vocab.bos]
     records: list[IterationRecord] = []
     score = 0.0
-    rejections = 0  # consecutive aggressive passes whose first drafted token was rejected
+    drafted_accepted, drafted_compared = _PRIOR_ACCEPTED, _PRIOR_COMPARED
     while o[-1] != vocab.eos and len(o) - 1 < max_len:
         j = len(o) - 1
-        draft = None if propose is None else propose(o, x)
+        draft = None if propose is None else propose(o, x, max_len - j)
         if draft is None:
-            rows = session.score_positions(tuple(o), (j,))
+            tokens, log_probs = _choose(session.score_positions(tuple(o), (j,)), j)
             # o[j] is never PAD, so searching all of x searches x[0..n]
             record = _STEPS[None if propose is None else "ambiguous" if o[j] in x else "absent"]
         else:
             w = len(draft.tokens)
             if cfg.l_max is not None:
                 w = min(w, cfg.l_max)
-            if rejections >= _PROBE_AFTER:
-                w = min(w, _PROBE_WINDOW)
+            if cost:
+                w = _window(drafted_accepted / drafted_compared, cost, w)
             copied = draft.tokens[:w]
             prefix = tuple(o) + copied[:-1]  # pseudo decoder inputs; never includes PAD
             rows = session.score_positions(prefix, range(j, j + w))
-            k = find_bifurcation(rows.argmax(axis=1).tolist(), copied)
-            rejections = rejections + 1 if k == 1 else 0
+            predictions = rows.argmax(axis=1)
+            k = find_bifurcation(predictions.tolist(), copied)
+            matched = w if k is None else k - 1
+            drafted_accepted += matched
+            drafted_compared += min(w, matched + 1)
             accepted = min(w if k is None else k, max_len - j)  # greedy truncates at max_len; so do we
-            rows = rows[:accepted]
+            tokens, log_probs = _choose(rows[:accepted], j, predictions[:accepted])
             record = IterationRecord(
                 mode=AGGRESSIVE, positions_scored=w, accepted=accepted, suffix_match=draft.anchor,
                 bifurcation=(j + k) if k is not None and k <= accepted else None, source=draft.source,
             )
-        tokens, log_probs = _choose(rows, j)
         if vocab.pad in tokens:
             raise ValueError(f"PAD emitted at position {j + tokens.index(vocab.pad)}")
         for log_prob in log_probs:
@@ -270,20 +307,23 @@ def aggressive_decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeR
 
     Starts from the BOS suffix match (i=0, q=0), so the first pass copies the
     whole input. Each later pass verifies the draft of propose_draft: the
-    input after a unique suffix match of two or more tokens, else up to two
-    tokens that followed the latest earlier occurrence of the output's last
-    two tokens (plus a PAD slot), else the input after a one-token match.
-    Records name the draft's source, "input" or "output". Each pass verifies
-    at most l_max tokens. Without a draft, decoding falls back to one
-    autoregressive step, recorded as "absent" (the last token is not in the
-    input) or "ambiguous" (no unique suffix and no output draft).
+    input after a unique suffix match of two or more tokens, else the tokens
+    that followed the latest earlier occurrence of the output's last two
+    tokens, repeated up to max_len with a PAD slot last, else the input after
+    a one-token match. Records name the draft's source, "input" or "output".
+    Without a draft, decoding falls back to one autoregressive step,
+    recorded as "absent" (the last token is not in the input) or
+    "ambiguous" (no unique suffix and no output draft).
 
-    After three consecutive passes whose first drafted token was rejected, a
-    pass scores at most two positions (its own and one drafted token) until
-    a pass accepts its first drafted token again. Only the window shrinks
-    and every accepted row is still verified against its scored prefix, so
-    the output stays greedy's; a scorer that keeps disagreeing with the
-    draft then costs about what greedy costs.
+    A pass scores the w positions, at most l_max and the draft's length,
+    that maximise (1 - a^w) / ((1 - a)(1 + c(w - 1))): the expected tokens
+    per unit cost, where a is the sentence's running rate of drafted tokens
+    accepted out of those compared (prior 9 of 10) and c is the scorer's
+    ``position_cost`` (0 when it declares none, which verifies every draft
+    in full). Only the window changes and every accepted row is still
+    verified against its scored prefix, so the output stays greedy's; a
+    scorer that keeps disagreeing with the draft then costs about what
+    greedy costs.
     """
     _require_mode(cfg, AGGRESSIVE)
     return _verify_loop(scorer, x, cfg, propose_draft)

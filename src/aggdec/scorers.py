@@ -34,9 +34,19 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 class Scorer:
     """Base contract. Immutable after construction and shareable; per-decode
-    incremental state lives in a DecodeSession."""
+    incremental state lives in a DecodeSession.
+
+    ``position_cost`` is the relative cost of one more scored position: an
+    aggressive pass that scores w positions costs about
+    1 + position_cost * (w - 1) one-position passes. Aggressive decoding
+    sizes each pass's window from it, and 0 means every draft is verified in
+    full. It is a fixed property of the scorer, never timed at run time, so
+    iteration counts repeat exactly. The decoders read it with getattr, so a
+    scorer that is not a subclass may leave it out and counts as 0.
+    """
 
     vocab: Vocab
+    position_cost = 0.0
 
     def encode(self, x: TokenIds):
         """Per-input state reused across all decoding iterations for that input."""
@@ -88,6 +98,10 @@ class ScriptedEditScorer(Scorer):
     token continues the target, then EOS. Off-script prefixes, and sources
     with no table entry, fall back to copying the source token at the same
     output position, then EOS; unknown inputs therefore decode to themselves.
+
+    It declares no position_cost: a scored position costs it about 0.35 us
+    against about 20 us for a whole aggressive pass, so every draft is
+    verified in full.
     """
 
     def __init__(self, pairs: Iterable[tuple[Sequence[int], Sequence[int]]], vocab: Vocab):
@@ -166,7 +180,16 @@ class NgramScorer(Scorer):
     copy_bias added to the logit of the position-aligned input token: the
     input token at p+1 while the input lasts, and EOS once it is exhausted
     (an infinite bias therefore reproduces the input exactly, then stops).
+
+    position_cost: one aggressive pass (proposer, this call, argmax,
+    chooser, record) with its first drafted token rejected took, by
+    positions scored, 21.0 / 25.5 / 38.6 / 64.2 us at 1 / 2 / 8 / 20
+    (150-word vocabulary, order 3; 2-CPU Xeon; medians over five inputs,
+    median of three runs). One more position costs about 2.2 us, a tenth
+    of a one-position pass.
     """
+
+    position_cost = 0.1
 
     def __init__(
         self,

@@ -1,7 +1,8 @@
 """Independent brute-force references the fast implementations are checked against.
 
 These deliberately recompute everything from scratch: the suffix oracle
-rescans the window for every suffix length instead of filtering anchors, the
+rescans the window for every suffix length instead of filtering anchors (a
+second one keeps the plain candidate scan the fast version replaced), the
 edit-distance oracle is the plain recursion rather than the DP table, and the
 argmax oracle is a left-to-right scan. The n-gram oracle counts and
 normalises each context's row when it is asked for. The transformer oracle is the decoder
@@ -28,6 +29,26 @@ def naive_suffix_match(o, x):
         if not hits:
             return None
     return None
+
+
+def scan_suffix_match(o, x):
+    """find_suffix_match as it was before it walked the last token's
+    occurrences: the first candidates come from testing every position of
+    x[0..n]. Returns (i, q) or None."""
+    n = len(x) - 2
+    j = len(o) - 1
+    candidates = [i for i in range(n + 1) if x[i] == o[j]]
+    q = 0
+    while True:
+        if len(candidates) == 1:
+            return (candidates[0], q)
+        if not candidates:
+            return None
+        q += 1
+        if q > j:
+            return None
+        tok = o[j - q]
+        candidates = [i for i in candidates if i >= q and x[i - q] == tok]
 
 
 def recursive_levenshtein(a, b) -> int:

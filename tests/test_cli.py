@@ -42,15 +42,16 @@ def test_emit_trace_mixed_segments(vocab):
 
 
 def test_emit_trace_tags_output_lookup_passes(vocab):
-    """Once `X a` repeats in the output, its continuation `b X` is drafted
-    from the output and accepted along with the PAD row's token."""
+    """Once `X a` repeats in the output, its loop `b X a` is drafted from
+    the output as running on, and one pass accepts the rest of the target
+    and the EOS where the draft ran on."""
     pair = (tokenize("a b c d", "whitespace", vocab), tokenize("X a b X a b X a", "whitespace", vocab))
     scorer = ScriptedEditScorer([pair], vocab)
     result = aggressive_decode(
         scorer, prepare_input(pair[0], vocab), DecodeConfig(mode="aggressive")
     )
     assert emit_trace(result, vocab) == (
-        "[X]_0(agg) [a]_1(ar) [b X]_2(agg) [a]_3(ar) [b X a]_4(look) [<eos>]_5(look)"
+        "[X]_0(agg) [a]_1(ar) [b X]_2(agg) [a]_3(ar) [b X a <eos>]_4(look)"
     )
 
 

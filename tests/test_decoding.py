@@ -24,7 +24,7 @@ from aggdec import (
 )
 from aggdec.decoding import Draft, _choose, propose_draft
 from aggdec.scorers import log_softmax
-from oracles import naive_suffix_match, scan_argmax
+from oracles import naive_suffix_match, scan_argmax, scan_suffix_match
 
 WORDS = ["a", "b", "c", "d", "X"]
 
@@ -172,6 +172,22 @@ def test_suffix_match_agrees_with_naive_oracle(o_tail, raw):
     got = find_suffix_match(o, x)
     expected = naive_suffix_match(o, x)
     assert (got is None and expected is None) or (got.i, got.q) == expected
+
+
+@settings(max_examples=300)
+@given(
+    # three word ids make repeats common; BOS, EOS and PAD may end the output
+    o_tail=st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=16),
+    raw=st.lists(st.integers(min_value=4, max_value=6), min_size=0, max_size=6),
+)
+def test_suffix_match_agrees_with_the_candidate_scan(o_tail, raw):
+    """The occurrence walk gives the plain scan's answer, for a 2-token x
+    (empty input), heavy repeats, and outputs longer than the input."""
+    vocab = Vocab(WORDS)
+    x = prepare_input(tuple(raw), vocab)
+    o = (vocab.bos,) + tuple(o_tail)
+    got = find_suffix_match(o, x)
+    assert (None if got is None else tuple(got)) == scan_suffix_match(o, x)
 
 
 @given(
@@ -322,20 +338,45 @@ def test_aggressive_max_len_truncation_matches_greedy(vocab):
         assert len(greedy.output) - 1 <= max_len
 
 
-# --- adaptive copy window ----------------------------------------------------------
+# --- the draft window -------------------------------------------------------------
 
 # twelve distinct source words, so every emitted source word anchors a unique
 # suffix match; "X" is absent from the source and forces an autoregressive step
 _RULE_VOCAB = Vocab([f"w{i}" for i in range(12)] + ["X"])
 _RULE_SOURCE = " ".join(f"w{i}" for i in range(12))
+# target word j is source word 5j+1 (mod 12): every word is replaced, the copy
+# after each emitted word never proposes the next target word, and no bigram
+# repeats, so the output never offers a draft of its own
+_REJECTED = " ".join(f"w{(5 * j + 1) % 12}" for j in range(12))
 
 
-def _decode_rule_case(target, l_max=None):
+class _Costly(ScriptedEditScorer):
+    """The scripted scorer, declaring that one more position costs 0.15 of a
+    one-position pass."""
+
+    position_cost = 0.15
+
+
+class _Proxy:
+    """A scorer by duck typing alone, as a tracing proxy is: it forwards
+    vocab and session() and declares no position_cost."""
+
+    def __init__(self, scorer):
+        self.vocab = scorer.vocab
+        self._scorer = scorer
+
+    def session(self, x):
+        return self._scorer.session(x)
+
+
+def _decode_rule_case(target, l_max=None, scorer_type=ScriptedEditScorer, proxy=False):
     """Aggressive decode of the twelve-word source under a scorer that rewrites
     it to ``target``; checks the output against greedy's and returns the trace."""
     vocab = _RULE_VOCAB
     pair = (ids(_RULE_SOURCE, vocab), ids(target, vocab))
-    scorer = ScriptedEditScorer([pair], vocab)
+    scorer = scorer_type([pair], vocab)
+    if proxy:
+        scorer = _Proxy(scorer)
     x = prepare_input(pair[0], vocab)
     result = aggressive_decode(scorer, x, DecodeConfig(mode="aggressive", l_max=l_max))
     assert result.output == greedy_decode(scorer, x, DecodeConfig()).output
@@ -343,44 +384,75 @@ def _decode_rule_case(target, l_max=None):
     return result.trace.iterations
 
 
-def _full_window(record):
-    return len(_RULE_SOURCE.split()) + 1 - record.suffix_match[0]
+def _full_window(record, l_max=None):
+    full = len(_RULE_SOURCE.split()) + 1 - record.suffix_match[0]
+    return full if l_max is None else min(full, l_max)
 
 
-def test_window_narrows_after_three_first_token_rejections():
-    # target word j is source word 5j+1 (mod 12): every word is replaced, the
-    # copy after each emitted word never proposes the next target word, and
-    # no bigram repeats, so the output never offers a draft of its own
-    target = " ".join(f"w{(5 * j + 1) % 12}" for j in range(12))
-    records = _decode_rule_case(target)
+def _boundaries(records):
+    """(output length before the record, record) for each record."""
+    boundary = 1
+    for record in records:
+        yield boundary, record
+        boundary += record.accepted
+
+
+def _check_windows(records, cost, caps):
+    """Every aggressive pass scored the w in 1..cap that maximises
+    (1 - a^w) / ((1 - a)(1 + cost(w - 1))), all of cap when cost is 0, where
+    a is the rate of drafted tokens accepted out of those compared in the
+    passes before it, from a prior of 9 of 10. A pass that matched m drafted
+    tokens accepted m of min(w, m + 1) compared. caps holds each pass's
+    draft length, capped by l_max."""
+    accepted, compared = 9, 10
+    passes = [(b, r) for b, r in _boundaries(records) if r.mode == AGGRESSIVE]
+    assert len(passes) == len(caps)
+    for (boundary, record), cap in zip(passes, caps):
+        w = record.positions_scored
+        if cost == 0:
+            assert w == cap
+        else:
+            rate = accepted / compared
+            ratios = [(1 - rate**v) / ((1 - rate) * (1 + cost * (v - 1))) for v in range(1, cap + 1)]
+            assert ratios[w - 1] == pytest.approx(max(ratios), rel=1e-12, abs=0)
+        matched = w if record.bifurcation is None else record.bifurcation - boundary
+        accepted += matched
+        compared += min(w, matched + 1)
+
+
+@pytest.mark.parametrize("l_max", [None, 3])
+def test_free_positions_verify_every_draft_in_full(l_max):
+    """A scorer that declares no position cost scores each draft to its end
+    (or to l_max), however often it rejects the draft."""
+    records = _decode_rule_case(_REJECTED, l_max)
     assert all(r.mode == AGGRESSIVE and r.accepted == 1 for r in records)
-    assert [r.positions_scored for r in records[:3]] == [_full_window(r) for r in records[:3]]
-    assert all(r.positions_scored <= 2 for r in records[3:])
-    assert sum(r.positions_scored for r in records) < sum(_full_window(r) for r in records)
+    assert [r.positions_scored for r in records] == [_full_window(r, l_max) for r in records]
 
 
-def test_window_returns_after_the_scorer_accepts_a_copied_token():
-    # three rejected passes, then a two-position probe whose first copied token
-    # (w10) is accepted, then a pass from w0 whose copy runs w1 w2 w3 w4
-    records = _decode_rule_case("w3 w6 w9 w10 w0 w1 w2 w3 w4")
-    assert [r.accepted for r in records] == [1, 1, 1, 2, 5]
-    probe, after = records[3], records[4]
-    assert probe.positions_scored == 2 and probe.suffix_match == (10, 0)
-    assert after.positions_scored == _full_window(after) == 12
-
-
-def test_window_rule_keeps_lmax_and_ignores_autoregressive_steps():
-    target = "w3 X w6 w1 w9"
-    capped = _decode_rule_case(target, l_max=1)
-    assert {r.positions_scored for r in capped} == {1}
-    # the narrowed window applies on top of a wider l_max
-    capped = _decode_rule_case(target, l_max=3)
-    assert [r.positions_scored for r in capped] == [3, 3, 1, 3, 2, 2]
-    # rejections at w0 and w4, a fallback step after X, a rejection at w7:
-    # the count reaches three across the fallback, so the passes after it narrow
-    records = _decode_rule_case(target)
+def test_costly_positions_narrow_the_window_as_drafts_are_rejected():
+    records = _decode_rule_case(_REJECTED, scorer_type=_Costly)
+    assert all(r.mode == AGGRESSIVE and r.accepted == 1 for r in records)
+    # at the prior rate 0.9 and cost 0.15 the ratio peaks at 9 positions:
+    # 5.695 / 2.05 < 6.126 / 2.2 > 6.513 / 2.35
+    assert records[0].positions_scored == 9
+    _check_windows(records, _Costly.position_cost, [_full_window(r) for r in records])
+    assert records[-1].positions_scored <= 2
+    # three rejections narrow the window; the copy from w1 on is then accepted
+    # through whole narrowed windows, each counting all its tokens accepted
+    records = _decode_rule_case("w3 w6 w9 w1 w2 w3 w4 w5 w6 w7 w8 w9 w10 w11", scorer_type=_Costly)
+    assert any(r.bifurcation is None and r.accepted == r.positions_scored < _full_window(r) for r in records)
+    _check_windows(records, _Costly.position_cost, [_full_window(r) for r in records])
+    # an autoregressive step leaves the rate alone, and l_max still caps the window
+    records = _decode_rule_case("w3 X w6 w1 w9", l_max=4, scorer_type=_Costly)
     assert [r.mode for r in records] == [AGGRESSIVE, AGGRESSIVE, AUTOREGRESSIVE] + [AGGRESSIVE] * 3
-    assert [r.positions_scored for r in records] == [13, 9, 1, 6, 2, 2]
+    _check_windows(records, _Costly.position_cost, [_full_window(r, 4) for r in records if r.mode == AGGRESSIVE])
+
+
+def test_a_scorer_without_position_cost_decodes_with_full_windows():
+    costly = _decode_rule_case(_REJECTED, scorer_type=_Costly)
+    proxied = _decode_rule_case(_REJECTED, scorer_type=_Costly, proxy=True)
+    assert [r.positions_scored for r in proxied] == [_full_window(r) for r in proxied]
+    assert sum(r.positions_scored for r in costly) < sum(r.positions_scored for r in proxied)
 
 
 # --- drafts from the output -------------------------------------------------------
@@ -388,50 +460,66 @@ def test_window_rule_keeps_lmax_and_ignores_autoregressive_steps():
 
 def test_output_lookup_drafts_after_the_latest_earlier_bigram(vocab):
     """`a b` occurs twice before the end of the output, followed by `c a` and
-    by `d a b`; the draft takes the later continuation, cut to two tokens,
-    then a PAD slot."""
+    by `d a b`; the draft runs on in the later loop, `d a b`, and ends in a
+    PAD slot at the budget."""
     x = prepare_input(ids("X", vocab), vocab)  # b is absent: no input anchor
     o = [vocab.bos, *ids("a b c a b d a b", vocab)]
     a, b, d, pad = vocab.id_of("a"), vocab.id_of("b"), vocab.id_of("d"), vocab.pad
-    assert propose_draft(o, x) == Draft((d, a, pad), "output", (5, 1))
+    assert propose_draft(o, x, 6) == Draft((d, a, b, d, a, pad), "output", (5, 1))
+    assert propose_draft(o, x, 2) == Draft((d, pad), "output", (5, 1))
+    assert propose_draft(o, x, 1) == Draft((pad,), "output", (5, 1))
     # a single repeated token is no anchor, and neither is a bigram seen only at the end
-    assert propose_draft([vocab.bos, *ids("a b X b", vocab)], x) is None
-    assert propose_draft([vocab.bos, *ids("a b", vocab)], x) is None
-    # a repeat that reaches the end of the output drafts what there is
-    assert propose_draft([vocab.bos, *ids("b b b", vocab)], x) == Draft((b, pad), "output", (2, 1))
+    assert propose_draft([vocab.bos, *ids("a b X b", vocab)], x, 6) is None
+    assert propose_draft([vocab.bos, *ids("a b", vocab)], x, 6) is None
+    # a repeat that reaches the end of the output is a loop of period 1
+    assert propose_draft([vocab.bos, *ids("b b b", vocab)], x, 4) == Draft((b, b, b, pad), "output", (2, 1))
 
 
 def test_longer_anchor_wins_between_input_and_output(vocab):
     o = [vocab.bos, *ids("a b X a b", vocab)]
-    c, d, pad = vocab.id_of("c"), vocab.id_of("d"), vocab.pad
+    a, b, d, X, pad = vocab.id_of("a"), vocab.id_of("b"), vocab.id_of("d"), vocab.id_of("X"), vocab.pad
     # `a b` is unique in the input: a two-token input anchor beats the output's
     x = prepare_input(ids("b c a b d", vocab), vocab)
-    assert propose_draft(o, x) == Draft((d, pad), "input", (4, 1))
+    assert propose_draft(o, x, 9) == Draft((d, pad), "input", (4, 1))
     # `b` alone is unique in the input, and the input agrees on `a b` there:
     # that is a two-token input anchor too
     x = prepare_input(ids("c a b d", vocab), vocab)
-    assert propose_draft(o, x) == Draft((d, pad), "input", (3, 0))
+    assert propose_draft(o, x, 9) == Draft((d, pad), "input", (3, 0))
     # `b` alone is unique in the input: the output's two-token anchor wins
     x = prepare_input(ids("c b d", vocab), vocab)
-    assert propose_draft(o, x) == Draft((vocab.id_of("X"), vocab.id_of("a"), pad), "output", (2, 1))
+    assert propose_draft(o, x, 5) == Draft((X, a, b, X, pad), "output", (2, 1))
     # with no repeat in the output, the one-token input anchor drafts
-    assert propose_draft(o[:3], x) == Draft((d, pad), "input", (2, 0))
+    assert propose_draft(o[:3], x, 9) == Draft((d, pad), "input", (2, 0))
+
+
+@pytest.mark.parametrize("scorer_type", [ScriptedEditScorer, _Costly])
+@pytest.mark.parametrize("loop", ["w5", "w3 w5"])
+def test_output_loops_are_drafted_past_two_tokens(scorer_type, loop):
+    """A target that settles into a loop of period 1 or 2 that the source
+    never offers: once the loop's bigram repeats, the output drafts the loop
+    running on, and one pass accepts more than two looked-up tokens."""
+    records = _decode_rule_case(" ".join(["w7"] + [loop] * (12 // len(loop.split()))), scorer_type=scorer_type)
+    looked_up = [r.accepted - (r.bifurcation is not None) for r in records if r.source == "output"]
+    assert max(looked_up) > 2
 
 
 def test_output_pass_accepts_its_draft_and_the_pad_rows_token():
-    """A target that loops with period 4 over a source it never copies: once a
-    bigram repeats, the output drafts the loop. The first lookup is cut to the
-    narrowed window of two; the next verifies two looked-up tokens and its
-    PAD slot, and emits all three."""
-    target = " ".join(f"w{(3 * j + 1) % 12}" for j in range(12))
-    records = _decode_rule_case(target)
+    """A target that loops with period 4 over a source it never copies, and
+    runs past max_len: once a bigram repeats, the output drafts the loop to
+    max_len with a PAD slot last, and one pass accepts all of it, the PAD
+    row's token being the last one max_len allows."""
+    vocab = _RULE_VOCAB
+    target = ids(" ".join(f"w{(3 * j + 1) % 12}" for j in range(40)), vocab)
+    scorer = ScriptedEditScorer([(ids(_RULE_SOURCE, vocab), target)], vocab)
+    x = prepare_input(ids(_RULE_SOURCE, vocab), vocab)
+    result = aggressive_decode(scorer, x, DecodeConfig(mode="aggressive", max_len=20))
+    assert result.output == greedy_decode(scorer, x, DecodeConfig(max_len=20)).output
+    assert result.output == (vocab.bos,) + target[:20]
+    records = result.trace.iterations
     assert [r.source for r in records[:6]] == ["input"] * 6
-    assert [(r.source, r.suffix_match, r.positions_scored, r.accepted) for r in records[6:]] == [
-        ("output", (2, 1), 2, 2),
-        ("output", (4, 1), 3, 3),
-        ("output", (7, 1), 3, 2),  # w10, then EOS where the draft said w1
+    assert [(r.source, r.suffix_match, r.positions_scored, r.accepted, r.bifurcation) for r in records[6:]] == [
+        ("output", (2, 1), 14, 14, 20),  # 13 looked-up tokens, then the PAD row's
     ]
-    assert len(records) == 9
 
 
 # --- beam ------------------------------------------------------------------------
@@ -515,14 +603,16 @@ class _TableScorer(Scorer):
     """Random prefix-consistent scorer. Position p's row is a seeded random
     row looked up by the prefix's last two tokens, plus ``copy_bias`` on the
     token that follows the first occurrence of prefix[p] in the input (EOS
-    after the last input token), so the bias sets how often it copies."""
+    after the last input token), so the bias sets how often it copies. It
+    declares the given position_cost."""
 
-    def __init__(self, vocab, seed, copy_bias):
+    def __init__(self, vocab, seed, copy_bias, position_cost):
         self.vocab = vocab
         size = len(vocab)
         self.table = np.random.default_rng(seed).normal(size=(size, size, size))
         self.table[:, :, vocab.pad] = NEG
         self.copy_bias = copy_bias
+        self.position_cost = position_cost
 
     def encode(self, x):
         return tuple(x)
@@ -560,7 +650,8 @@ def test_equivalence_property(data, label, l_max, max_len):
     )
     if label == "table":
         seed = data.draw(st.integers(0, 2**32 - 1))
-        scorer = _TableScorer(vocab, seed, data.draw(st.floats(0.0, 6.0)))
+        cost = data.draw(st.sampled_from([0.02, 0.15, 0.6]))
+        scorer = _TableScorer(vocab, seed, data.draw(st.floats(0.0, 6.0)), cost)
     else:
         scorer = _scorer_from_label(label, vocab, corpus)
     for raw in corpus:
@@ -574,21 +665,24 @@ def test_equivalence_property(data, label, l_max, max_len):
             aggressive.trace.sequential_iterations
             <= greedy.trace.sequential_iterations
         )
-        # accepted-prefix soundness at every iteration boundary; and after three
-        # aggressive passes in a row that rejected their first drafted token (a
-        # bifurcation at the boundary itself), a pass scores at most 2 positions
-        boundary = 1
-        rejections = 0
-        for record in aggressive.trace.iterations:
+        # accepted-prefix soundness at every iteration boundary; and every
+        # pass scores the window the rule picks from the scorer's position
+        # cost (the n-gram's and the table's are nonzero) and the rate of
+        # drafted tokens accepted in the passes before it
+        limit = aggressive_cfg.resolve_max_len(len(raw))
+        caps = []
+        for b, record in _boundaries(aggressive.trace.iterations):
             if record.mode == AGGRESSIVE:
-                if rejections >= 3:
-                    assert record.positions_scored <= 2
-                rejections = rejections + 1 if record.bifurcation == boundary else 0
+                drafted = len(propose_draft(list(greedy.output[:b]), x, limit - b + 1).tokens)
+                caps.append(drafted if l_max is None else min(drafted, l_max))
+        _check_windows(aggressive.trace.iterations, getattr(scorer, "position_cost", 0.0), caps)
+        boundary = 1
+        for record in aggressive.trace.iterations:
             if label == "table" and record.source == "output":
                 # a table row depends only on the last two tokens, so a
                 # looked-up draft is right; only max_len can cut its pass short
                 assert record.accepted == record.positions_scored or (
-                    boundary - 1 + record.accepted == aggressive_cfg.resolve_max_len(len(raw))
+                    boundary - 1 + record.accepted == limit
                 )
             boundary += record.accepted
             assert aggressive.output[:boundary] == greedy.output[:boundary]
