@@ -30,7 +30,6 @@ from .decoding import (
     DecodeResult,
     SuffixMatch,
     aggressive_decode,
-    argmax_with_tiebreak,
     beam_decode,
     decode,
     find_bifurcation,

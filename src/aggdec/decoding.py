@@ -8,7 +8,9 @@ draft. Everything after the disagreement is discarded and recomputed, which
 is exactly why the emitted tokens match greedy decoding token for token
 whenever the scorer is prefix consistent, wherever the draft came from.
 Without a draft (greedy never asks for one) the loop takes a single
-autoregressive step.
+autoregressive step. Each prediction is its row's argmax, ties to the
+smallest token id. The loop normalises no row into probabilities: it checks
+only that each accepted row's chosen logit is finite and its token not PAD.
 
 Aggressive decoding's proposer tries, in this order:
 
@@ -105,7 +107,6 @@ class Draft(NamedTuple):
 class DecodeResult:
     output: TokenIds            # BOS-prefixed; EOS-terminated unless max_len hit
     trace: DecodeTrace
-    score: float                # sum of chosen-token log-probabilities
 
 
 def argmax_with_tiebreak(logits: Sequence[float]) -> int:
@@ -206,22 +207,17 @@ def _require_mode(cfg: DecodeConfig, mode: str) -> None:
         raise ValueError(f"config mode is {cfg.mode!r}, expected {mode!r}")
 
 
-def _choose(block: np.ndarray, first: int, tokens: np.ndarray | None = None) -> tuple[list[int], list[float]]:
-    """Each row's argmax, ties to the smallest id, and its log-probability;
-    row r is decoder position first + r. ``tokens`` are the rows' argmaxes
-    when the caller has taken them already. The log-probability of the row
-    max, -log(sum(exp(row - max))), is NaN exactly when that max is not
-    finite."""
-    if tokens is None:
-        tokens = block.argmax(axis=1)
-    chosen = block[np.arange(len(tokens)), tokens]
-    log_probs = (-np.log(np.exp(block - chosen[:, None]).sum(axis=1))).tolist()
-    if math.isnan(sum(log_probs)):  # some chosen logit is not finite
-        r = int(np.flatnonzero(~np.isfinite(chosen))[0])
-        bad = chosen[r]
-        what = "NaN logit" if bad != bad else "all logits are masked" if bad < 0 else "infinite logit"
-        raise ValueError(f"{what} at position {first + r}")
-    return tokens.tolist(), log_probs
+def _check_chosen(rows: np.ndarray, tokens: list[int], first: int) -> None:
+    """Raise unless each row's chosen logit, rows[r, tokens[r]], is finite;
+    row r is decoder position first + r. The tokens are the rows' argmaxes,
+    which numpy takes to a row's first NaN, so a chosen logit is NaN when its
+    row holds a NaN, -inf when the whole row is masked, and +inf when a
+    logit is."""
+    for r, tok in enumerate(tokens):
+        logit = rows.item(r, tok)
+        if not math.isfinite(logit):
+            what = "NaN logit" if logit != logit else "all logits are masked" if logit < 0 else "infinite logit"
+            raise ValueError(f"{what} at position {first + r}")
 
 
 def _window(rate: float, cost: float, cap: int) -> int:
@@ -246,9 +242,9 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
     to verify, or None for one autoregressive step, whose record then names
     the fallback reason; budget is the number of tokens o may still grow by.
     A pass verifies the draft's first _window(...) tokens, capped by l_max.
-    Only accepted rows are chosen and scored, so a contract breach (a NaN or
-    non-finite chosen logit, or PAD as the chosen token) raises where greedy
-    would raise."""
+    Every token is its row's argmax, and only accepted rows are checked, so
+    a contract breach (a NaN or non-finite chosen logit, or PAD as the
+    chosen token) raises where greedy would raise."""
     vocab = scorer.vocab
     n = len(x) - 2
     max_len = cfg.resolve_max_len(n)
@@ -256,13 +252,13 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
     cost = getattr(scorer, "position_cost", 0.0)  # scorers are duck-typed; 0 verifies drafts in full
     o = [vocab.bos]
     records: list[IterationRecord] = []
-    score = 0.0
     drafted_accepted, drafted_compared = _PRIOR_ACCEPTED, _PRIOR_COMPARED
     while o[-1] != vocab.eos and len(o) - 1 < max_len:
         j = len(o) - 1
         draft = None if propose is None else propose(o, x, max_len - j)
         if draft is None:
-            tokens, log_probs = _choose(session.score_positions(tuple(o), (j,)), j)
+            rows = session.score_positions(tuple(o), (j,))
+            tokens = rows.argmax(axis=1).tolist()
             # o[j] is never PAD, so searching all of x searches x[0..n]
             record = _STEPS[None if propose is None else "ambiguous" if o[j] in x else "absent"]
         else:
@@ -274,26 +270,25 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
             copied = draft.tokens[:w]
             prefix = tuple(o) + copied[:-1]  # pseudo decoder inputs; never includes PAD
             rows = session.score_positions(prefix, range(j, j + w))
-            predictions = rows.argmax(axis=1)
-            k = find_bifurcation(predictions.tolist(), copied)
+            predictions = rows.argmax(axis=1).tolist()
+            k = find_bifurcation(predictions, copied)
             matched = w if k is None else k - 1
             drafted_accepted += matched
             drafted_compared += min(w, matched + 1)
             accepted = min(w if k is None else k, max_len - j)  # greedy truncates at max_len; so do we
-            tokens, log_probs = _choose(rows[:accepted], j, predictions[:accepted])
+            tokens = predictions[:accepted]
             record = IterationRecord(
                 mode=AGGRESSIVE, positions_scored=w, accepted=accepted, suffix_match=draft.anchor,
                 bifurcation=(j + k) if k is not None and k <= accepted else None, source=draft.source,
             )
+        _check_chosen(rows, tokens, j)
         if vocab.pad in tokens:
             raise ValueError(f"PAD emitted at position {j + tokens.index(vocab.pad)}")
-        for log_prob in log_probs:
-            score += log_prob
         o.extend(tokens)
         records.append(record)
     trace = DecodeTrace(iterations=tuple(records))
     validate_trace(trace, len(o) - 1)
-    return DecodeResult(output=tuple(o), trace=trace, score=score)
+    return DecodeResult(output=tuple(o), trace=trace)
 
 
 def greedy_decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeResult:
@@ -400,10 +395,10 @@ def beam_decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeResult:
         ids, logprob = entry
         return (-penalized(logprob, len(ids) - 1), len(ids), ids)
 
-    best_ids, best_score = min(pool, key=ranking)
+    best_ids = min(pool, key=ranking)[0]
     trace = DecodeTrace(iterations=(_STEPS[None],) * (len(best_ids) - 1))
     validate_trace(trace, len(best_ids) - 1)
-    return DecodeResult(output=best_ids, trace=trace, score=best_score)
+    return DecodeResult(output=best_ids, trace=trace)
 
 
 def decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeResult:

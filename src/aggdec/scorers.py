@@ -99,9 +99,9 @@ class ScriptedEditScorer(Scorer):
     with no table entry, fall back to copying the source token at the same
     output position, then EOS; unknown inputs therefore decode to themselves.
 
-    It declares no position_cost: a scored position costs it about 0.35 us
-    against about 20 us for a whole aggressive pass, so every draft is
-    verified in full.
+    It declares no position_cost: a scored position costs it about 0.5 us
+    against about 13 us for a whole aggressive pass (2-CPU Xeon), so every
+    draft is verified in full.
     """
 
     def __init__(self, pairs: Iterable[tuple[Sequence[int], Sequence[int]]], vocab: Vocab):
@@ -182,11 +182,14 @@ class NgramScorer(Scorer):
     (an infinite bias therefore reproduces the input exactly, then stops).
 
     position_cost: one aggressive pass (proposer, this call, argmax,
-    chooser, record) with its first drafted token rejected took, by
-    positions scored, 21.0 / 25.5 / 38.6 / 64.2 us at 1 / 2 / 8 / 20
-    (150-word vocabulary, order 3; 2-CPU Xeon; medians over five inputs,
-    median of three runs). One more position costs about 2.2 us, a tenth
-    of a one-position pass.
+    chosen-logit check, record) with its first drafted token rejected took,
+    by positions scored, 11.0 / 13.3 / 25.3 / 50.4 us at 1 / 2 / 8 / 20
+    (150-word vocabulary, order 3; 2-CPU Xeon, 1 BLAS thread; medians over
+    five inputs, median of three runs). One more position costs about
+    2.1 us, about a fifth of a one-position pass. The declared 0.1 comes
+    from the same table taken while each pass also turned its accepted rows
+    into log-probabilities (21.0 / 25.5 / 38.6 / 64.2 us), and is kept so
+    that iteration counts stay where they were.
     """
 
     position_cost = 0.1

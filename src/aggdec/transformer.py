@@ -160,11 +160,11 @@ class TinyTransformer(Scorer):
 
     position_cost: at 12+2 layers, d=256, 8 heads, ffn 512 and 10 tokens of
     context, one aggressive pass with its first drafted token rejected took
-    930 / 1088 / 1941 / 3351 us at 1 / 2 / 8 / 20 positions scored (1 BLAS
+    858 / 1002 / 1724 / 2924 us at 1 / 2 / 8 / 20 positions scored (1 BLAS
     thread, 2-CPU Xeon; medians over five inputs, mean of two runs). One
     more position costs about 0.15 of a one-position pass up to 8 positions
     (passes on the random 12+2 benchmark workload average about 5), and
-    0.14 up to 20.
+    0.13 up to 20.
     """
 
     position_cost = 0.15

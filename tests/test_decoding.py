@@ -12,7 +12,6 @@ from aggdec import (
     SuffixMatch,
     Vocab,
     aggressive_decode,
-    argmax_with_tiebreak,
     beam_decode,
     decode,
     find_bifurcation,
@@ -22,8 +21,7 @@ from aggdec import (
     prepare_input,
     tokenize,
 )
-from aggdec.decoding import Draft, _choose, propose_draft
-from aggdec.scorers import log_softmax
+from aggdec.decoding import Draft, _check_chosen, argmax_with_tiebreak, propose_draft
 from oracles import naive_suffix_match, scan_argmax, scan_suffix_match
 
 WORDS = ["a", "b", "c", "d", "X"]
@@ -80,14 +78,14 @@ _block = st.integers(1, 9).flatmap(
 @settings(max_examples=200, deadline=None)
 @given(rows=_block, first=st.integers(0, 50))
 def test_block_chooser_agrees_with_scan_oracle_row_by_row(rows, first):
-    tokens, log_probs = _choose(np.array(rows), first)
+    """The verify loop's tokens, one argmax over the block, are the scan's,
+    and a block whose chosen logits are all finite passes the check."""
+    block = np.array(rows)
+    tokens = block.argmax(axis=1).tolist()
     assert tokens == [scan_argmax(row) for row in rows]
-    for row, tok, log_prob in zip(rows, tokens, log_probs):
-        assert log_prob == pytest.approx(log_softmax(np.array(row))[tok], rel=1e-12, abs=1e-12)
+    _check_chosen(block, tokens, first)
 
 
-# numpy warns on the -inf - -inf of a masked row before the error is raised
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
 @settings(max_examples=100, deadline=None)
 @given(rows=_block, first=st.integers(0, 50), data=st.data())
 def test_block_chooser_names_the_bad_row(rows, first, data):
@@ -101,7 +99,7 @@ def test_block_chooser_names_the_bad_row(rows, first, data):
     for row, message in cases:
         block = np.array(rows[:bad] + [row] + rows[bad:])
         with pytest.raises(ValueError, match=f"^{message} at position {first + bad}$"):
-            _choose(block, first)
+            _check_chosen(block, block.argmax(axis=1).tolist(), first)
 
 
 class _BreaksAt(ScriptedEditScorer):
@@ -120,11 +118,15 @@ class _BreaksAt(ScriptedEditScorer):
         return rows
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
 @pytest.mark.parametrize(
     "cells, value, message",
     # cell 2 is PAD: 1.0 makes it the finite maximum of the row
-    [(0, NAN, "NaN logit"), (slice(None), NEG, "all logits are masked"), (2, 1.0, "PAD emitted")],
+    [
+        (0, NAN, "NaN logit"),
+        (slice(None), NEG, "all logits are masked"),
+        (0, float("inf"), "infinite logit"),
+        (2, 1.0, "PAD emitted"),
+    ],
 )
 def test_contract_breach_raises_at_greedys_position_in_both_modes(vocab, cells, value, message):
     x = prepare_input(ids("a b c d X a b c", vocab), vocab)
@@ -132,6 +134,39 @@ def test_contract_breach_raises_at_greedys_position_in_both_modes(vocab, cells, 
     for mode, l_max in (("greedy", None), ("aggressive", None), ("aggressive", 3)):
         with pytest.raises(ValueError, match=f"^{message} at position 5$"):
             decode(scorer, x, DecodeConfig(mode=mode, l_max=l_max))
+
+
+class _BreaksOffPath(ScriptedEditScorer):
+    """Scripted scorer whose row for a position is all ``value`` when the
+    prefix up to it holds ``token``. That depends on the prefix alone, so the
+    scorer stays prefix consistent, and a script that never emits the token
+    keeps greedy decoding clear of those rows."""
+
+    def __init__(self, pairs, vocab, token, value):
+        super().__init__(pairs, vocab)
+        self.token, self.value = token, value
+
+    def score_positions(self, state, prefix, positions):
+        rows = super().score_positions(state, prefix, positions)
+        for k, p in enumerate(positions):
+            if self.token in prefix[: p + 1]:
+                rows[k] = self.value
+        return rows
+
+
+@pytest.mark.parametrize("value", [NAN, NEG])
+def test_rows_past_the_bifurcation_are_not_checked(vocab, value):
+    """The first pass drafts the input, a b c d PAD, and the script replaces
+    c: its rows after the bifurcation condition on c and are broken, but no
+    token comes from them, so the decode is greedy's and raises nothing."""
+    source, target = ids("a b c d", vocab), ids("a b X d", vocab)
+    scorer = _BreaksOffPath([(source, target)], vocab, vocab.id_of("c"), value)
+    x = prepare_input(source, vocab)
+    greedy = greedy_decode(scorer, x, DecodeConfig(mode="greedy"))
+    aggressive = aggressive_decode(scorer, x, DecodeConfig(mode="aggressive"))
+    assert aggressive.output == greedy.output == (vocab.bos,) + target + (vocab.eos,)
+    first = aggressive.trace.iterations[0]
+    assert (first.positions_scored, first.accepted, first.bifurcation) == (5, 3, 3)
 
 
 # --- suffix matching ---------------------------------------------------------
@@ -686,29 +721,6 @@ def test_equivalence_property(data, label, l_max, max_len):
                 )
             boundary += record.accepted
             assert aggressive.output[:boundary] == greedy.output[:boundary]
-
-
-@pytest.mark.parametrize("label", ["scripted", "ngram"])
-def test_score_is_the_sum_of_greedy_path_log_probs(label, rng):
-    """Both decoders report the same score: the oracle sum of each emitted
-    token's log_softmax, scoring every greedy prefix on its own. The scripted
-    scorer's log-probs are about -1e-12 each, so the tolerance is relative."""
-    vocab = Vocab(WORDS)
-    corpus = [tuple(int(t) for t in rng.integers(4, 9, size=rng.integers(0, 12))) for _ in range(12)]
-    scorer = _scorer_from_label(label, vocab, corpus)
-    for raw in corpus:
-        x = prepare_input(raw, vocab)
-        greedy = greedy_decode(scorer, x, DecodeConfig(mode="greedy"))
-        state = scorer.encode(x)
-        out = greedy.output
-        oracle = sum(
-            float(log_softmax(scorer.score_positions(state, out[: j + 1], (j,))[0])[out[j + 1]])
-            for j in range(len(out) - 1)
-        )
-        assert greedy.score == pytest.approx(oracle, rel=1e-12, abs=0)
-        for l_max in (2, None):
-            aggressive = aggressive_decode(scorer, x, DecodeConfig(mode="aggressive", l_max=l_max))
-            assert aggressive.score == pytest.approx(greedy.score, rel=1e-12, abs=0)
 
 
 def test_lmax_monotone_iterations_identity(vocab):
