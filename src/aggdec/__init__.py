@@ -40,8 +40,7 @@ from .metrics import (
     DepthRow,
     EquivalenceReport,
     LmaxRow,
-    SentenceReport,
-    StepStats,
+    SentenceRow,
     bench,
     check_equivalence,
     edit_ratio,

@@ -8,7 +8,6 @@ seed, corpus) triple, except for wall-clock columns.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -37,7 +36,6 @@ from .metrics import (
     check_equivalence,
     rows_csv,
     rows_json,
-    sentence_reports_json,
     sweep_depth,
     sweep_lmax,
     thread_limit,
@@ -336,7 +334,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             }
             for line, output, res in zip(lines, outputs, results)
         ]
-        _write(args, json.dumps(payload, indent=2, sort_keys=True))
+        _write(args, rows_json(payload))
     elif args.format == "csv":
         rows = [
             DecodedLine(idx, res.trace.sequential_iterations, output)
@@ -362,31 +360,31 @@ def _cmd_check(args: argparse.Namespace) -> int:
         l_max_values=_parse_lmax(args.lmax),
         cfg=DecodeConfig(max_len=args.max_len),
     )
+    mismatches = [
+        {
+            "sentence": m.sentence,
+            "l_max": "unlimited" if m.l_max is None else m.l_max,
+            "greedy": detokenize(m.greedy_result.output, vocab, args.scheme),
+            "aggressive": detokenize(m.aggressive_result.output, vocab, args.scheme),
+            "greedy_trace": emit_trace(m.greedy_result, vocab, args.scheme),
+            "aggressive_trace": emit_trace(m.aggressive_result, vocab, args.scheme),
+        }
+        for m in report.mismatches
+    ]
     if args.format == "json":
-        payload = {
+        _write(args, rows_json({
             "sentences": report.sentences,
             "decode_pairs": report.decode_pairs,
-            "mismatches": [
-                {
-                    "sentence": m.sentence,
-                    "l_max": "unlimited" if m.l_max is None else m.l_max,
-                    "greedy": detokenize(m.greedy_output, vocab, args.scheme),
-                    "aggressive": detokenize(m.aggressive_output, vocab, args.scheme),
-                    "greedy_trace": emit_trace(m.greedy_result, vocab, args.scheme),
-                    "aggressive_trace": emit_trace(m.aggressive_result, vocab, args.scheme),
-                }
-                for m in report.mismatches
-            ],
-        }
-        _write(args, json.dumps(payload, indent=2, sort_keys=True))
+            "mismatches": mismatches,
+        }))
     else:
         detail = "".join(
-            f"sentence {m.sentence} l_max={m.l_max}:\n"
-            f"  greedy:     {detokenize(m.greedy_output, vocab, args.scheme)}\n"
-            f"  aggressive: {detokenize(m.aggressive_output, vocab, args.scheme)}\n"
-            f"  greedy trace:     {emit_trace(m.greedy_result, vocab, args.scheme)}\n"
-            f"  aggressive trace: {emit_trace(m.aggressive_result, vocab, args.scheme)}\n"
-            for m in report.mismatches
+            f"sentence {m['sentence']} l_max={m['l_max']}:\n"
+            f"  greedy:     {m['greedy']}\n"
+            f"  aggressive: {m['aggressive']}\n"
+            f"  greedy trace:     {m['greedy_trace']}\n"
+            f"  aggressive trace: {m['aggressive_trace']}\n"
+            for m in mismatches
         )
         _write(args, detail + report.summary())
     return 0 if report.ok else 1
@@ -401,7 +399,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     lines = _load_lines(args, "corpus")
     scorer = _make_scorer(args, lines)
     corpus_ids = _nonempty_corpus(lines, scorer.vocab, args.scheme)
-    reports = bench(
+    rows = bench(
         scorer,
         corpus_ids,
         cfg=_decode_config(args),
@@ -410,11 +408,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         with_beam=args.with_beam,
     )
     if args.format == "csv":
-        _write(args, rows_csv(SentenceRow, map(SentenceRow.of, reports)))
+        _write(args, rows_csv(SentenceRow, rows))
     elif args.format == "json":
-        _write(args, sentence_reports_json(reports))
+        _write(args, rows_json(bench_summary(rows)))
     else:
-        summary = bench_summary(reports)
+        summary = bench_summary(rows)
         _write(
             args,
             f"{summary['sentences']} sentences; "

@@ -25,7 +25,6 @@ PRINTABLE_ASCII = tuple(chr(c) for c in range(32, 127))
 
 WHITESPACE = "whitespace"
 CHARACTER = "character"
-SCHEMES = (WHITESPACE, CHARACTER)
 
 
 class Vocab:
@@ -50,9 +49,9 @@ class Vocab:
         self.unk: int = 3
 
     @classmethod
-    def characters(cls, charset: Iterable[str] | None = None) -> "Vocab":
-        """Character-scheme vocabulary over a fixed charset (printable ASCII by default)."""
-        return cls(PRINTABLE_ASCII if charset is None else charset)
+    def characters(cls) -> "Vocab":
+        """Character-scheme vocabulary over the fixed printable-ASCII charset."""
+        return cls(PRINTABLE_ASCII)
 
     def __len__(self) -> int:
         return len(self._surfaces)

@@ -86,39 +86,8 @@ def _ranks(values: Sequence[float]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StepStats:
-    sequential_iterations: int
-    positions_scored: int
-    tokens_emitted: int
-    wall_clock: float
-
-    @classmethod
-    def of(cls, result: DecodeResult, wall_clock: float) -> "StepStats":
-        trace = result.trace
-        return cls(
-            sequential_iterations=trace.sequential_iterations,
-            positions_scored=trace.positions_scored,
-            tokens_emitted=trace.tokens_accepted,
-            wall_clock=wall_clock,
-        )
-
-
-@dataclass(frozen=True)
-class SentenceReport:
-    index: int
-    input_len: int
-    output_len: int
-    edit_ratio: float
-    greedy_stats: StepStats
-    aggressive_stats: StepStats
-    beam_stats: StepStats | None
-    iteration_speedup: float
-    wall_speedup: float
-
-
-@dataclass(frozen=True)
 class SentenceRow:
-    """One bench report as a flat CSV row; beam columns are empty without beam."""
+    """One sentence of a bench run; beam columns are None without beam."""
 
     sentence: int
     input_len: int
@@ -133,24 +102,6 @@ class SentenceRow:
     aggressive_wall: float
     beam_wall: float | None
 
-    @classmethod
-    def of(cls, r: SentenceReport) -> "SentenceRow":
-        beam = r.beam_stats
-        return cls(
-            sentence=r.index,
-            input_len=r.input_len,
-            output_len=r.output_len,
-            edit_ratio=r.edit_ratio,
-            greedy_iters=r.greedy_stats.sequential_iterations,
-            aggressive_iters=r.aggressive_stats.sequential_iterations,
-            beam_iters=beam.sequential_iterations if beam else None,
-            iteration_speedup=r.iteration_speedup,
-            wall_speedup=r.wall_speedup,
-            greedy_wall=r.greedy_stats.wall_clock,
-            aggressive_wall=r.aggressive_stats.wall_clock,
-            beam_wall=beam.wall_clock if beam else None,
-        )
-
 
 # --- equivalence checking -------------------------------------------------------
 
@@ -159,8 +110,6 @@ class SentenceRow:
 class Mismatch:
     sentence: int
     l_max: int | None
-    greedy_output: TokenIds
-    aggressive_output: TokenIds
     greedy_result: DecodeResult
     aggressive_result: DecodeResult
 
@@ -205,8 +154,6 @@ def check_equivalence(
                     Mismatch(
                         sentence=idx,
                         l_max=l_max,
-                        greedy_output=greedy.output,
-                        aggressive_output=aggressive.output,
                         greedy_result=greedy,
                         aggressive_result=aggressive,
                     )
@@ -280,6 +227,8 @@ def _timed(
     alike instead of landing on whichever happened to be running."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    if warmup < 0:
+        raise ValueError("warmup must be >= 0")
     for _ in range(warmup):
         for fn in fns:
             fn()
@@ -300,7 +249,7 @@ def bench(
     repetitions: int = 5,
     warmup: int = 2,
     with_beam: bool = False,
-) -> list[SentenceReport]:
+) -> list[SentenceRow]:
     """Per-sentence greedy vs aggressive comparison (plus beam when asked).
 
     Each decode is of one sentence; a repetition runs every mode in turn.
@@ -308,7 +257,7 @@ def bench(
     base = cfg or DecodeConfig()
     vocab = scorer.vocab
 
-    def one(idx: int, raw: TokenIds) -> SentenceReport:
+    def one(idx: int, raw: TokenIds) -> SentenceRow:
         if not raw:
             raise ValueError(f"bench sentence {idx} is empty; edit_ratio needs input tokens")
         x = prepare_input(raw, vocab)
@@ -321,21 +270,23 @@ def bench(
         (greedy_res, greedy_wall), (agg_res, agg_wall), *beam = _timed(
             decoders, repetitions, warmup
         )
-        beam_stats = StepStats.of(*beam[0]) if beam else None
+        beam_res, beam_wall = beam[0] if beam else (None, None)
         output = strip_sentinels(agg_res.output, vocab)
-        greedy_stats = StepStats.of(greedy_res, greedy_wall)
-        agg_stats = StepStats.of(agg_res, agg_wall)
-        return SentenceReport(
-            index=idx,
+        greedy_iters = greedy_res.trace.sequential_iterations
+        agg_iters = agg_res.trace.sequential_iterations
+        return SentenceRow(
+            sentence=idx,
             input_len=len(raw),
             output_len=len(output),
             edit_ratio=edit_ratio(raw, output),
-            greedy_stats=greedy_stats,
-            aggressive_stats=agg_stats,
-            beam_stats=beam_stats,
-            iteration_speedup=greedy_stats.sequential_iterations
-            / agg_stats.sequential_iterations,
+            greedy_iters=greedy_iters,
+            aggressive_iters=agg_iters,
+            beam_iters=beam_res.trace.sequential_iterations if beam_res else None,
+            iteration_speedup=greedy_iters / agg_iters,
             wall_speedup=greedy_wall / agg_wall if agg_wall > 0 else float("inf"),
+            greedy_wall=greedy_wall,
+            aggressive_wall=agg_wall,
+            beam_wall=beam_wall,
         )
 
     return [one(idx, raw) for idx, raw in enumerate(corpus)]
@@ -491,34 +442,28 @@ def rows_csv(row_type: type, rows: Iterable) -> str:
     return out.getvalue()
 
 
-def rows_json(rows: Iterable) -> str:
-    """A JSON list with one object per row, keyed by field name."""
-    return json.dumps([_cells(row) for row in rows], indent=2, sort_keys=True)
+def rows_json(value) -> str:
+    """Any JSON value as indented, key-sorted JSON; dataclass rows anywhere
+    inside it become objects keyed by field name."""
+    return json.dumps(value, indent=2, sort_keys=True, default=_cells)
 
 
-def bench_summary(reports: Sequence[SentenceReport]) -> dict:
+def bench_summary(rows: Sequence[SentenceRow]) -> dict:
     """Aggregates over a bench run, with means of 0.0 when it has no
     sentences; per-sentence detail belongs to the CSV."""
-    ratios = [r.edit_ratio for r in reports]
-    speedups = [r.iteration_speedup for r in reports]
-    walls = [r.wall_speedup for r in reports]
-    correlation = spearman(ratios, speedups) if len(reports) > 2 else float("nan")
+    ratios = [r.edit_ratio for r in rows]
+    speedups = [r.iteration_speedup for r in rows]
+    walls = [r.wall_speedup for r in rows]
+    correlation = spearman(ratios, speedups) if len(rows) > 2 else float("nan")
     return {
-        "sentences": len(reports),
-        "mean_edit_ratio": statistics.fmean(ratios) if reports else 0.0,
-        "mean_iteration_speedup": statistics.fmean(speedups) if reports else 0.0,
-        "median_iteration_speedup": statistics.median(speedups) if reports else 0.0,
-        "mean_wall_speedup": statistics.fmean(walls) if reports else 0.0,
-        "total_greedy_iterations": sum(r.greedy_stats.sequential_iterations for r in reports),
-        "total_aggressive_iterations": sum(
-            r.aggressive_stats.sequential_iterations for r in reports
-        ),
+        "sentences": len(rows),
+        "mean_edit_ratio": statistics.fmean(ratios) if rows else 0.0,
+        "mean_iteration_speedup": statistics.fmean(speedups) if rows else 0.0,
+        "median_iteration_speedup": statistics.median(speedups) if rows else 0.0,
+        "mean_wall_speedup": statistics.fmean(walls) if rows else 0.0,
+        "total_greedy_iterations": sum(r.greedy_iters for r in rows),
+        "total_aggressive_iterations": sum(r.aggressive_iters for r in rows),
         "spearman_edit_ratio_vs_iteration_speedup": (
             correlation if np.isfinite(correlation) else None
         ),
     }
-
-
-def sentence_reports_json(reports: Sequence[SentenceReport]) -> str:
-    """`bench_summary` as a JSON object."""
-    return json.dumps(bench_summary(reports), indent=2, sort_keys=True)

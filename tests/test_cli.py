@@ -9,6 +9,7 @@ from aggdec import (
     DecodeConfig,
     ScriptedEditScorer,
     aggressive_decode,
+    greedy_decode,
     identity_scorer,
     prepare_input,
     tokenize,
@@ -147,33 +148,47 @@ def test_check_json_format(corpus_file, capsys):
 
 
 def test_check_exits_nonzero_on_mismatch(corpus_file, capsys, monkeypatch, vocab):
-    """Exit code is 0 iff the mismatch count is 0."""
+    """Exit code is 0 iff the mismatch count is 0; each mismatch is shown with
+    both outputs and traces, and an unlimited l_max reads `unlimited`."""
     from aggdec import cli as cli_module
     from aggdec.metrics import EquivalenceReport, Mismatch
 
-    result = aggressive_decode(
-        identity_scorer(vocab),
-        prepare_input(tokenize("a b", "whitespace", vocab), vocab),
-        DecodeConfig(mode="aggressive"),
-    )
+    raw = tokenize("a b", "whitespace", vocab)
+    x = prepare_input(raw, vocab)
+    greedy = greedy_decode(identity_scorer(vocab), x, DecodeConfig())
+    rewrite = ScriptedEditScorer([(raw, tokenize("a c", "whitespace", vocab))], vocab)
+    aggressive = aggressive_decode(rewrite, x, DecodeConfig(mode="aggressive"))
     fake = EquivalenceReport(
         sentences=1,
         decode_pairs=1,
         mismatches=(
-            Mismatch(
-                sentence=0,
-                l_max=None,
-                greedy_output=result.output,
-                aggressive_output=result.output[:-1],
-                greedy_result=result,
-                aggressive_result=result,
-            ),
+            Mismatch(sentence=0, l_max=None, greedy_result=greedy, aggressive_result=aggressive),
         ),
     )
     monkeypatch.setattr(cli_module, "check_equivalence", lambda *a, **k: fake)
-    code = main(["check", "--scorer", "identity", "--corpus", str(corpus_file)])
-    assert code == 1
-    assert "1 mismatches / 1 sentences" in capsys.readouterr().out
+    check = ["check", "--scorer", "identity", "--corpus", str(corpus_file)]
+    assert main(check) == 1
+    assert capsys.readouterr().out == (
+        "sentence 0 l_max=unlimited:\n"
+        "  greedy:     a b\n"
+        "  aggressive: a c\n"
+        "  greedy trace:     [a]_0(ar) [b]_1(ar) [<eos>]_2(ar)\n"
+        "  aggressive trace: [a c]_0(agg) [<eos>]_1(ar)\n"
+        "1 mismatches / 1 sentences\n"
+    )
+    assert main([*check, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "sentences": 1,
+        "decode_pairs": 1,
+        "mismatches": [{
+            "sentence": 0,
+            "l_max": "unlimited",
+            "greedy": "a b",
+            "aggressive": "a c",
+            "greedy_trace": "[a]_0(ar) [b]_1(ar) [<eos>]_2(ar)",
+            "aggressive_trace": "[a c]_0(agg) [<eos>]_1(ar)",
+        }],
+    }
 
 
 def test_bench_csv(corpus_file, capsys):

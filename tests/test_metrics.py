@@ -1,4 +1,6 @@
+import contextlib
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -22,7 +24,7 @@ from aggdec import (
     tokenize,
 )
 from aggdec import metrics
-from aggdec.metrics import SentenceRow, rows_csv, rows_json, sentence_reports_json, thread_limit
+from aggdec.metrics import SentenceRow, rows_csv, rows_json, thread_limit
 from aggdec.scorers import ScriptedEditScorer
 from aggdec.synthetic import rewrite_pairs, synthetic_vocab
 from oracles import recursive_levenshtein
@@ -140,7 +142,7 @@ def test_check_equivalence_reports_inconsistent_scorer(vocab):
     report = check_equivalence(_InconsistentScorer(vocab), [(6, 7, 8)])
     assert not report.ok
     mismatch = report.mismatches[0]
-    assert mismatch.greedy_output != mismatch.aggressive_output
+    assert mismatch.greedy_result.output != mismatch.aggressive_result.output
 
 
 def test_check_equivalence_rejects_empty_corpus(vocab):
@@ -153,14 +155,12 @@ def test_check_equivalence_rejects_empty_corpus(vocab):
 
 def test_bench_identity_speedup_equals_output_length(vocab, rng):
     corpus = [tuple(rng.integers(4, len(vocab), size=n)) for n in (3, 5, 8)]
-    reports = bench(identity_scorer(vocab), corpus, repetitions=1, warmup=0)
-    for report in reports:
-        emitted = report.aggressive_stats.tokens_emitted
-        assert report.aggressive_stats.sequential_iterations == 1
-        assert report.iteration_speedup == float(emitted)
-        assert report.iteration_speedup >= 1.0
-        assert report.edit_ratio == 0.0
-        assert report.greedy_stats.tokens_emitted <= report.greedy_stats.positions_scored
+    rows = bench(identity_scorer(vocab), corpus, repetitions=1, warmup=0)
+    for row in rows:
+        assert row.aggressive_iters == 1
+        assert row.iteration_speedup == float(row.output_len + 1)  # every token plus EOS
+        assert row.iteration_speedup >= 1.0
+        assert row.edit_ratio == 0.0
 
 
 def test_bench_speedup_falls_as_edit_ratio_rises():
@@ -171,14 +171,14 @@ def test_bench_speedup_falls_as_edit_ratio_rises():
     for rate in (0.0, 0.2, 0.45):
         pairs = rewrite_pairs(rng, 25, vocab, min_len=12, max_len=24, edit_rate=rate)
         scorer = ScriptedEditScorer(pairs, vocab)
-        reports = bench(scorer, [src for src, _ in pairs], repetitions=1, warmup=0)
-        buckets.append(sum(r.iteration_speedup for r in reports) / len(reports))
+        rows = bench(scorer, [src for src, _ in pairs], repetitions=1, warmup=0)
+        buckets.append(sum(r.iteration_speedup for r in rows) / len(rows))
     assert buckets[0] >= buckets[1] >= buckets[2]
 
 
 def test_bench_with_beam_populates_stats(vocab):
     corpus = [(4, 5, 6)]
-    reports = bench(
+    rows = bench(
         identity_scorer(vocab),
         corpus,
         cfg=DecodeConfig(beam_size=2),
@@ -186,8 +186,8 @@ def test_bench_with_beam_populates_stats(vocab):
         warmup=0,
         with_beam=True,
     )
-    assert reports[0].beam_stats is not None
-    assert reports[0].beam_stats.sequential_iterations == 4
+    assert rows[0].beam_iters == 4
+    assert rows[0].beam_wall > 0
 
 
 def test_bench_rejects_empty_sentence(vocab):
@@ -195,14 +195,19 @@ def test_bench_rejects_empty_sentence(vocab):
         bench(identity_scorer(vocab), [()], repetitions=1, warmup=0)
 
 
-@pytest.mark.parametrize("harness", [
-    lambda vocab: bench(identity_scorer(vocab), [(4, 5)], repetitions=0),
-    lambda vocab: sweep_lmax(identity_scorer(vocab), [(4, 5)], [None], repetitions=0),
-    lambda vocab: sweep_depth([TransformerConfig(1, 1, 16, 2, 16, seed=1)], [(4, 5)], vocab,
-                              repetitions=0),
-], ids=["bench", "sweep_lmax", "sweep_depth"])
-def test_harness_rejects_zero_repetitions(vocab, harness):
-    with pytest.raises(ValueError, match="repetitions must be >= 1"):
+@pytest.mark.parametrize("harness, message", [
+    (lambda vocab: bench(identity_scorer(vocab), [(4, 5)], repetitions=0),
+     "repetitions must be >= 1"),
+    (lambda vocab: sweep_lmax(identity_scorer(vocab), [(4, 5)], [None], repetitions=0),
+     "repetitions must be >= 1"),
+    (lambda vocab: sweep_depth([TransformerConfig(1, 1, 16, 2, 16, seed=1)], [(4, 5)], vocab,
+                               repetitions=0),
+     "repetitions must be >= 1"),
+    (lambda vocab: bench(identity_scorer(vocab), [(4, 5)], warmup=-1),
+     "warmup must be >= 0"),
+], ids=["bench", "sweep_lmax", "sweep_depth", "bench_negative_warmup"])
+def test_harness_rejects_zero_repetitions(vocab, harness, message):
+    with pytest.raises(ValueError, match=message):
         harness(vocab)
 
 
@@ -291,8 +296,8 @@ def test_sweep_depth_extreme_split_beats_balanced_shallow():
 
 
 def test_sentence_csv_schema(vocab):
-    reports = bench(identity_scorer(vocab), [(4, 5)], repetitions=1, warmup=0)
-    lines = rows_csv(SentenceRow, map(SentenceRow.of, reports)).splitlines()
+    rows = bench(identity_scorer(vocab), [(4, 5)], repetitions=1, warmup=0)
+    lines = rows_csv(SentenceRow, rows).splitlines()
     assert lines[0] == (
         "sentence,input_len,output_len,edit_ratio,greedy_iters,aggressive_iters,beam_iters,"
         "iteration_speedup,wall_speedup,greedy_wall,aggressive_wall,beam_wall"
@@ -305,8 +310,8 @@ def test_sentence_csv_schema(vocab):
 def test_sentence_json_aggregates(vocab):
     import json
 
-    reports = bench(identity_scorer(vocab), [(4, 5), (6, 7, 8)], repetitions=1, warmup=0)
-    payload = json.loads(sentence_reports_json(reports))
+    rows = bench(identity_scorer(vocab), [(4, 5), (6, 7, 8)], repetitions=1, warmup=0)
+    payload = json.loads(rows_json(metrics.bench_summary(rows)))
     assert payload["sentences"] == 2
     assert payload["mean_edit_ratio"] == 0.0
     assert payload["mean_iteration_speedup"] > 1.0
@@ -349,6 +354,27 @@ def test_thread_limit_warns_when_it_cannot_pin(monkeypatch):
         warnings.simplefilter("error")
         with thread_limit(None):  # no limit requested, nothing to warn about
             pass
+
+
+def test_thread_limit_prefers_threadpoolctl(monkeypatch):
+    entered = []
+
+    @contextlib.contextmanager
+    def threadpool_limits(*, limits):
+        entered.append(limits)
+        yield
+
+    fake = types.ModuleType("threadpoolctl")
+    fake.threadpool_limits = threadpool_limits
+    monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+
+    def no_ctypes():
+        raise AssertionError("pinned through ctypes although threadpoolctl is present")
+
+    monkeypatch.setattr(metrics, "_bundled_openblas", no_ctypes)
+    with thread_limit(2):
+        assert entered == [2]
+    assert entered == [2]
 
 
 @pytest.mark.skipif(metrics._bundled_openblas() is None, reason="numpy bundles no OpenBLAS here")
