@@ -9,6 +9,7 @@ output. PAD's logit is -inf everywhere, so PAD can never be emitted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -179,17 +180,22 @@ class NgramScorer(Scorer):
     smoothed n-gram conditional given the last order-1 prefix tokens, with
     copy_bias added to the logit of the position-aligned input token: the
     input token at p+1 while the input lasts, and EOS once it is exhausted
-    (an infinite bias therefore reproduces the input exactly, then stops).
+    (a large finite bias, such as 1e9, therefore reproduces the input
+    exactly, then stops). smoothing must be finite and positive, and
+    copy_bias finite.
+
+    Every context seen in the corpus owns one row of a single log-probability
+    table, built once with PAD's column at -inf; the last row is the unseen
+    context's. A call gathers its rows from the table in one take and adds
+    copy_bias at each row's aligned token.
 
     position_cost: one aggressive pass (proposer, this call, argmax,
     chosen-logit check, record) with its first drafted token rejected took,
-    by positions scored, 11.0 / 13.3 / 25.3 / 50.4 us at 1 / 2 / 8 / 20
-    (150-word vocabulary, order 3; 2-CPU Xeon, 1 BLAS thread; medians over
-    five inputs, median of three runs). One more position costs about
-    2.1 us, about a fifth of a one-position pass. The declared 0.1 comes
-    from the same table taken while each pass also turned its accepted rows
-    into log-probabilities (21.0 / 25.5 / 38.6 / 64.2 us), and is kept so
-    that iteration counts stay where they were.
+    by positions scored, 9.7 / 10.8 / 16.9 / 28.2 us at 1 / 2 / 8 / 20
+    (150-word vocabulary, order 3, 10 tokens of context; 2-CPU Xeon, 1 BLAS
+    thread; medians over five inputs, median of six runs). One more
+    position costs about 1.0 us, about a tenth of a one-position pass,
+    which is the declared 0.1.
     """
 
     position_cost = 0.1
@@ -204,8 +210,10 @@ class NgramScorer(Scorer):
     ):
         if order < 1:
             raise ValueError("order must be >= 1")
-        if smoothing <= 0:
-            raise ValueError("smoothing must be > 0")
+        if not (math.isfinite(smoothing) and smoothing > 0):
+            raise ValueError("smoothing must be finite and > 0")
+        if not math.isfinite(copy_bias):
+            raise ValueError("copy_bias must be finite")
         if not corpus:
             raise ValueError("n-gram corpus must be nonempty")
         self.vocab = vocab
@@ -213,40 +221,41 @@ class NgramScorer(Scorer):
         self.smoothing = float(smoothing)
         self.copy_bias = float(copy_bias)
         size = len(vocab)
-        counts: dict[TokenIds, np.ndarray] = {}
+        row_ids: dict[TokenIds, int] = {}
+        rows: list[int] = []
+        tokens: list[int] = []
         for seq in corpus:
             toks = (vocab.bos,) + tuple(seq) + (vocab.eos,)
             for i in range(1, len(toks)):
-                ctx = toks[max(0, i - order + 1): i]
-                vec = counts.get(ctx)
-                if vec is None:
-                    vec = counts[ctx] = np.zeros(size)
-                vec[toks[i]] += 1.0
-        # each count vector becomes its smoothed log-probability row in place,
+                rows.append(row_ids.setdefault(toks[max(0, i - order + 1): i], len(row_ids)))
+                tokens.append(toks[i])
+        table = np.zeros((len(row_ids) + 1, size))  # the last row, count 0, is the unseen context's
+        np.add.at(table, (rows, tokens), 1.0)
+        # counts become smoothed log-probabilities in place,
         # log(count + s) - log(total + s * V), so no second table is held
-        spread = self.smoothing * size
-        for vec in counts.values():
-            log_denom = np.log(float(vec.sum()) + spread)
-            vec += self.smoothing
-            np.log(vec, out=vec)
-            vec -= log_denom
-        self._log_rows = counts
-        self._unseen_row = np.log(np.full(size, self.smoothing)) - np.log(spread)  # count 0, total 0
+        log_denom = np.log(table.sum(axis=1) + self.smoothing * size)
+        table += self.smoothing
+        np.log(table, out=table)
+        table -= log_denom[:, None]
+        # a finite copy_bias keeps this column at -inf
+        table[:, vocab.pad] = NEG_INF
+        self._row_ids = row_ids
+        self._table = table
 
     def encode(self, x: TokenIds) -> _NgramState:
         x = tuple(x)
         return _NgramState(x=x, n=len(x) - 2)
 
     def score_positions(self, state, prefix, positions) -> np.ndarray:
-        prefix = tuple(prefix)
-        positions = list(positions)
-        x, n = state.x, state.n
-        rows = np.empty((len(positions), len(self.vocab)))
-        for k, p in enumerate(positions):
-            ctx = prefix[max(0, p - self.order + 2): p + 1]
-            row = rows[k]
-            row[:] = self._log_rows.get(ctx, self._unseen_row)
-            aligned = x[p + 1] if p + 1 <= n else self.vocab.eos
-            row[aligned] += self.copy_bias
-            row[self.vocab.pad] = NEG_INF
+        x, n, eos, back = state.x, state.n, self.vocab.eos, self.order - 2
+        row_id = self._row_ids.get
+        ids, aligned = [], []
+        for p in positions:
+            lo = p - back
+            ids.append(row_id(tuple(prefix[lo if lo > 0 else 0: p + 1]), -1))  # -1: the unseen row
+            aligned.append(x[p + 1] if p < n else eos)
+        rows = self._table.take(ids, axis=0)  # a copy, never a view into the table
+        bias = self.copy_bias
+        for k, token in enumerate(aligned):
+            rows[k, token] += bias
         return rows

@@ -103,7 +103,7 @@ class ReferenceNgram:
             row[x[p + 1] if p + 1 <= len(x) - 2 else self.vocab.eos] += self.copy_bias
             row[self.vocab.pad] = float("-inf")
             rows.append(row)
-        return np.array(rows)
+        return np.array(rows).reshape(-1, size)
 
 
 # --- transformer -------------------------------------------------------------

@@ -404,6 +404,20 @@ def test_transformer_without_seed_rejected(corpus_file, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--copy-bias", "inf", "copy_bias"),
+    ("--copy-bias", "nan", "copy_bias"),
+    ("--smoothing", "nan", "smoothing"),
+])
+def test_ngram_non_finite_setting_is_a_clean_error(corpus_file, capsys, flag, value, name):
+    code = main([
+        "decode", "--scorer", "ngram", "--input", str(corpus_file), flag, value,
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert name in err and "logit" not in err
+
+
 def test_unknown_flag_exits_nonzero(corpus_file):
     with pytest.raises(SystemExit) as excinfo:
         main(["decode", "--input", str(corpus_file), "--no-such-flag"])

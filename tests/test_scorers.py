@@ -151,8 +151,10 @@ def test_ngram_determinism(vocab, rng):
     state = scorer.encode(x)
     prefix = (vocab.bos,) + corpus[0][:3]
     first = scorer.score_positions(state, prefix, range(len(prefix)))
+    expected = first.copy()
+    first[:] = 0.0  # rows are the caller's: writing into them changes no later call
     second = scorer.score_positions(scorer.encode(x), prefix, range(len(prefix)))
-    assert np.array_equal(first, second)
+    assert np.array_equal(second, expected)
 
 
 def test_ngram_prefix_consistency_bit_exact(vocab, rng):
@@ -174,6 +176,15 @@ def test_ngram_validation(vocab):
         NgramScorer([(4,)], order=1, smoothing=0.0, vocab=vocab)
     with pytest.raises(ValueError):
         NgramScorer([], order=1, smoothing=0.1, vocab=vocab)
+
+    # a non-finite setting fails here, naming the parameter, not as a
+    # non-finite logit at decode time
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="smoothing"):
+            NgramScorer([(4,)], order=1, smoothing=bad, vocab=vocab)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="copy_bias"):
+            NgramScorer([(4,)], order=1, smoothing=0.1, vocab=vocab, copy_bias=bad)
 
 
 def test_pad_logit_masked_everywhere(vocab):
@@ -204,24 +215,30 @@ def test_log_softmax_rejects_all_masked():
 _NGRAM_WORDS = ["a", "b", "c", "d", "X"]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     corpus=st.lists(_words, min_size=1, max_size=6),
     order=st.integers(1, 4),
     smoothing=st.sampled_from([0.1, 0.37, 1.0, 2.5]),
-    copy_bias=st.sampled_from([0.0, 2.0]),
+    copy_bias=st.sampled_from([0.0, 2.0, 1e9]),
     source=_words,
     tail=_words,
+    as_list=st.booleans(),
+    data=st.data(),
 )
-def test_ngram_rows_match_oracle_bit_for_bit(corpus, order, smoothing, copy_bias, source, tail):
-    """Rows for seen and unseen contexts equal the on-demand count formula."""
+def test_ngram_rows_match_oracle_bit_for_bit(corpus, order, smoothing, copy_bias, source, tail, as_list, data):
+    """Rows for seen and unseen contexts equal the on-demand count formula,
+    for any positions and a list or tuple prefix."""
     vocab = Vocab(_NGRAM_WORDS)
     scorer = NgramScorer(corpus, order=order, smoothing=smoothing, vocab=vocab, copy_bias=copy_bias)
     reference = ReferenceNgram(corpus, order, smoothing, vocab, copy_bias)
     x = prepare_input(source, vocab)
     prefix = (vocab.bos,) + tail
-    positions = range(len(prefix))
-    rows = scorer.score_positions(scorer.encode(x), prefix, positions)
+    n = len(prefix)
+    # every position in order, or any draw of them: unsorted, repeated, a strict subset, none
+    positions = data.draw(st.one_of(st.just(range(n)), st.lists(st.integers(0, n - 1), max_size=2 * n)))
+    rows = scorer.score_positions(scorer.encode(x), list(prefix) if as_list else prefix, positions)
+    assert rows.shape == (len(positions), len(vocab))
     assert np.array_equal(rows, reference.score_positions(x, prefix, positions))
 
 
