@@ -8,6 +8,7 @@ seed, corpus) triple, except for wall-clock columns.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -113,9 +114,23 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
+# A negative number in any float spelling: argparse's own pattern knows only
+# plain decimals, so it would take -1e9 or -inf for an option.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads every negative float spelling as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Each subcommand takes only the parents whose options it reads.
-    common = argparse.ArgumentParser(add_help=False)  # every subcommand
+    # Subparsers are built with the parent parser's class.
+    common = _Parser(add_help=False)  # every subcommand
     common.add_argument("--model-dim", type=int, default=64)
     common.add_argument("--heads", type=int, default=4)
     common.add_argument("--ffn-dim", type=int, default=128)
@@ -126,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", metavar="PATH", default=None)
     common.add_argument("--config", metavar="PATH", help="key-value file overriding flags")
 
-    scoring = argparse.ArgumentParser(add_help=False)  # all but sweep-depth
+    scoring = _Parser(add_help=False)  # all but sweep-depth
     scoring.add_argument("--scorer", choices=SCORER_KINDS, default="identity")
     scoring.add_argument(
         "--scripted-pairs",
@@ -142,11 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
     scoring.add_argument("--lmax", default="unlimited",
                          help="comma list of ints or 'unlimited'")
 
-    beam = argparse.ArgumentParser(add_help=False)  # decode and bench
+    beam = _Parser(add_help=False)  # decode and bench
     beam.add_argument("--beam", type=int, default=5)
     beam.add_argument("--length-penalty", type=float, default=0.0)
 
-    parser = argparse.ArgumentParser(prog="aggdec", description=__doc__)
+    parser = _Parser(prog="aggdec", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("decode", parents=[common, scoring, beam],

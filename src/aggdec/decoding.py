@@ -12,6 +12,15 @@ autoregressive step. Each prediction is its row's argmax, ties to the
 smallest token id. The loop normalises no row into probabilities: it checks
 only that each accepted row's chosen logit is finite and its token not PAD.
 
+The loop reads no rows either. It asks the session's ``predict_positions``
+for each scored position's argmax and chosen logit, which the scripted and
+n-gram scorers answer without building a row, and which every other scorer
+derives from its ``score_positions`` rows. A ``Scorer`` or ``DecodeSession``
+subclass that redefines ``score_positions`` alone predicts from its own rows
+(``__init_subclass__`` sees to it), and a scorer or session that is one by
+duck typing alone and has no ``predict_positions`` is decoded from its rows.
+Beam search reads the rows themselves.
+
 Aggressive decoding's proposer tries, in this order:
 
 1. An input anchor of two or more tokens: the output ends in a suffix that
@@ -66,7 +75,7 @@ from .core import (
     TokenIds,
     validate_trace,
 )
-from .scorers import DecodeSession, Scorer, log_softmax
+from .scorers import DecodeSession, Scorer, log_softmax, predictions
 
 # Prior of the running acceptance rate: 9 of 10 drafted tokens accepted. It
 # lets the first pass of a sentence verify a long draft.
@@ -207,14 +216,14 @@ def _require_mode(cfg: DecodeConfig, mode: str) -> None:
         raise ValueError(f"config mode is {cfg.mode!r}, expected {mode!r}")
 
 
-def _check_chosen(rows: np.ndarray, tokens: list[int], first: int) -> None:
-    """Raise unless each row's chosen logit, rows[r, tokens[r]], is finite;
-    row r is decoder position first + r. The tokens are the rows' argmaxes,
-    which numpy takes to a row's first NaN, so a chosen logit is NaN when its
-    row holds a NaN, -inf when the whole row is masked, and +inf when a
-    logit is."""
-    for r, tok in enumerate(tokens):
-        logit = rows.item(r, tok)
+def _check_chosen(chosen: list[float], tokens: list[int], first: int) -> None:
+    """Raise unless the chosen logit of each of the len(tokens) accepted
+    rows, chosen[r], is finite; row r is decoder position first + r. The
+    tokens are the rows' argmaxes, which numpy takes to a row's first NaN, so
+    a chosen logit is NaN when its row holds a NaN, -inf when the whole row
+    is masked, and +inf when a logit is."""
+    for r in range(len(tokens)):
+        logit = chosen[r]
         if not math.isfinite(logit):
             what = "NaN logit" if logit != logit else "all logits are masked" if logit < 0 else "infinite logit"
             raise ValueError(f"{what} at position {first + r}")
@@ -249,6 +258,13 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
     n = len(x) - 2
     max_len = cfg.resolve_max_len(n)
     session = scorer.session(x)
+    predict = getattr(session, "predict_positions", None)
+    if predict is None:  # a session by duck typing alone: predict from its rows
+        score = session.score_positions
+
+        def predict(prefix, positions):
+            return predictions(score(prefix, positions))
+
     cost = getattr(scorer, "position_cost", 0.0)  # scorers are duck-typed; 0 verifies drafts in full
     o = [vocab.bos]
     records: list[IterationRecord] = []
@@ -257,8 +273,7 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
         j = len(o) - 1
         draft = None if propose is None else propose(o, x, max_len - j)
         if draft is None:
-            rows = session.score_positions(tuple(o), (j,))
-            tokens = rows.argmax(axis=1).tolist()
+            tokens, chosen = predict(tuple(o), (j,))
             # o[j] is never PAD, so searching all of x searches x[0..n]
             record = _STEPS[None if propose is None else "ambiguous" if o[j] in x else "absent"]
         else:
@@ -269,19 +284,18 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
                 w = _window(drafted_accepted / drafted_compared, cost, w)
             copied = draft.tokens[:w]
             prefix = tuple(o) + copied[:-1]  # pseudo decoder inputs; never includes PAD
-            rows = session.score_positions(prefix, range(j, j + w))
-            predictions = rows.argmax(axis=1).tolist()
-            k = find_bifurcation(predictions, copied)
+            predicted, chosen = predict(prefix, range(j, j + w))
+            k = find_bifurcation(predicted, copied)
             matched = w if k is None else k - 1
             drafted_accepted += matched
             drafted_compared += min(w, matched + 1)
             accepted = min(w if k is None else k, max_len - j)  # greedy truncates at max_len; so do we
-            tokens = predictions[:accepted]
+            tokens = predicted[:accepted]
             record = IterationRecord(
                 mode=AGGRESSIVE, positions_scored=w, accepted=accepted, suffix_match=draft.anchor,
                 bifurcation=(j + k) if k is not None and k <= accepted else None, source=draft.source,
             )
-        _check_chosen(rows, tokens, j)
+        _check_chosen(chosen, tokens, j)
         if vocab.pad in tokens:
             raise ValueError(f"PAD emitted at position {j + tokens.index(vocab.pad)}")
         o.extend(tokens)

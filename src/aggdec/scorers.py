@@ -5,6 +5,15 @@ contract is prefix consistency: the logits reported for prefix position j
 depend only on prefix[0..j] and the encoder state, never on later positions,
 which is what makes parallel copy-and-verify decoding emit exactly the greedy
 output. PAD's logit is -inf everywhere, so PAD can never be emitted.
+
+A scorer answers in two ways. ``score_positions`` returns logit rows, which
+beam search and ``check`` read. ``predict_positions`` returns only what
+greedy and aggressive decoding read of each row: its argmax, ties to the
+smallest token id, and that token's logit. The default derives both from the
+rows; the scripted and n-gram scorers answer without building any. A
+subclass of ``Scorer`` or ``DecodeSession`` that redefines
+``score_positions`` but not ``predict_positions`` predicts from its own
+rows, so the two answers can never disagree.
 """
 
 from __future__ import annotations
@@ -22,6 +31,14 @@ NEG_INF = float("-inf")
 # Background logit for tokens the scripted scorer did not choose: far enough
 # below 0 that no beam recombination can prefer an off-script path.
 SCRIPTED_OFF_LOGIT = -30.0
+
+
+def predictions(rows: np.ndarray) -> tuple[list[int], list[float]]:
+    """Each row's argmax, ties to the smallest id, and that token's logit.
+    numpy's argmax stops at a row's first NaN, so a row holding a NaN
+    chooses a NaN logit."""
+    tokens = rows.argmax(axis=1)
+    return tokens.tolist(), rows[np.arange(len(tokens)), tokens].tolist()
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -44,10 +61,21 @@ class Scorer:
     full. It is a fixed property of the scorer, never timed at run time, so
     iteration counts repeat exactly. The decoders read it with getattr, so a
     scorer that is not a subclass may leave it out and counts as 0.
+
+    ``predict_positions`` is what greedy and aggressive decoding call. The
+    default takes it from ``score_positions``; a subclass that redefines
+    ``score_positions`` alone is given this default back, so an override of
+    the rows is never bypassed. A scorer that is not a subclass may leave
+    ``predict_positions`` out, and is decoded from its rows.
     """
 
     vocab: Vocab
     position_cost = 0.0
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "score_positions" in cls.__dict__ and "predict_positions" not in cls.__dict__:
+            cls.predict_positions = Scorer.predict_positions
 
     def encode(self, x: TokenIds):
         """Per-input state reused across all decoding iterations for that input."""
@@ -63,20 +91,49 @@ class Scorer:
         """
         raise NotImplementedError
 
+    def predict_positions(
+        self, state, prefix: Sequence[int], positions: Sequence[int]
+    ) -> tuple[list[int], list[float]]:
+        """(tokens, chosen): for each row score_positions would return, its
+        argmax, ties to the smallest id, and that token's logit, equal bit
+        for bit to the row's."""
+        return predictions(self.score_positions(state, prefix, positions))
+
     def session(self, x: TokenIds) -> "DecodeSession":
         return DecodeSession(self, x)
 
 
 class DecodeSession:
     """Scoring handle owned by a single decode; the default is stateless and
-    recomputes from the encoder state every call."""
+    recomputes from the encoder state every call. A subclass that redefines
+    score_positions alone predicts from its own rows."""
 
     def __init__(self, scorer: Scorer, x: TokenIds):
         self.scorer = scorer
         self.state = scorer.encode(tuple(x))
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "score_positions" in cls.__dict__ and "predict_positions" not in cls.__dict__:
+            cls.predict_positions = DecodeSession._predict_from_rows
+
     def score_positions(self, prefix: Sequence[int], positions: Sequence[int]) -> np.ndarray:
         return self.scorer.score_positions(self.state, prefix, positions)
+
+    def predict_positions(
+        self, prefix: Sequence[int], positions: Sequence[int]
+    ) -> tuple[list[int], list[float]]:
+        """The scorer's predict_positions on this session's state; a scorer
+        without one, by duck typing alone, predicts from its rows."""
+        predict = getattr(self.scorer, "predict_positions", None)
+        if predict is None:
+            return self._predict_from_rows(prefix, positions)
+        return predict(self.state, prefix, positions)
+
+    def _predict_from_rows(
+        self, prefix: Sequence[int], positions: Sequence[int]
+    ) -> tuple[list[int], list[float]]:
+        return predictions(self.score_positions(prefix, positions))
 
     def fork(self) -> "DecodeSession":
         # stateless, so beam hypotheses may share it
@@ -100,9 +157,13 @@ class ScriptedEditScorer(Scorer):
     with no table entry, fall back to copying the source token at the same
     output position, then EOS; unknown inputs therefore decode to themselves.
 
-    It declares no position_cost: a scored position costs it about 0.5 us
-    against about 13 us for a whole aggressive pass (2-CPU Xeon), so every
-    draft is verified in full.
+    It predicts without building rows: predict_positions returns the tokens
+    score_positions would one-hot, each with chosen logit 0.0.
+
+    It declares no position_cost: a predicted position costs it about
+    0.17 us against about 5.1 us for a whole aggressive pass (5.1 / 6.2 /
+    7.1 / 8.3 us at 1 / 2 / 8 / 20 positions, measured as for NgramScorer
+    on the seed-21 scripted-copy inputs), so every draft is verified in full.
     """
 
     def __init__(self, pairs: Iterable[tuple[Sequence[int], Sequence[int]]], vocab: Vocab):
@@ -133,11 +194,10 @@ class ScriptedEditScorer(Scorer):
         source = state.source
         return source[j] if j < len(source) else self.vocab.eos
 
-    def score_positions(self, state, prefix, positions) -> np.ndarray:
-        """Row k is the one-hot of next_token(state, prefix[:positions[k] + 1]),
-        built in one pass over the prefix."""
+    def _tokens(self, state: _ScriptedState, prefix, positions) -> list[int]:
+        """next_token(state, prefix[:p + 1]) for each p in positions, from one
+        pass over the prefix."""
         emitted = tuple(prefix)[1:]
-        positions = list(positions)
         source, target, eos = state.source, state.target, self.vocab.eos
         # Position p is on script iff emitted[:p] == target[:p], which holds for
         # every p up to a boundary b: compare tuples, and scan only on a
@@ -148,15 +208,25 @@ class ScriptedEditScorer(Scorer):
             b = min(len(emitted), len(target))
             if emitted[lo:b] != target[lo:b]:
                 b = next(i for i in range(lo, b) if emitted[i] != target[i])
-        rows = np.empty((len(positions), len(self._background)))
-        rows[:] = self._background
-        for k, p in enumerate(positions):
+        tokens = []
+        for p in positions:
             if p <= b:
-                tok = target[p] if p < len(target) else eos
+                tokens.append(target[p] if p < len(target) else eos)
             else:
-                tok = source[p] if p < len(source) else eos
-            rows[k, tok] = 0.0
+                tokens.append(source[p] if p < len(source) else eos)
+        return tokens
+
+    def score_positions(self, state, prefix, positions) -> np.ndarray:
+        """Row k is the one-hot of next_token(state, prefix[:positions[k] + 1])."""
+        tokens = self._tokens(state, prefix, positions)
+        rows = np.empty((len(tokens), len(self._background)))
+        rows[:] = self._background
+        rows[np.arange(len(tokens)), tokens] = 0.0
         return rows
+
+    def predict_positions(self, state, prefix, positions) -> tuple[list[int], list[float]]:
+        tokens = self._tokens(state, prefix, positions)
+        return tokens, [0.0] * len(tokens)
 
 
 def identity_scorer(vocab: Vocab) -> ScriptedEditScorer:
@@ -187,15 +257,20 @@ class NgramScorer(Scorer):
     Every context seen in the corpus owns one row of a single log-probability
     table, built once with PAD's column at -inf; the last row is the unseen
     context's. A call gathers its rows from the table in one take and adds
-    copy_bias at each row's aligned token.
+    copy_bias at each row's aligned token. Each row's argmax is kept too, so
+    predict_positions builds no row: a position's prediction is its
+    context's argmax or its biased aligned token, whichever logit is larger
+    (ties to the smaller id). Only when the aligned token is the argmax and
+    copy_bias is negative does it read the whole row.
 
-    position_cost: one aggressive pass (proposer, this call, argmax,
-    chosen-logit check, record) with its first drafted token rejected took,
-    by positions scored, 9.7 / 10.8 / 16.9 / 28.2 us at 1 / 2 / 8 / 20
-    (150-word vocabulary, order 3, 10 tokens of context; 2-CPU Xeon, 1 BLAS
-    thread; medians over five inputs, median of six runs). One more
-    position costs about 1.0 us, about a tenth of a one-position pass,
-    which is the declared 0.1.
+    position_cost: one aggressive pass (proposer, predict_positions,
+    chosen-logit check, PAD test, record) with its first drafted token
+    rejected took, by positions predicted, 5.0 / 5.5 / 8.2 / 13.5 us at
+    1 / 2 / 8 / 20 (seed-21 ngram-edit inputs: 150-word vocabulary, order 3,
+    10 tokens of context; 2-CPU Xeon, 1 BLAS thread; per input the best of
+    seven batches of 1000, median over five inputs, lowest of six runs).
+    One more position costs about 0.45 us, about a tenth of a one-position
+    pass, which is the declared 0.1.
     """
 
     position_cost = 0.1
@@ -241,6 +316,7 @@ class NgramScorer(Scorer):
         table[:, vocab.pad] = NEG_INF
         self._row_ids = row_ids
         self._table = table
+        self._argmax = table.argmax(axis=1).tolist()  # ties to the smallest id
 
     def encode(self, x: TokenIds) -> _NgramState:
         x = tuple(x)
@@ -259,3 +335,28 @@ class NgramScorer(Scorer):
         for k, token in enumerate(aligned):
             rows[k, token] += bias
         return rows
+
+    def predict_positions(self, state, prefix, positions) -> tuple[list[int], list[float]]:
+        x, n, eos, back = state.x, state.n, self.vocab.eos, self.order - 2
+        row_id, argmax, logit, bias = self._row_ids.get, self._argmax, self._table.item, self.copy_bias
+        tokens, chosen = [], []
+        for p in positions:
+            lo = p - back
+            r = row_id(tuple(prefix[lo if lo > 0 else 0: p + 1]), -1)
+            aligned = x[p + 1] if p < n else eos
+            best = argmax[r]
+            top = logit(r, best)
+            value = logit(r, aligned) + bias  # the aligned token's logit in the row
+            if aligned != best:
+                if value > top or (value == top and aligned < best):
+                    best, top = aligned, value
+            elif bias >= 0:
+                top = value
+            else:  # the bias may drop the argmax below another token
+                row = self._table[r].copy()
+                row[aligned] = value
+                best = int(row.argmax())
+                top = row.item(best)
+            tokens.append(best)
+            chosen.append(top)
+        return tokens, chosen

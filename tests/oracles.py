@@ -80,6 +80,25 @@ def scan_argmax(logits) -> int:
     return best_idx
 
 
+def scan_predictions(rows):
+    """(tokens, chosen) by the scan: each row's scan_argmax and its logit."""
+    tokens = [scan_argmax(row) for row in rows]
+    return tokens, [float(row[t]) for t, row in zip(tokens, rows)]
+
+
+def same_predictions(prediction, rows) -> bool:
+    """Whether a predict_positions answer equals the scan's predictions from
+    rows bit for bit, as plain ints and floats."""
+    tokens, chosen = prediction
+    expected_tokens, expected_chosen = scan_predictions(rows)
+    return (
+        tokens == expected_tokens
+        and all(type(t) is int for t in tokens)
+        and all(type(c) is float for c in chosen)
+        and np.array(chosen, dtype=float).tobytes() == np.array(expected_chosen, dtype=float).tobytes()
+    )
+
+
 class ReferenceNgram:
     """NgramScorer's scores, each row computed on demand from raw counts as
     log(count + s) - log(total + s * V)."""

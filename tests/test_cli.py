@@ -418,6 +418,34 @@ def test_ngram_non_finite_setting_is_a_clean_error(corpus_file, capsys, flag, va
     assert name in err and "logit" not in err
 
 
+@pytest.mark.parametrize("value", ["-1e9", "-1E+2", "-.5e1", "-2.5"])
+def test_negative_float_flag_in_any_spelling_is_a_value(corpus_file, capsys, value):
+    """`--copy-bias -1e9` decodes as `--copy-bias=-1e9` does."""
+    argv = ["decode", "--scorer", "ngram", "--input", str(corpus_file), "--format", "json"]
+    assert main(argv + [f"--copy-bias={value}"]) == 0
+    expected = capsys.readouterr().out
+    assert main(argv + ["--copy-bias", value]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--copy-bias", "-inf", "copy_bias"),
+    ("--copy-bias", "-Infinity", "copy_bias"),
+    ("--copy-bias", "-nan", "copy_bias"),
+    ("--smoothing", "-inf", "smoothing"),
+    ("--smoothing", "-1e-3", "smoothing"),
+    ("--length-penalty", "-1e-3", "length_penalty"),
+])
+def test_negative_float_flag_reaches_its_own_check(corpus_file, capsys, flag, value, name):
+    """A negative infinity or exponent is parsed as the flag's value, so the
+    setting's own check rejects it (exit 1), not argparse (exit 2)."""
+    code = main([
+        "decode", "--scorer", "ngram", "--mode", "beam", "--input", str(corpus_file), flag, value,
+    ])
+    assert code == 1
+    assert name in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_nonzero(corpus_file):
     with pytest.raises(SystemExit) as excinfo:
         main(["decode", "--input", str(corpus_file), "--no-such-flag"])

@@ -22,6 +22,7 @@ from aggdec import (
     tokenize,
 )
 from aggdec.decoding import Draft, _check_chosen, argmax_with_tiebreak, propose_draft
+from aggdec.scorers import DecodeSession, predictions
 from oracles import naive_suffix_match, scan_argmax, scan_suffix_match
 
 WORDS = ["a", "b", "c", "d", "X"]
@@ -78,12 +79,14 @@ _block = st.integers(1, 9).flatmap(
 @settings(max_examples=200, deadline=None)
 @given(rows=_block, first=st.integers(0, 50))
 def test_block_chooser_agrees_with_scan_oracle_row_by_row(rows, first):
-    """The verify loop's tokens, one argmax over the block, are the scan's,
-    and a block whose chosen logits are all finite passes the check."""
+    """The verify loop's predictions from a block, one argmax over it, are
+    the scan's tokens and their logits, and a block whose chosen logits are
+    all finite passes the check."""
     block = np.array(rows)
-    tokens = block.argmax(axis=1).tolist()
+    tokens, chosen = predictions(block)
     assert tokens == [scan_argmax(row) for row in rows]
-    _check_chosen(block, tokens, first)
+    assert chosen == [row[scan_argmax(row)] for row in rows]
+    _check_chosen(chosen, tokens, first)
 
 
 @settings(max_examples=100, deadline=None)
@@ -99,7 +102,8 @@ def test_block_chooser_names_the_bad_row(rows, first, data):
     for row, message in cases:
         block = np.array(rows[:bad] + [row] + rows[bad:])
         with pytest.raises(ValueError, match=f"^{message} at position {first + bad}$"):
-            _check_chosen(block, block.argmax(axis=1).tolist(), first)
+            tokens, chosen = predictions(block)
+            _check_chosen(chosen, tokens, first)
 
 
 class _BreaksAt(ScriptedEditScorer):
@@ -488,6 +492,99 @@ def test_a_scorer_without_position_cost_decodes_with_full_windows():
     proxied = _decode_rule_case(_REJECTED, scorer_type=_Costly, proxy=True)
     assert [r.positions_scored for r in proxied] == [_full_window(r) for r in proxied]
     assert sum(r.positions_scored for r in costly) < sum(r.positions_scored for r in proxied)
+
+
+# --- predictions from rows ------------------------------------------------------
+
+
+def _swap_c_and_x(rows, vocab):
+    c, x = vocab.id_of("c"), vocab.id_of("X")
+    rows[:, [c, x]] = rows[:, [x, c]]
+    return rows
+
+
+class _SwapsRows(ScriptedEditScorer):
+    """Identity scorer whose rows, and only its rows, swap c and X: a
+    prediction that bypassed them would copy c."""
+
+    def score_positions(self, state, prefix, positions):
+        return _swap_c_and_x(super().score_positions(state, prefix, positions), self.vocab)
+
+
+class _SwappingSession(DecodeSession):
+    def score_positions(self, prefix, positions):
+        return _swap_c_and_x(super().score_positions(prefix, positions), self.scorer.vocab)
+
+
+class _SwapsInSession(ScriptedEditScorer):
+    """Identity scorer whose session's rows, and only those, swap c and X."""
+
+    def session(self, x):
+        return _SwappingSession(self, x)
+
+
+@pytest.mark.parametrize("scorer_type", [_SwapsRows, _SwapsInSession])
+def test_a_subclass_that_redefines_only_its_rows_is_decoded_from_them(vocab, scorer_type):
+    scorer = scorer_type((), vocab)
+    x = prepare_input(ids("a b c d c", vocab), vocab)
+    for mode in ("greedy", "aggressive"):
+        result = decode(scorer, x, DecodeConfig(mode=mode))
+        assert result.output == (vocab.bos,) + ids("a b X d X", vocab) + (vocab.eos,)
+
+
+class _RowsScorer:
+    """A scorer by duck typing alone, with a plain DecodeSession: it has rows
+    and no predict_positions."""
+
+    def __init__(self, scorer):
+        self.vocab = scorer.vocab
+        self._scorer = scorer
+
+    def encode(self, x):
+        return self._scorer.encode(x)
+
+    def score_positions(self, state, prefix, positions):
+        return self._scorer.score_positions(state, prefix, positions)
+
+    def session(self, x):
+        return DecodeSession(self, x)
+
+
+class _RowsSession:
+    """A session by duck typing alone, as a tracing proxy's is: it forwards
+    score_positions and has no predict_positions."""
+
+    def __init__(self, session):
+        self._session = session
+
+    def score_positions(self, prefix, positions):
+        return self._session.score_positions(prefix, positions)
+
+
+class _RowsSessionScorer(_Proxy):
+    def session(self, x):
+        return _RowsSession(self._scorer.session(x))
+
+
+@pytest.mark.parametrize("wrap", [_RowsScorer, _RowsSessionScorer])
+def test_duck_typed_scorers_and_sessions_decode_from_their_rows(vocab, wrap):
+    """Without predict_positions, a scorer or session decodes from its rows
+    to the same output and trace as the scorer it wraps, whose rows are the
+    same but which predicts without them. The duck-typed session, like the
+    proxy, declares no position_cost, so the n-gram runs with c = 0 on both
+    sides."""
+    pairs = [(ids("a b c d", vocab), ids("a b X d", vocab)), (ids("c a d", vocab), ids("d a c c", vocab))]
+    scripted = ScriptedEditScorer(pairs, vocab)
+    ngram = NgramScorer([ids("a b c d", vocab), ids("c c a b", vocab)], order=2, smoothing=0.3,
+                        vocab=vocab, copy_bias=1.0)
+    for scorer in (scripted, ngram):
+        wrapped = wrap(scorer)
+        plain = _Proxy(scorer)  # the same position_cost as the wrapped scorer: none
+        for raw in ("a b c d", "c a d", "d d X a b"):
+            x = prepare_input(ids(raw, vocab), vocab)
+            for mode in ("greedy", "aggressive"):
+                cfg = DecodeConfig(mode=mode)
+                assert decode(wrapped, x, cfg) == decode(plain, x, cfg)
 
 
 # --- drafts from the output -------------------------------------------------------

@@ -17,7 +17,7 @@ from aggdec import (
 )
 from aggdec.decoding import argmax_with_tiebreak
 from aggdec.scorers import SCRIPTED_OFF_LOGIT, log_softmax
-from oracles import ReferenceNgram
+from oracles import ReferenceNgram, same_predictions
 
 
 def ids(text, vocab):
@@ -123,6 +123,24 @@ def test_scripted_rows_follow_next_token(source, target, on_script, tail, data):
         expected[scorer.next_token(state, prefix[: p + 1])] = 0.0
         expected[vocab.pad] = float("-inf")
         assert np.array_equal(row, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=_words, target=st.one_of(st.none(), _words), on_script=st.integers(0, 9),
+       tail=_words, data=st.data())
+def test_scripted_predictions_equal_its_rows(source, target, on_script, tail, data):
+    """predict_positions gives each row's argmax and chosen logit, bit for
+    bit, on script and off it, for any list of positions."""
+    vocab = Vocab(["a", "b", "c", "d", "X"])
+    pairs = [(source, target)] if target is not None else []
+    scorer = ScriptedEditScorer(pairs, vocab)
+    state = scorer.encode(prepare_input(source, vocab))
+    prefix = (vocab.bos,) + (source if target is None else target)[:on_script] + tail
+    n = len(prefix)
+    # every position in order, or any draw of them: unsorted, repeated, a strict subset, none
+    positions = data.draw(st.one_of(st.just(range(n)), st.lists(st.integers(0, n - 1), max_size=2 * n)))
+    prediction = scorer.predict_positions(state, prefix, positions)
+    assert same_predictions(prediction, scorer.score_positions(state, prefix, positions))
 
 
 def test_ngram_uniform_counts_tie_break(vocab):
@@ -240,6 +258,51 @@ def test_ngram_rows_match_oracle_bit_for_bit(corpus, order, smoothing, copy_bias
     rows = scorer.score_positions(scorer.encode(x), list(prefix) if as_list else prefix, positions)
     assert rows.shape == (len(positions), len(vocab))
     assert np.array_equal(rows, reference.score_positions(x, prefix, positions))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    corpus=st.lists(_words, min_size=1, max_size=6),
+    order=st.integers(1, 4),
+    smoothing=st.sampled_from([0.1, 0.37, 1.0, 2.5]),
+    copy_bias=st.sampled_from([-1e9, -40.0, -1.5, -0.3, 0.0, 0.3, 2.0, 40.0, 1e9]),
+    source=_words,
+    tail=_words,
+    data=st.data(),
+)
+def test_ngram_predictions_equal_its_rows(corpus, order, smoothing, copy_bias, source, tail, data):
+    """predict_positions gives each row's argmax and chosen logit, bit for
+    bit, for a negative, zero or positive copy_bias, in seen contexts and in
+    unseen ones, whose rows are all tied, for any list of positions."""
+    vocab = Vocab(_NGRAM_WORDS)
+    scorer = NgramScorer(corpus, order=order, smoothing=smoothing, vocab=vocab, copy_bias=copy_bias)
+    state = scorer.encode(prepare_input(source, vocab))
+    prefix = (vocab.bos,) + tail
+    n = len(prefix)
+    positions = data.draw(st.one_of(st.just(range(n)), st.lists(st.integers(0, n - 1), max_size=2 * n)))
+    prediction = scorer.predict_positions(state, prefix, positions)
+    assert same_predictions(prediction, scorer.score_positions(state, prefix, positions))
+
+
+@pytest.mark.parametrize("top, other", [("a", "c"), ("c", "a")])
+def test_ngram_prediction_breaks_an_exact_tie_to_the_smaller_id(top, other):
+    """A copy_bias that lifts the aligned token exactly to its context's
+    maximum ties the two, and the smaller id, a, wins, as in the row's
+    argmax. After BOS the corpus has ``top`` twice and ``other`` once, and
+    the aligned token is ``other``."""
+    vocab = Vocab(_NGRAM_WORDS)
+    top, other = vocab.id_of(top), vocab.id_of(other)
+    corpus = [(top,), (top,), (other,)]
+    unbiased = NgramScorer(corpus, order=2, smoothing=0.5, vocab=vocab)
+    state = unbiased.encode(prepare_input((other,), vocab))
+    row = unbiased.score_positions(state, (vocab.bos,), (0,))[0]
+    assert int(row.argmax()) == top
+    bias = float(row[top] - row[other])
+    assert row[other] + bias == row[top]  # the tie is exact
+    scorer = NgramScorer(corpus, order=2, smoothing=0.5, vocab=vocab, copy_bias=bias)
+    prediction = scorer.predict_positions(state, (vocab.bos,), (0,))
+    assert prediction[0] == [vocab.id_of("a")]
+    assert same_predictions(prediction, scorer.score_positions(state, (vocab.bos,), (0,)))
 
 
 def test_ngram_scorer_is_not_changed_by_decoding(rng):

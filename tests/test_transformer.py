@@ -16,7 +16,7 @@ from aggdec import (
 )
 from aggdec.decoding import argmax_with_tiebreak
 from aggdec.scorers import DecodeSession
-from oracles import ReferenceTransformer
+from oracles import ReferenceTransformer, same_predictions
 
 
 class UncachedTransformer(TinyTransformer):
@@ -224,3 +224,25 @@ def test_uncached_scoring_equals_oracle_bit_for_bit(index, raw, tail, data):
     positions = data.draw(st.lists(st.integers(0, len(prefix) - 1), min_size=1, max_size=8))
     rows = scorer.session(x).score_positions(prefix, positions)
     assert np.array_equal(rows, oracle.score_positions(oracle.encode(x), prefix, positions))
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=_config, raw=st.lists(_token, min_size=1, max_size=10),
+       tails=st.lists(st.lists(_token, max_size=12), min_size=1, max_size=3), data=st.data())
+def test_predictions_equal_rows_bit_for_bit(index, raw, tails, data):
+    """The transformer predicts through the default path: predict_positions,
+    on the scorer and on a cached session, gives each row's argmax and its
+    logit bit for bit. Two sessions take the same calls, one predicting and
+    one returning rows, through cache growth and divergence."""
+    scorer, _ = _model(index)
+    x = prepare_input(tuple(raw), ORACLE_VOCAB)
+    state = scorer.encode(x)
+    predicting, scoring = scorer.session(x), scorer.session(x)
+    assert type(predicting).predict_positions is DecodeSession._predict_from_rows
+    for tail in tails:
+        prefix = (ORACLE_VOCAB.bos,) + tuple(tail)
+        positions = data.draw(st.lists(st.integers(0, len(prefix) - 1), min_size=1, max_size=8))
+        rows = scorer.score_positions(state, prefix, positions)
+        assert same_predictions(scorer.predict_positions(state, prefix, positions), rows)
+        rows = scoring.score_positions(prefix, positions)
+        assert same_predictions(predicting.predict_positions(prefix, positions), rows)
