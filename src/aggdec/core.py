@@ -9,6 +9,7 @@ share across concurrent decode sessions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -47,6 +48,7 @@ class Vocab:
         self.eos: int = 1
         self.pad: int = 2
         self.unk: int = 3
+        self.sentinel_ids: frozenset[int] = frozenset((self.bos, self.eos, self.pad))
 
     @classmethod
     def characters(cls) -> "Vocab":
@@ -58,10 +60,6 @@ class Vocab:
 
     def __contains__(self, surface: str) -> bool:
         return surface in self._ids
-
-    @property
-    def sentinel_ids(self) -> frozenset[int]:
-        return frozenset((self.bos, self.eos, self.pad))
 
     def id_of(self, surface: str) -> int:
         """Id for a surface string; unknown surfaces map to UNK."""
@@ -98,7 +96,7 @@ def tokenize(text: str, scheme: str, vocab: Vocab) -> TokenIds:
         pieces = list(text)
     else:
         raise ValueError(f"unsupported scheme: {scheme!r}")
-    return tuple(vocab.id_of(p) for p in pieces)
+    return tuple(map(vocab._ids.get, pieces, repeat(vocab.unk)))
 
 
 def join_surfaces(surfaces: Iterable[str], scheme: str = WHITESPACE) -> str:
@@ -116,8 +114,12 @@ def join_surfaces(surfaces: Iterable[str], scheme: str = WHITESPACE) -> str:
 def detokenize(seq: Sequence[int], vocab: Vocab, scheme: str = WHITESPACE) -> str:
     """Ids -> surfaces joined by `join_surfaces`. Sentinels render as empty;
     UNK renders as "<unk>"."""
-    sentinels = vocab.sentinel_ids
-    return join_surfaces((vocab.surface(t) for t in seq if t not in sentinels), scheme)
+    surfaces = vocab._surfaces
+    if seq and not (0 <= min(seq) and max(seq) < len(surfaces)):
+        for t in seq:
+            vocab.surface(t)  # raises for the first id out of range
+    kept = filterfalse(vocab.sentinel_ids.__contains__, seq)
+    return join_surfaces(map(surfaces.__getitem__, kept), scheme)
 
 
 def prepare_input(raw: Sequence[int], vocab: Vocab) -> TokenIds:
@@ -126,16 +128,16 @@ def prepare_input(raw: Sequence[int], vocab: Vocab) -> TokenIds:
     The single trailing PAD guarantees parallel verification always finds a
     disagreement by the input's end, since no scorer may emit PAD.
     """
+    raw = tuple(raw)  # read once, so an iterator's tokens are not lost to the check
     sentinels = vocab.sentinel_ids
-    for t in raw:
-        if t in sentinels:
-            raise ValueError(f"sentinel id {t} not allowed in raw input")
-    return (vocab.bos,) + tuple(raw) + (vocab.pad,)
+    if not sentinels.isdisjoint(raw):
+        t = next(filter(sentinels.__contains__, raw))
+        raise ValueError(f"sentinel id {t} not allowed in raw input")
+    return (vocab.bos,) + raw + (vocab.pad,)
 
 
 def strip_sentinels(seq: Sequence[int], vocab: Vocab) -> TokenIds:
-    sentinels = vocab.sentinel_ids
-    return tuple(t for t in seq if t not in sentinels)
+    return tuple(filterfalse(vocab.sentinel_ids.__contains__, seq))
 
 
 # --- decode configuration ---------------------------------------------------

@@ -60,6 +60,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress, count
+from operator import ne
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -171,13 +174,14 @@ def propose_draft(o: list[int], x: TokenIds, budget: int) -> Draft | None:
     tokens o may still grow by, so a pass that accepts the draft through its
     PAD slot fills o exactly. Otherwise a one-token input match drafts the
     input after it, and without one the answer is None, for one
-    autoregressive step. The output lookup walks only the earlier
-    occurrences of the last token, with list.index, so it keeps no index
-    between calls and costs about a microsecond.
+    autoregressive step. A last token that x lacks has no input match, so
+    the suffix search is skipped for it. The output lookup walks only the
+    earlier occurrences of the last token, with list.index, so it keeps no
+    index between calls and costs about a microsecond.
     """
-    match = find_suffix_match(o, x)
     j = len(o) - 1
     last, prev = o[j], o[j - 1]
+    match = find_suffix_match(o, x) if last in x else None  # o never holds PAD, x's last token
     if match is not None and match.i and x[match.i - 1] == prev:  # a two-token input anchor
         return Draft(x[match.i + 1:], INPUT, (match.i, match.q))
     p = best = -1
@@ -205,10 +209,9 @@ def find_bifurcation(predictions: Sequence[int], copied: Sequence[int]) -> int |
         )
     if not copied:
         raise ValueError("verification window must contain at least one token")
-    for k, (pred, src) in enumerate(zip(predictions, copied), start=1):
-        if pred != src:
-            return k
-    return None
+    if predictions[0] != copied[0]:  # the commonest disagreement, answered before building iterators
+        return 1
+    return next(compress(count(1), map(ne, predictions, copied)), None)
 
 
 def _require_mode(cfg: DecodeConfig, mode: str) -> None:
@@ -221,7 +224,12 @@ def _check_chosen(chosen: list[float], tokens: list[int], first: int) -> None:
     rows, chosen[r], is finite; row r is decoder position first + r. The
     tokens are the rows' argmaxes, which numpy takes to a row's first NaN, so
     a chosen logit is NaN when its row holds a NaN, -inf when the whole row
-    is masked, and +inf when a logit is."""
+    is masked, and +inf when a logit is. Rows past the accepted ones are
+    never read. A sum of floats is finite only if every term is, so one sum
+    clears the common case; the scan names the bad row, and passes finite
+    logits whose sum overflowed."""
+    if math.isfinite(sum(chosen[:len(tokens)])):
+        return
     for r in range(len(tokens)):
         logit = chosen[r]
         if not math.isfinite(logit):
@@ -229,6 +237,9 @@ def _check_chosen(chosen: list[float], tokens: list[int], first: int) -> None:
             raise ValueError(f"{what} at position {first + r}")
 
 
+# A sentence's rate is a ratio of small integers and a cap is at most max_len,
+# so a few distinct (rate, cost, cap) keys recur across passes and sentences.
+@lru_cache(maxsize=4096)
 def _window(rate: float, cost: float, cap: int) -> int:
     """The w in 1..cap that maximises (1 - rate^w) / ((1 - rate)(1 + cost(w - 1))),
     the tokens a pass of w positions emits per unit cost when each drafted
@@ -266,10 +277,11 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
             return predictions(score(prefix, positions))
 
     cost = getattr(scorer, "position_cost", 0.0)  # scorers are duck-typed; 0 verifies drafts in full
+    l_max, eos, pad = cfg.l_max, vocab.eos, vocab.pad
     o = [vocab.bos]
     records: list[IterationRecord] = []
     drafted_accepted, drafted_compared = _PRIOR_ACCEPTED, _PRIOR_COMPARED
-    while o[-1] != vocab.eos and len(o) - 1 < max_len:
+    while o[-1] != eos and len(o) - 1 < max_len:
         j = len(o) - 1
         draft = None if propose is None else propose(o, x, max_len - j)
         if draft is None:
@@ -277,27 +289,30 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
             # o[j] is never PAD, so searching all of x searches x[0..n]
             record = _STEPS[None if propose is None else "ambiguous" if o[j] in x else "absent"]
         else:
-            w = len(draft.tokens)
-            if cfg.l_max is not None:
-                w = min(w, cfg.l_max)
+            drafted, source, anchor = draft
+            w = len(drafted)
+            if l_max is not None and l_max < w:
+                w = l_max
             if cost:
                 w = _window(drafted_accepted / drafted_compared, cost, w)
-            copied = draft.tokens[:w]
+            copied = drafted[:w]
             prefix = tuple(o) + copied[:-1]  # pseudo decoder inputs; never includes PAD
             predicted, chosen = predict(prefix, range(j, j + w))
             k = find_bifurcation(predicted, copied)
-            matched = w if k is None else k - 1
+            if k is None:
+                matched = accepted = w
+            else:
+                matched, accepted = k - 1, k
             drafted_accepted += matched
-            drafted_compared += min(w, matched + 1)
-            accepted = min(w if k is None else k, max_len - j)  # greedy truncates at max_len; so do we
+            drafted_compared += accepted  # the matched tokens and the rejected one, if any
+            if accepted > max_len - j:  # greedy truncates at max_len; so do we
+                accepted = max_len - j
+            bifurcation = None if k is None or k > accepted else j + k
             tokens = predicted[:accepted]
-            record = IterationRecord(
-                mode=AGGRESSIVE, positions_scored=w, accepted=accepted, suffix_match=draft.anchor,
-                bifurcation=(j + k) if k is not None and k <= accepted else None, source=draft.source,
-            )
+            record = IterationRecord(AGGRESSIVE, w, accepted, anchor, bifurcation, source)
         _check_chosen(chosen, tokens, j)
-        if vocab.pad in tokens:
-            raise ValueError(f"PAD emitted at position {j + tokens.index(vocab.pad)}")
+        if pad in tokens:
+            raise ValueError(f"PAD emitted at position {j + tokens.index(pad)}")
         o.extend(tokens)
         records.append(record)
     trace = DecodeTrace(iterations=tuple(records))

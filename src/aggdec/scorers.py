@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress, count
+from operator import ne
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -111,6 +114,10 @@ class DecodeSession:
     def __init__(self, scorer: Scorer, x: TokenIds):
         self.scorer = scorer
         self.state = scorer.encode(tuple(x))
+        predict = getattr(scorer, "predict_positions", None)
+        if predict is not None and type(self).predict_positions is DecodeSession.predict_positions:
+            # bound once: the scorer's answers on this session's state
+            self.predict_positions = partial(predict, self.state)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -123,12 +130,10 @@ class DecodeSession:
     def predict_positions(
         self, prefix: Sequence[int], positions: Sequence[int]
     ) -> tuple[list[int], list[float]]:
-        """The scorer's predict_positions on this session's state; a scorer
-        without one, by duck typing alone, predicts from its rows."""
-        predict = getattr(self.scorer, "predict_positions", None)
-        if predict is None:
-            return self._predict_from_rows(prefix, positions)
-        return predict(self.state, prefix, positions)
+        """The scorer's predict_positions on this session's state, which
+        __init__ binds over this method; a scorer without one, by duck typing
+        alone, predicts from its rows."""
+        return self._predict_from_rows(prefix, positions)
 
     def _predict_from_rows(
         self, prefix: Sequence[int], positions: Sequence[int]
@@ -161,8 +166,8 @@ class ScriptedEditScorer(Scorer):
     score_positions would one-hot, each with chosen logit 0.0.
 
     It declares no position_cost: a predicted position costs it about
-    0.17 us against about 5.1 us for a whole aggressive pass (5.1 / 6.2 /
-    7.1 / 8.3 us at 1 / 2 / 8 / 20 positions, measured as for NgramScorer
+    0.12 us against about 4.2 us for a whole aggressive pass (4.2 / 5.0 /
+    5.5 / 6.5 us at 1 / 2 / 8 / 20 positions, measured as for NgramScorer
     on the seed-21 scripted-copy inputs), so every draft is verified in full.
     """
 
@@ -207,7 +212,7 @@ class ScriptedEditScorer(Scorer):
         if target is not None and emitted[:lo] == target[:lo]:
             b = min(len(emitted), len(target))
             if emitted[lo:b] != target[lo:b]:
-                b = next(i for i in range(lo, b) if emitted[i] != target[i])
+                b = next(compress(count(lo), map(ne, emitted[lo:b], target[lo:b])))
         tokens = []
         for p in positions:
             if p <= b:
@@ -257,20 +262,20 @@ class NgramScorer(Scorer):
     Every context seen in the corpus owns one row of a single log-probability
     table, built once with PAD's column at -inf; the last row is the unseen
     context's. A call gathers its rows from the table in one take and adds
-    copy_bias at each row's aligned token. Each row's argmax is kept too, so
-    predict_positions builds no row: a position's prediction is its
-    context's argmax or its biased aligned token, whichever logit is larger
-    (ties to the smaller id). Only when the aligned token is the argmax and
-    copy_bias is negative does it read the whole row.
+    copy_bias at each row's aligned token. Each row's argmax and that logit
+    are kept too, so predict_positions builds no row: a position's
+    prediction is its context's argmax or its biased aligned token, whichever
+    logit is larger (ties to the smaller id). Only when the aligned token is
+    the argmax and copy_bias is negative does it read the whole row.
 
     position_cost: one aggressive pass (proposer, predict_positions,
     chosen-logit check, PAD test, record) with its first drafted token
-    rejected took, by positions predicted, 5.0 / 5.5 / 8.2 / 13.5 us at
+    rejected took, by positions predicted, 2.8 / 3.0 / 5.2 / 9.1 us at
     1 / 2 / 8 / 20 (seed-21 ngram-edit inputs: 150-word vocabulary, order 3,
     10 tokens of context; 2-CPU Xeon, 1 BLAS thread; per input the best of
-    seven batches of 1000, median over five inputs, lowest of six runs).
-    One more position costs about 0.45 us, about a tenth of a one-position
-    pass, which is the declared 0.1.
+    seven batches of 1000, median over five inputs, lowest of twelve runs).
+    One more position costs about 0.33 us, about a tenth (0.12) of a
+    one-position pass, which is the declared 0.1.
     """
 
     position_cost = 0.1
@@ -317,6 +322,7 @@ class NgramScorer(Scorer):
         self._row_ids = row_ids
         self._table = table
         self._argmax = table.argmax(axis=1).tolist()  # ties to the smallest id
+        self._top = table.max(axis=1).tolist()  # each row's logit at its argmax
 
     def encode(self, x: TokenIds) -> _NgramState:
         x = tuple(x)
@@ -338,23 +344,24 @@ class NgramScorer(Scorer):
 
     def predict_positions(self, state, prefix, positions) -> tuple[list[int], list[float]]:
         x, n, eos, back = state.x, state.n, self.vocab.eos, self.order - 2
-        row_id, argmax, logit, bias = self._row_ids.get, self._argmax, self._table.item, self.copy_bias
+        row_id, argmax, tops = self._row_ids.get, self._argmax, self._top
+        logit, bias = self._table.item, self.copy_bias
         tokens, chosen = [], []
         for p in positions:
             lo = p - back
             r = row_id(tuple(prefix[lo if lo > 0 else 0: p + 1]), -1)
             aligned = x[p + 1] if p < n else eos
             best = argmax[r]
-            top = logit(r, best)
-            value = logit(r, aligned) + bias  # the aligned token's logit in the row
+            top = tops[r]
             if aligned != best:
+                value = logit(r, aligned) + bias  # the aligned token's logit in the row
                 if value > top or (value == top and aligned < best):
                     best, top = aligned, value
             elif bias >= 0:
-                top = value
+                top += bias
             else:  # the bias may drop the argmax below another token
                 row = self._table[r].copy()
-                row[aligned] = value
+                row[aligned] = top + bias
                 best = int(row.argmax())
                 top = row.item(best)
             tokens.append(best)

@@ -3,6 +3,7 @@
 These deliberately recompute everything from scratch: the suffix oracle
 rescans the window for every suffix length instead of filtering anchors (a
 second one keeps the plain candidate scan the fast version replaced), the
+verify-loop oracle keeps the decode loop's bookkeeping as plain scans, the
 edit-distance oracle is the plain recursion rather than the DP table, and the
 argmax oracle is a left-to-right scan. The n-gram oracle counts and
 normalises each context's row when it is asked for. The transformer oracle is the decoder
@@ -11,6 +12,7 @@ a key/value cache grown by concatenation, an np.where causal mask), against
 which the optimised one must agree bit for bit.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -49,6 +51,110 @@ def scan_suffix_match(o, x):
             return None
         tok = o[j - q]
         candidates = [i for i in candidates if i >= q and x[i - q] == tok]
+
+
+# --- the verify loop ---------------------------------------------------------
+#
+# The decode loop as it stood before its per-iteration bookkeeping was cut down:
+# a suffix search on every aggressive iteration, Python scans for the
+# bifurcation and the chosen-logit check, a window recomputed on every pass,
+# records built by keyword. Predictions come from each session's rows, by the
+# scan, not from predict_positions.
+
+
+def reference_find_bifurcation(predictions, copied):
+    """Smallest 1-based k where the two differ, else None, by a scan."""
+    if len(predictions) != len(copied):
+        raise ValueError(f"length mismatch: {len(predictions)} predictions vs {len(copied)} copied")
+    if not copied:
+        raise ValueError("verification window must contain at least one token")
+    for k, (pred, src) in enumerate(zip(predictions, copied), start=1):
+        if pred != src:
+            return k
+    return None
+
+
+def reference_check_chosen(chosen, tokens, first):
+    """Raise, naming the first accepted row whose chosen logit is not finite."""
+    for r in range(len(tokens)):
+        logit = chosen[r]
+        if not math.isfinite(logit):
+            what = "NaN logit" if logit != logit else "all logits are masked" if logit < 0 else "infinite logit"
+            raise ValueError(f"{what} at position {first + r}")
+
+
+def reference_window(rate, cost, cap):
+    """The w in 1..cap that maximises (1 - rate^w) / ((1 - rate)(1 + cost(w - 1))),
+    searched upward from 1 and stopped at the first fall, on every call."""
+    w, term, tokens, best = 1, 1.0, 1.0, 1.0
+    while w < cap:
+        term *= rate
+        tokens += term
+        value = tokens / (1.0 + cost * w)
+        if value < best:
+            break
+        best = value
+        w += 1
+    return w
+
+
+def reference_propose_draft(o, x, budget):
+    """(tokens, source, anchor) or None: an input anchor agreeing with o's last
+    two tokens, else the continuation of o's latest earlier last bigram,
+    cycled to budget with a PAD slot last, else a one-token input anchor."""
+    match = scan_suffix_match(o, x)
+    j = len(o) - 1
+    if match is not None and match[0] and x[match[0] - 1] == o[j - 1]:
+        return (tuple(x[match[0] + 1:]), "input", match)
+    earlier = [p for p in range(1, j) if o[p] == o[j] and o[p - 1] == o[j - 1]]
+    if earlier:
+        best = earlier[-1]
+        loop = list(o[best + 1:])
+        tokens = [loop[k % len(loop)] for k in range(budget - 1)] + [x[-1]]
+        return (tuple(tokens), "output", (best, 1))
+    if match is None:
+        return None
+    return (tuple(x[match[0] + 1:]), "input", (match[0], 0))
+
+
+def reference_decode(scorer, x, cfg, aggressive):
+    """(output, records) of greedy (aggressive=False) or aggressive decoding,
+    records as tuples of IterationRecord's fields in order."""
+    vocab = scorer.vocab
+    max_len = cfg.resolve_max_len(len(x) - 2)
+    session = scorer.session(x)
+    cost = getattr(scorer, "position_cost", 0.0)
+    o = [vocab.bos]
+    records = []
+    drafted_accepted, drafted_compared = 9, 10
+    while o[-1] != vocab.eos and len(o) - 1 < max_len:
+        j = len(o) - 1
+        draft = reference_propose_draft(o, x, max_len - j) if aggressive else None
+        if draft is None:
+            tokens, chosen = scan_predictions(session.score_positions(tuple(o), (j,)))
+            fallback = None if not aggressive else "ambiguous" if o[j] in x[:-1] else "absent"
+            record = ("autoregressive", 1, 1, None, None, None, fallback)
+        else:
+            drafted, source, anchor = draft
+            w = len(drafted) if cfg.l_max is None else min(len(drafted), cfg.l_max)
+            if cost:
+                w = reference_window(drafted_accepted / drafted_compared, cost, w)
+            copied = drafted[:w]
+            predicted, chosen = scan_predictions(session.score_positions(tuple(o) + copied[:-1], range(j, j + w)))
+            k = reference_find_bifurcation(predicted, copied)
+            matched = w if k is None else k - 1
+            drafted_accepted += matched
+            drafted_compared += min(w, matched + 1)
+            accepted = min(w if k is None else k, max_len - j)
+            tokens = predicted[:accepted]
+            bifurcation = j + k if k is not None and k <= accepted else None
+            record = ("aggressive", w, accepted, anchor, bifurcation, source, None)
+        reference_check_chosen(chosen, tokens, j)
+        if vocab.pad in tokens:
+            raise ValueError(f"PAD emitted at position {j + tokens.index(vocab.pad)}")
+        o.extend(tokens)
+        records.append(record)
+    return tuple(o), records
 
 
 def recursive_levenshtein(a, b) -> int:

@@ -64,6 +64,11 @@ def test_tokenize_oov_maps_to_unk(vocab):
     assert tokenize("a zzz", "whitespace", vocab) == (vocab.id_of("a"), vocab.unk)
 
 
+def test_tokenize_character_oov_maps_to_unk():
+    vocab = Vocab.characters()
+    assert tokenize("aé b", "character", vocab) == (vocab.id_of("a"), vocab.unk, vocab.id_of(" "), vocab.id_of("b"))
+
+
 def test_tokenize_unknown_scheme(vocab):
     with pytest.raises(ValueError):
         tokenize("a", "subword", vocab)
@@ -83,6 +88,32 @@ def test_detokenize_renders_unk(vocab):
 def test_detokenize_rejects_invalid_id(vocab):
     with pytest.raises(ValueError):
         detokenize((999,), vocab)
+
+
+def test_prepare_input_keeps_an_iterators_tokens(vocab):
+    raw = tokenize("a b c", "whitespace", vocab)
+    assert prepare_input(iter(raw), vocab) == (vocab.bos,) + raw + (vocab.pad,)
+
+
+def test_prepare_input_names_the_first_sentinel(vocab):
+    a = vocab.id_of("a")
+    for raw, bad in (((vocab.bos,), vocab.bos), ((a, vocab.pad, vocab.eos), vocab.pad), ((a, a, vocab.eos), vocab.eos)):
+        with pytest.raises(ValueError, match=f"^sentinel id {bad} not allowed in raw input$"):
+            prepare_input(raw, vocab)
+    assert prepare_input((a, vocab.unk), vocab) == (vocab.bos, a, vocab.unk, vocab.pad)  # UNK is no sentinel
+
+
+def test_detokenize_names_the_first_id_out_of_range(vocab):
+    a, size = vocab.id_of("a"), len(vocab)
+    for seq, bad in (((size,), size), ((-1,), -1), ((a, vocab.eos, size + 5, -3), size + 5), ((a, -2, 999), -2)):
+        with pytest.raises(ValueError, match=f"^token id {bad} out of range for vocab of size {size}$"):
+            detokenize(seq, vocab)
+    assert detokenize((vocab.bos, size - 1, vocab.pad), vocab) == vocab.surface(size - 1)
+
+
+def test_sentinel_ids_are_built_once(vocab):
+    assert vocab.sentinel_ids == frozenset((vocab.bos, vocab.eos, vocab.pad))
+    assert vocab.sentinel_ids is vocab.sentinel_ids
 
 
 @given(st.lists(st.sampled_from(["a", "b", "c", "d", "X"]), max_size=10))

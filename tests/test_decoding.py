@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,9 +23,17 @@ from aggdec import (
     prepare_input,
     tokenize,
 )
+from aggdec import decoding
 from aggdec.decoding import Draft, _check_chosen, argmax_with_tiebreak, propose_draft
 from aggdec.scorers import DecodeSession, predictions
-from oracles import naive_suffix_match, scan_argmax, scan_suffix_match
+from oracles import (
+    naive_suffix_match,
+    reference_check_chosen,
+    reference_decode,
+    reference_find_bifurcation,
+    scan_argmax,
+    scan_suffix_match,
+)
 
 WORDS = ["a", "b", "c", "d", "X"]
 
@@ -270,10 +280,86 @@ def test_bifurcation_at_pad_slot(vocab):
 
 
 def test_bifurcation_rejects_length_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^length mismatch: 2 predictions vs 1 copied$"):
         find_bifurcation((1, 2), (1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^verification window must contain at least one token$"):
         find_bifurcation((), ())
+
+
+@pytest.mark.parametrize(
+    "predicted, copied",
+    [
+        ([4, 5, 6], (4, 5, 6)),  # equal
+        ([4], (4,)),
+        ([9, 5, 6], (4, 5, 6)),  # the first differs
+        ([9], (4,)),
+        ([4, 5, 9], (4, 5, 6)),  # the last differs
+        ([4, 1], (4, 2)),  # the PAD slot: no prediction is PAD
+        ([9, 9, 9], (4, 5, 6)),
+    ],
+)
+def test_bifurcation_equals_the_scan(predicted, copied):
+    assert find_bifurcation(predicted, copied) == reference_find_bifurcation(predicted, copied)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12))
+def test_bifurcation_agrees_with_the_scan_on_any_window(pairs):
+    predicted, copied = [p for p, _ in pairs], tuple(c for _, c in pairs)
+    assert find_bifurcation(predicted, copied) == reference_find_bifurcation(predicted, copied)
+
+
+@pytest.mark.parametrize(
+    "value, message", [(NAN, "NaN logit"), (NEG, "all logits are masked"), (float("inf"), "infinite logit")]
+)
+@pytest.mark.parametrize("accepted", [1, 3, 6])
+def test_chosen_check_names_each_accepted_row_and_skips_rejected_ones(value, message, accepted):
+    """Six rows scored, the first ``accepted`` of them accepted: a bad
+    chosen logit raises the scan's message at its row when the row is
+    accepted, and nothing when it is not."""
+    tokens = [4] * accepted
+    for bad in range(6):
+        chosen = [0.5, -2.0, 3.0, 0.0, -7.5, 1.0]
+        chosen[bad] = value
+        if bad < accepted:
+            with pytest.raises(ValueError, match=f"^{message} at position {7 + bad}$"):
+                _check_chosen(chosen, tokens, 7)
+            with pytest.raises(ValueError, match=f"^{message} at position {7 + bad}$"):
+                reference_check_chosen(chosen, tokens, 7)
+        else:
+            _check_chosen(chosen, tokens, 7)
+
+
+def test_chosen_check_names_the_first_bad_row_and_passes_an_overflowing_sum():
+    with pytest.raises(ValueError, match="^all logits are masked at position 1$"):
+        _check_chosen([0.0, NEG, float("inf")], [4, 4, 4], 0)  # the sum is NaN
+    _check_chosen([1e308, 1e308, 1e308], [4, 4, 4], 0)  # finite logits, infinite sum
+    with pytest.raises(ValueError, match="^NaN logit at position 2$"):
+        _check_chosen([1e308, 1e308, NAN], [4, 4, 4], 0)
+
+
+def test_the_benchmark_tracer_names_stay_module_globals_the_loop_calls(vocab, monkeypatch):
+    """The benchmark's tracer reads these five names on aggdec.decoding and
+    replaces them for a traced run, so each must stay a module global, and
+    the loop and proposer must call the suffix search, the bifurcation and
+    the trace check through them."""
+    for name in ("find_suffix_match", "argmax_with_tiebreak", "log_softmax", "find_bifurcation", "validate_trace"):
+        assert callable(vars(decoding)[name])
+    calls = Counter()
+    for name in ("find_suffix_match", "find_bifurcation", "validate_trace"):
+        original = getattr(decoding, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(decoding, name, counted)
+    source, target = ids("a b c d X a b c", vocab), ids("a b d d X a b c", vocab)
+    x = prepare_input(source, vocab)
+    result = aggressive_decode(ScriptedEditScorer([(source, target)], vocab), x, DecodeConfig(mode="aggressive"))
+    assert result.output == (vocab.bos,) + target + (vocab.eos,)
+    assert calls["find_suffix_match"] >= 1 and calls["find_bifurcation"] >= 1
+    assert calls["validate_trace"] == 1
 
 
 # --- greedy ---------------------------------------------------------------------
@@ -818,6 +904,41 @@ def test_equivalence_property(data, label, l_max, max_len):
                 )
             boundary += record.accepted
             assert aggressive.output[:boundary] == greedy.output[:boundary]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["scripted", "ngram", "table"]),
+    l_max=st.sampled_from([None, 1, 2, 3, 7]),
+    cost=st.sampled_from([0.0, 0.1, 0.15]),
+    max_len=st.sampled_from([1, 2, 5, None]),
+)
+def test_decode_loop_equals_the_reference_loop(data, kind, l_max, cost, max_len):
+    """Greedy and aggressive decoding return the reference loop's output and
+    every field of every IterationRecord, under any position cost."""
+    vocab = Vocab(WORDS)
+    corpus = data.draw(
+        st.lists(
+            st.lists(st.integers(min_value=4, max_value=8), min_size=0, max_size=16).map(tuple),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    if kind == "table":
+        scorer = _TableScorer(vocab, data.draw(st.integers(0, 2**32 - 1)), data.draw(st.floats(0.0, 6.0)), cost)
+    else:
+        scorer = _scorer_from_label(kind, vocab, corpus)
+        scorer.position_cost = cost
+    for raw in corpus:
+        x = prepare_input(raw, vocab)
+        for aggressive in (False, True):
+            cfg = DecodeConfig(mode="aggressive" if aggressive else "greedy", l_max=l_max if aggressive else None,
+                               max_len=max_len)
+            result = (aggressive_decode if aggressive else greedy_decode)(scorer, x, cfg)
+            output, records = reference_decode(scorer, x, cfg, aggressive)
+            assert result.output == output
+            assert [tuple(record) for record in result.trace.iterations] == records
 
 
 def test_lmax_monotone_iterations_identity(vocab):
