@@ -225,7 +225,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         a.dest: a for a in parser._actions
         if a.option_strings and a.nargs != 0 and a.dest != "config"
     }
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(load_corpus(path), 1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -309,7 +309,7 @@ def _single_lmax(args: argparse.Namespace) -> int | None:
 
 
 def _write(args: argparse.Namespace, content: str) -> None:
-    if not content.endswith("\n"):
+    if content and not content.endswith("\n"):
         content += "\n"
     if args.output:
         Path(args.output).write_text(content, encoding="utf-8")

@@ -49,6 +49,10 @@ class Vocab:
         self.pad: int = 2
         self.unk: int = 3
         self.sentinel_ids: frozenset[int] = frozenset((self.bos, self.eos, self.pad))
+        # tokenize's map: in text, the sentinel surfaces are unknown words
+        self._text_ids: dict[str, int] = {
+            s: i for s, i in self._ids.items() if i not in self.sentinel_ids
+        }
 
     @classmethod
     def characters(cls) -> "Vocab":
@@ -89,14 +93,15 @@ def build_vocab(corpus: Iterable[str], scheme: str = WHITESPACE) -> Vocab:
 
 
 def tokenize(text: str, scheme: str, vocab: Vocab) -> TokenIds:
-    """Deterministic text -> ids; out-of-vocabulary surfaces become UNK."""
+    """Deterministic text -> ids; out-of-vocabulary surfaces, and the
+    sentinel surfaces "<bos>", "<eos>" and "<pad>", become UNK."""
     if scheme == WHITESPACE:
         pieces = text.split()
     elif scheme == CHARACTER:
         pieces = list(text)
     else:
         raise ValueError(f"unsupported scheme: {scheme!r}")
-    return tuple(map(vocab._ids.get, pieces, repeat(vocab.unk)))
+    return tuple(map(vocab._text_ids.get, pieces, repeat(vocab.unk)))
 
 
 def join_surfaces(surfaces: Iterable[str], scheme: str = WHITESPACE) -> str:
@@ -259,8 +264,13 @@ def validate_trace(trace: DecodeTrace, output_len: int) -> None:
 
 
 def load_corpus(path: str | Path) -> list[str]:
-    """UTF-8 text, one sentence per line."""
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    r"""UTF-8 text, one sentence per line. Lines end at "\n" alone (reading
+    turns "\r\n" and "\r" into it), and the last line needs none: "" holds
+    no line and "\n" one empty line."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def load_parallel_corpus(source_path: str | Path, target_path: str | Path) -> tuple[list[str], list[str]]:

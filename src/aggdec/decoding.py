@@ -12,14 +12,11 @@ autoregressive step. Each prediction is its row's argmax, ties to the
 smallest token id. The loop normalises no row into probabilities: it checks
 only that each accepted row's chosen logit is finite and its token not PAD.
 
-The loop reads no rows either. It asks the session's ``predict_positions``
-for each scored position's argmax and chosen logit, which the scripted and
-n-gram scorers answer without building a row, and which every other scorer
-derives from its ``score_positions`` rows. A ``Scorer`` or ``DecodeSession``
-subclass that redefines ``score_positions`` alone predicts from its own rows
-(``__init_subclass__`` sees to it), and a scorer or session that is one by
-duck typing alone and has no ``predict_positions`` is decoded from its rows.
-Beam search reads the rows themselves.
+The loop need not read rows either: where the session's rows are the
+scorer's, it asks the scorer's ``predict_positions`` for each scored
+position's argmax and chosen logit, which the scripted and n-gram scorers
+answer without building a row (``Scorer`` states the rule). Beam search
+reads the rows themselves.
 
 Aggressive decoding's proposer tries, in this order:
 
@@ -60,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress, count
 from operator import ne
 from typing import Callable, NamedTuple, Sequence
@@ -269,8 +266,9 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
     n = len(x) - 2
     max_len = cfg.resolve_max_len(n)
     session = scorer.session(x)
-    predict = getattr(session, "predict_positions", None)
-    if predict is None:  # a session by duck typing alone: predict from its rows
+    if hasattr(scorer, "predict_positions") and type(session).score_positions is DecodeSession.score_positions:
+        predict = partial(scorer.predict_positions, session.state)  # the session's rows are the scorer's
+    else:
         score = session.score_positions
 
         def predict(prefix, positions):

@@ -10,17 +10,13 @@ A scorer answers in two ways. ``score_positions`` returns logit rows, which
 beam search and ``check`` read. ``predict_positions`` returns only what
 greedy and aggressive decoding read of each row: its argmax, ties to the
 smallest token id, and that token's logit. The default derives both from the
-rows; the scripted and n-gram scorers answer without building any. A
-subclass of ``Scorer`` or ``DecodeSession`` that redefines
-``score_positions`` but not ``predict_positions`` predicts from its own
-rows, so the two answers can never disagree.
+rows; the scripted and n-gram scorers answer without building any.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress, count
 from operator import ne
 from typing import Iterable, Sequence
@@ -65,11 +61,15 @@ class Scorer:
     iteration counts repeat exactly. The decoders read it with getattr, so a
     scorer that is not a subclass may leave it out and counts as 0.
 
-    ``predict_positions`` is what greedy and aggressive decoding call. The
-    default takes it from ``score_positions``; a subclass that redefines
+    Greedy and aggressive decoding take each scored position's argmax and
+    chosen logit from ``predict_positions`` when the scorer's session is a
+    plain ``DecodeSession``, whose rows are the scorer's own. A scorer may
+    override ``predict_positions`` to answer without building rows; the
+    default takes it from ``score_positions``, and a subclass that redefines
     ``score_positions`` alone is given this default back, so an override of
-    the rows is never bypassed. A scorer that is not a subclass may leave
-    ``predict_positions`` out, and is decoded from its rows.
+    the rows is never bypassed. A scorer with a session of its own (one whose
+    class redefines ``score_positions``), or without ``predict_positions``,
+    is decoded from that session's rows.
     """
 
     vocab: Vocab
@@ -108,37 +108,14 @@ class Scorer:
 
 class DecodeSession:
     """Scoring handle owned by a single decode; the default is stateless and
-    recomputes from the encoder state every call. A subclass that redefines
-    score_positions alone predicts from its own rows."""
+    recomputes from the encoder state every call."""
 
     def __init__(self, scorer: Scorer, x: TokenIds):
         self.scorer = scorer
         self.state = scorer.encode(tuple(x))
-        predict = getattr(scorer, "predict_positions", None)
-        if predict is not None and type(self).predict_positions is DecodeSession.predict_positions:
-            # bound once: the scorer's answers on this session's state
-            self.predict_positions = partial(predict, self.state)
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if "score_positions" in cls.__dict__ and "predict_positions" not in cls.__dict__:
-            cls.predict_positions = DecodeSession._predict_from_rows
 
     def score_positions(self, prefix: Sequence[int], positions: Sequence[int]) -> np.ndarray:
         return self.scorer.score_positions(self.state, prefix, positions)
-
-    def predict_positions(
-        self, prefix: Sequence[int], positions: Sequence[int]
-    ) -> tuple[list[int], list[float]]:
-        """The scorer's predict_positions on this session's state, which
-        __init__ binds over this method; a scorer without one, by duck typing
-        alone, predicts from its rows."""
-        return self._predict_from_rows(prefix, positions)
-
-    def _predict_from_rows(
-        self, prefix: Sequence[int], positions: Sequence[int]
-    ) -> tuple[list[int], list[float]]:
-        return predictions(self.score_positions(prefix, positions))
 
     def fork(self) -> "DecodeSession":
         # stateless, so beam hypotheses may share it

@@ -85,6 +85,38 @@ def test_decode_greedy_mode(corpus_file, capsys):
     assert capsys.readouterr().out == "a b c\nc a d\na\n"
 
 
+def test_decode_splits_lines_at_newlines_alone(tmp_path, capsys):
+    """A form feed inside a line is whitespace in it, not a line break."""
+    path = tmp_path / "input.txt"
+    path.write_text("a b\fc d\nx y\n", encoding="utf-8")
+    assert main(["decode", "--scorer", "identity", "--input", str(path), "--format", "text"]) == 0
+    assert capsys.readouterr().out == "a b c d\nx y\n"
+
+
+def test_decode_of_no_lines_writes_no_bytes(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    argv = ["decode", "--scorer", "identity", "--input", str(path), "--format", "text"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv + ["--output", str(out)]) == 0
+    assert out.read_bytes() == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["decode", "--format", "text", "--input"],
+    ["check", "--corpus"],
+    ["bench", "--repetitions", "1", "--warmup", "0", "--corpus"],
+])
+def test_a_sentinel_surface_in_the_text_is_an_unknown_word(tmp_path, capsys, argv):
+    path = tmp_path / "input.txt"
+    path.write_text("x <eos> y\n<pad>\n", encoding="utf-8")
+    assert main(argv[:1] + ["--scorer", "identity"] + argv[1:] + [str(path)]) == 0
+    if argv[0] == "decode":
+        assert capsys.readouterr().out == "x <unk> y\n<unk>\n"
+
+
 def test_decode_output_file_byte_identical(corpus_file, tmp_path):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"

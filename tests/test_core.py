@@ -8,6 +8,7 @@ from aggdec import (
     Vocab,
     build_vocab,
     detokenize,
+    load_corpus,
     load_parallel_corpus,
     prepare_input,
     strip_sentinels,
@@ -67,6 +68,14 @@ def test_tokenize_oov_maps_to_unk(vocab):
 def test_tokenize_character_oov_maps_to_unk():
     vocab = Vocab.characters()
     assert tokenize("aé b", "character", vocab) == (vocab.id_of("a"), vocab.unk, vocab.id_of(" "), vocab.id_of("b"))
+
+
+def test_tokenize_maps_sentinel_surfaces_to_unk(vocab):
+    """The text vocabulary leaves the sentinels out, so their surfaces in text
+    are unknown words; id_of still names the sentinel ids."""
+    assert tokenize("<pad>", "whitespace", vocab) == (vocab.unk,)
+    assert tokenize("a <bos> <eos> <unk>", "whitespace", vocab) == (vocab.id_of("a"),) + (vocab.unk,) * 3
+    assert (vocab.id_of("<bos>"), vocab.id_of("<eos>"), vocab.id_of("<pad>")) == (vocab.bos, vocab.eos, vocab.pad)
 
 
 def test_tokenize_unknown_scheme(vocab):
@@ -192,3 +201,15 @@ def test_load_parallel_corpus_length_mismatch(tmp_path):
     tgt.write_text("one\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_parallel_corpus(src, tgt)
+
+
+@pytest.mark.parametrize("text, lines", [
+    ("", []),
+    ("\n", [""]),
+    ("a\n\nb", ["a", "", "b"]),
+    ("a b\fc\vd\x1ce\x85f\u2028g\u2029h\r\ni\rj\n", ["a b\fc\vd\x1ce\x85f\u2028g\u2029h", "i", "j"]),
+], ids=["empty", "one-empty-line", "no-final-newline", "other-line-breaks"])
+def test_load_corpus_splits_at_newlines_alone(tmp_path, text, lines):
+    path = tmp_path / "corpus.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert load_corpus(path) == lines

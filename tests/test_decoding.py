@@ -673,6 +673,29 @@ def test_duck_typed_scorers_and_sessions_decode_from_their_rows(vocab, wrap):
                 assert decode(wrapped, x, cfg) == decode(plain, x, cfg)
 
 
+def _no_rows(state, prefix, positions):
+    raise AssertionError("score_positions was called")
+
+
+def test_the_cheap_scorers_decode_without_building_rows(vocab, monkeypatch):
+    """Greedy and aggressive decoding ask the scripted and n-gram scorers for
+    each position's prediction alone, never for its row. The n-gram's
+    negative copy_bias takes the branch that reads a whole table row: at the
+    first position the aligned token is its context's argmax."""
+    pairs = [(ids("a b c d", vocab), ids("a b X d", vocab))]
+    corpus = [ids("a b c d", vocab), ids("a b c d", vocab), ids("c c a b", vocab)]
+    scorers = (
+        ScriptedEditScorer(pairs, vocab),
+        NgramScorer(corpus, order=2, smoothing=0.3, vocab=vocab, copy_bias=-0.5),
+    )
+    inputs = [prepare_input(ids(raw, vocab), vocab) for raw in ("a b c d", "c a d", "d d X a b")]
+    modes = [DecodeConfig(mode=mode) for mode in ("greedy", "aggressive")]
+    for scorer in scorers:
+        expected = [decode(scorer, x, cfg) for x in inputs for cfg in modes]
+        monkeypatch.setattr(scorer, "score_positions", _no_rows)
+        assert [decode(scorer, x, cfg) for x in inputs for cfg in modes] == expected
+
+
 # --- drafts from the output -------------------------------------------------------
 
 

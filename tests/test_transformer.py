@@ -15,7 +15,7 @@ from aggdec import (
     prepare_input,
 )
 from aggdec.decoding import argmax_with_tiebreak
-from aggdec.scorers import DecodeSession
+from aggdec.scorers import DecodeSession, predictions
 from oracles import ReferenceTransformer, same_predictions
 
 
@@ -139,6 +139,20 @@ def test_cached_session_truncates_on_divergence(scorer, tvocab):
     assert np.allclose(rows, expected)
 
 
+def test_decoding_goes_through_the_cached_session(scorer, tvocab, rng, monkeypatch):
+    """Greedy and aggressive decoding of the transformer score through its
+    cached session, never through the scorer's uncached score_positions."""
+    inputs = [prepare_input(random_raw(rng, tvocab), tvocab) for _ in range(3)]
+    decoders = [(greedy_decode, DecodeConfig()), (aggressive_decode, DecodeConfig(mode="aggressive"))]
+    expected = [run(scorer, x, cfg) for x in inputs for run, cfg in decoders]
+
+    def no_rows(state, prefix, positions):
+        raise AssertionError("score_positions was called")
+
+    monkeypatch.setattr(scorer, "score_positions", no_rows)
+    assert [run(scorer, x, cfg) for x in inputs for run, cfg in decoders] == expected
+
+
 def test_decoder_cost_scales_with_layers():
     base = dict(model_dim=64, heads=4, ffn_dim=128)
     deep = TransformerConfig(encoder_layers=6, decoder_layers=6, seed=1, **base)
@@ -230,19 +244,19 @@ def test_uncached_scoring_equals_oracle_bit_for_bit(index, raw, tail, data):
 @given(index=_config, raw=st.lists(_token, min_size=1, max_size=10),
        tails=st.lists(st.lists(_token, max_size=12), min_size=1, max_size=3), data=st.data())
 def test_predictions_equal_rows_bit_for_bit(index, raw, tails, data):
-    """The transformer predicts through the default path: predict_positions,
-    on the scorer and on a cached session, gives each row's argmax and its
-    logit bit for bit. Two sessions take the same calls, one predicting and
-    one returning rows, through cache growth and divergence."""
+    """The transformer predicts through the default path: predict_positions
+    on the scorer gives each row's argmax and its logit bit for bit. The
+    decode loop predicts from its cached session's rows, so two sessions take
+    the same calls, one read for its predictions and one for its rows,
+    through cache growth and divergence."""
     scorer, _ = _model(index)
     x = prepare_input(tuple(raw), ORACLE_VOCAB)
     state = scorer.encode(x)
     predicting, scoring = scorer.session(x), scorer.session(x)
-    assert type(predicting).predict_positions is DecodeSession._predict_from_rows
     for tail in tails:
         prefix = (ORACLE_VOCAB.bos,) + tuple(tail)
         positions = data.draw(st.lists(st.integers(0, len(prefix) - 1), min_size=1, max_size=8))
         rows = scorer.score_positions(state, prefix, positions)
         assert same_predictions(scorer.predict_positions(state, prefix, positions), rows)
         rows = scoring.score_positions(prefix, positions)
-        assert same_predictions(predicting.predict_positions(prefix, positions), rows)
+        assert same_predictions(predictions(predicting.score_positions(prefix, positions)), rows)
