@@ -47,7 +47,6 @@ from .metrics import (
     levenshtein,
     spearman,
     sweep_depth,
-    sweep_lmax,
 )
 from .scorers import (
     DecodeSession,

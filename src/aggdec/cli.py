@@ -38,7 +38,6 @@ from .metrics import (
     rows_csv,
     rows_json,
     sweep_depth,
-    sweep_lmax,
     thread_limit,
 )
 from .scorers import NgramScorer, Scorer, ScriptedEditScorer, identity_scorer
@@ -155,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     scoring.add_argument("--smoothing", type=float, default=0.1)
     scoring.add_argument("--copy-bias", type=float, default=0.0)
     scoring.add_argument("--lmax", default="unlimited",
-                         help="comma list of ints or 'unlimited'")
+                         help="comma list of ints or 'unlimited'; decode and bench take one value")
 
     beam = _Parser(add_help=False)  # decode and bench
     beam.add_argument("--beam", type=int, default=5)
@@ -440,15 +439,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_sweep_lmax(args: argparse.Namespace) -> int:
     lines = _load_lines(args, "corpus")
     scorer = _make_scorer(args, lines)
-    corpus_ids = _nonempty_corpus(lines, scorer.vocab, args.scheme)
-    rows = sweep_lmax(
+    rows = check_equivalence(
         scorer,
-        corpus_ids,
+        _nonempty_corpus(lines, scorer.vocab, args.scheme),
         l_max_values=_parse_lmax(args.lmax),
         cfg=DecodeConfig(max_len=args.max_len),
         repetitions=args.repetitions,
         warmup=args.warmup,
-    )
+    ).rows
     _write(args, rows_json(rows) if args.format == "json" else rows_csv(LmaxRow, rows))
     return 0
 

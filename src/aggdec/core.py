@@ -264,10 +264,10 @@ def validate_trace(trace: DecodeTrace, output_len: int) -> None:
 
 
 def load_corpus(path: str | Path) -> list[str]:
-    r"""UTF-8 text, one sentence per line. Lines end at "\n" alone (reading
-    turns "\r\n" and "\r" into it), and the last line needs none: "" holds
-    no line and "\n" one empty line."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    r"""UTF-8 text, one sentence per line; a leading byte order mark is not
+    text. Lines end at "\n" alone (reading turns "\r\n" and "\r" into it),
+    and the last line needs none: "" holds no line and "\n" one empty line."""
+    lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
     if not lines[-1]:
         lines.pop()
     return lines

@@ -115,10 +115,23 @@ class Mismatch:
 
 
 @dataclass(frozen=True)
+class LmaxRow:
+    """One copy-window cap's aggressive-decoding totals over a corpus."""
+
+    l_max: int | None = field(metadata={"none": "unlimited"})
+    sequential_iterations: int
+    positions_scored: int
+    tokens_emitted: int
+    wall_clock: float
+    outputs_match_greedy: bool
+
+
+@dataclass(frozen=True)
 class EquivalenceReport:
     sentences: int
     decode_pairs: int
     mismatches: tuple[Mismatch, ...]
+    rows: tuple[LmaxRow, ...]  # one per l_max value, in order
 
     @property
     def ok(self) -> bool:
@@ -133,33 +146,40 @@ def check_equivalence(
     corpus: Sequence[TokenIds],
     l_max_values: Sequence[int | None] = (None,),
     cfg: DecodeConfig | None = None,
+    repetitions: int = 1,
+    warmup: int = 0,
 ) -> EquivalenceReport:
-    """Decode every sentence greedily and aggressively for each l_max; collect
-    any output differences (expected: none) with full traces attached."""
+    """Decode every sentence greedily once, untimed, and aggressively at each
+    l_max in turn, timed together; collect any output differences (expected:
+    none) with full traces attached, and each l_max's totals."""
     if not corpus:
         raise ValueError("equivalence check needs a nonempty corpus")
     base = cfg or DecodeConfig()
+    agg_cfgs = [replace(base, mode=AGGRESSIVE, l_max=l_max) for l_max in l_max_values]
+    rows = [LmaxRow(l_max, 0, 0, 0, 0.0, True) for l_max in l_max_values]
     mismatches: list[Mismatch] = []
-    pairs = 0
     for idx, raw in enumerate(corpus):
         x = prepare_input(raw, scorer.vocab)
         greedy = greedy_decode(scorer, x, replace(base, mode=GREEDY))
-        for l_max in l_max_values:
-            aggressive = aggressive_decode(
-                scorer, x, replace(base, mode=AGGRESSIVE, l_max=l_max)
+        runs = _timed([lambda c=c: aggressive_decode(scorer, x, c) for c in agg_cfgs], repetitions, warmup)
+        for i, (aggressive, wall) in enumerate(runs):
+            row, trace = rows[i], aggressive.trace
+            match = aggressive.output == greedy.output
+            rows[i] = replace(
+                row,
+                sequential_iterations=row.sequential_iterations + trace.sequential_iterations,
+                positions_scored=row.positions_scored + trace.positions_scored,
+                tokens_emitted=row.tokens_emitted + trace.tokens_accepted,
+                wall_clock=row.wall_clock + wall,
+                outputs_match_greedy=row.outputs_match_greedy and match,
             )
-            pairs += 1
-            if aggressive.output != greedy.output:
-                mismatches.append(
-                    Mismatch(
-                        sentence=idx,
-                        l_max=l_max,
-                        greedy_result=greedy,
-                        aggressive_result=aggressive,
-                    )
-                )
+            if not match:
+                mismatches.append(Mismatch(idx, row.l_max, greedy, aggressive))
     return EquivalenceReport(
-        sentences=len(corpus), decode_pairs=pairs, mismatches=tuple(mismatches)
+        sentences=len(corpus),
+        decode_pairs=len(corpus) * len(agg_cfgs),
+        mismatches=tuple(mismatches),
+        rows=tuple(rows),
     )
 
 
@@ -293,60 +313,6 @@ def bench(
 
 
 # --- sweeps ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LmaxRow:
-    l_max: int | None = field(metadata={"none": "unlimited"})
-    sequential_iterations: int
-    positions_scored: int
-    tokens_emitted: int
-    wall_clock: float
-    outputs_match_greedy: bool
-
-
-def sweep_lmax(
-    scorer: Scorer,
-    corpus: Sequence[TokenIds],
-    l_max_values: Sequence[int | None],
-    cfg: DecodeConfig | None = None,
-    repetitions: int = 1,
-    warmup: int = 0,
-) -> list[LmaxRow]:
-    """Aggregate aggressive-decoding stats per copy-window cap; outputs must be
-    identical across the sweep (and to greedy) since l_max never changes them."""
-    base = cfg or DecodeConfig()
-    prepared = [prepare_input(raw, scorer.vocab) for raw in corpus]
-    greedy_outputs = [
-        greedy_decode(scorer, x, replace(base, mode=GREEDY)).output for x in prepared
-    ]
-    rows = []
-    for l_max in l_max_values:
-        iters = scored = emitted = 0
-        wall = 0.0
-        match = True
-        for x, reference in zip(prepared, greedy_outputs):
-            [(result, elapsed)] = _timed(
-                [lambda: aggressive_decode(scorer, x, replace(base, mode=AGGRESSIVE, l_max=l_max))],
-                repetitions,
-                warmup,
-            )
-            iters += result.trace.sequential_iterations
-            scored += result.trace.positions_scored
-            emitted += result.trace.tokens_accepted
-            wall += elapsed
-            match = match and result.output == reference
-        rows.append(
-            LmaxRow(
-                l_max=l_max,
-                sequential_iterations=iters,
-                positions_scored=scored,
-                tokens_emitted=emitted,
-                wall_clock=wall,
-                outputs_match_greedy=match,
-            )
-        )
-    return rows
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from aggdec import (
     aggressive_decode,
     bench,
     build_vocab,
+    check_equivalence,
     edit_ratio,
     find_suffix_match,
     greedy_decode,
@@ -27,7 +28,6 @@ from aggdec import (
     prepare_input,
     spearman,
     sweep_depth,
-    sweep_lmax,
     tokenize,
     validate_trace,
 )
@@ -205,7 +205,7 @@ def test_criterion_5_lmax_sweep_ordering():
     # any sentence plus its trailing PAD in one pass
     corpus = [random_sentence(rng, vocab, 5, 39) for _ in range(200)]
     values = [1, 2, 3, 5, 10, 20, 40, None]
-    rows = sweep_lmax(identity_scorer(vocab), corpus, values)
+    rows = check_equivalence(identity_scorer(vocab), corpus, values).rows
     iters = [row.sequential_iterations for row in rows]
     nonincreasing = all(a >= b for a, b in zip(iters, iters[1:]))
     saturated = iters[-2] == iters[-1]

@@ -1,9 +1,13 @@
 import csv
+import io
 import json
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aggdec import (
     DecodeConfig,
@@ -104,6 +108,46 @@ def test_decode_of_no_lines_writes_no_bytes(tmp_path, capsys):
     assert out.read_bytes() == b""
 
 
+def _universal_line_count(text: str) -> int:
+    """Lines in text as universal-newline reading splits it: at \\n, \\r\\n and \\r."""
+    return len(io.StringIO(text, newline=None).readlines())
+
+
+# text with the line breaks, look-alikes and sentinel words a reader can trip on
+_TEXT = st.lists(st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["\r\n", "\r", "\n", "\n\n", "\f", "\v", "\x85", "\u2028", "<eos>", "<pad>", " "]),
+), max_size=12).map("".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_TEXT, bom=st.booleans(), scheme=st.sampled_from(["whitespace", "character"]))
+def test_decode_writes_one_line_per_input_line(text, bom, scheme):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "input.txt"), Path(tmp, "out.txt")
+        path.write_bytes(("\ufeff" * bom + text).encode("utf-8"))
+        argv = ["decode", "--scorer", "identity", "--scheme", scheme, "--input", str(path)]
+        assert main(argv + ["--output", str(out)]) == 0
+        written = out.read_bytes().decode("utf-8")
+    assert _universal_line_count(written) == _universal_line_count(text)
+    assert written == "" or written.endswith("\n")
+
+
+def test_config_file_may_start_with_a_byte_order_mark(corpus_file, tmp_path, capsys):
+    config = tmp_path / "bom.cfg"
+    config.write_bytes("\ufeffthreads = 1\n".encode("utf-8"))
+    argv = ["decode", "--scorer", "identity", "--input", str(corpus_file), "--config", str(config)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "a b c\nc a d\na\n"
+
+
+def test_corpus_byte_order_mark_is_not_text(tmp_path, capsys):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes("\ufeffa b\n".encode("utf-8"))
+    assert main(["decode", "--scorer", "identity", "--input", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["input"] == "a b"
+
+
 @pytest.mark.parametrize("argv", [
     ["decode", "--format", "text", "--input"],
     ["check", "--corpus"],
@@ -196,6 +240,7 @@ def test_check_exits_nonzero_on_mismatch(corpus_file, capsys, monkeypatch, vocab
         mismatches=(
             Mismatch(sentence=0, l_max=None, greedy_result=greedy, aggressive_result=aggressive),
         ),
+        rows=(),
     )
     monkeypatch.setattr(cli_module, "check_equivalence", lambda *a, **k: fake)
     check = ["check", "--scorer", "identity", "--corpus", str(corpus_file)]
@@ -285,6 +330,16 @@ def test_sweep_lmax_config_overrides_flags(corpus_file, tmp_path, capsys):
     assert len(lines) == 3  # header + the two configured values
     assert lines[1].startswith("1,")
     assert lines[2].startswith("unlimited,")
+
+
+def test_sweep_lmax_of_blank_lines_only_is_an_error(tmp_path, capsys):
+    """Like check, the sweep refuses a corpus with no sentence to decode."""
+    path = tmp_path / "blank.txt"
+    path.write_text("\n\n", encoding="utf-8")
+    assert main(["sweep-lmax", "--scorer", "identity", "--corpus", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: equivalence check needs a nonempty corpus\n"
 
 
 def test_sweep_config_nargs_value_matches_flag(corpus_file, tmp_path, capsys):

@@ -208,7 +208,10 @@ def test_load_parallel_corpus_length_mismatch(tmp_path):
     ("\n", [""]),
     ("a\n\nb", ["a", "", "b"]),
     ("a b\fc\vd\x1ce\x85f\u2028g\u2029h\r\ni\rj\n", ["a b\fc\vd\x1ce\x85f\u2028g\u2029h", "i", "j"]),
-], ids=["empty", "one-empty-line", "no-final-newline", "other-line-breaks"])
+    ("\ufeff\ufeffa\n", ["\ufeffa"]),
+    ("a\ufeffb\n", ["a\ufeffb"]),
+], ids=["empty", "one-empty-line", "no-final-newline", "other-line-breaks",
+        "leading-byte-order-mark", "inner-byte-order-mark"])
 def test_load_corpus_splits_at_newlines_alone(tmp_path, text, lines):
     path = tmp_path / "corpus.txt"
     path.write_text(text, encoding="utf-8", newline="")

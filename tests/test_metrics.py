@@ -5,13 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aggdec import (
     DecodeConfig,
     DepthRow,
     LmaxRow,
     TransformerConfig,
+    Vocab,
     bench,
     build_vocab,
     check_equivalence,
@@ -20,12 +21,11 @@ from aggdec import (
     levenshtein,
     spearman,
     sweep_depth,
-    sweep_lmax,
     tokenize,
 )
 from aggdec import metrics
 from aggdec.metrics import SentenceRow, rows_csv, rows_json, thread_limit
-from aggdec.scorers import ScriptedEditScorer
+from aggdec.scorers import Scorer, ScriptedEditScorer
 from aggdec.synthetic import rewrite_pairs, synthetic_vocab
 from oracles import recursive_levenshtein
 
@@ -113,9 +113,10 @@ def test_check_equivalence_identity_clean(vocab, rng):
     assert report.summary() == "0 mismatches / 4 sentences"
 
 
-class _InconsistentScorer:
-    """Deliberately breaks prefix consistency: behaves differently when scoring
-    more than one position at a time. check_equivalence must notice."""
+class _PeekingScorer(Scorer):
+    """Breaks prefix consistency on purpose: it copies the input, but row p
+    predicts EOS when the prefix holds a token past p, which only a pass of
+    two or more positions shows it. check_equivalence must notice."""
 
     def __init__(self, vocab):
         self.vocab = vocab
@@ -124,25 +125,33 @@ class _InconsistentScorer:
         return tuple(x)
 
     def score_positions(self, state, prefix, positions):
-        positions = list(positions)
         rows = np.full((len(positions), len(self.vocab)), -30.0)
-        for k, p in enumerate(positions):
-            token = 4 if len(positions) == 1 else 5
-            rows[k, token if p < 3 else self.vocab.eos] = 0.0
+        for r, p in enumerate(positions):
+            copy = state[p + 1] if p + 2 < len(state) else self.vocab.eos  # state[-1] is PAD
+            rows[r, self.vocab.eos if len(prefix) > p + 1 else copy] = 0.0
         rows[:, self.vocab.pad] = float("-inf")
         return rows
 
-    def session(self, x):
-        from aggdec.scorers import DecodeSession
 
-        return DecodeSession(self, x)
+_PEEK_VOCAB = Vocab(["a", "b", "c", "d", "X"])
 
 
-def test_check_equivalence_reports_inconsistent_scorer(vocab):
-    report = check_equivalence(_InconsistentScorer(vocab), [(6, 7, 8)])
-    assert not report.ok
-    mismatch = report.mismatches[0]
-    assert mismatch.greedy_result.output != mismatch.aggressive_result.output
+@settings(max_examples=60, deadline=None)
+@given(
+    corpus=st.lists(st.lists(st.integers(4, len(_PEEK_VOCAB) - 1), min_size=1, max_size=12),
+                    min_size=1, max_size=4),
+    l_max_values=st.lists(st.one_of(st.none(), st.integers(1, 20)), min_size=1, max_size=5),
+)
+def test_check_equivalence_reports_inconsistent_scorer(corpus, l_max_values):
+    """A one-position pass never shows the peeking scorer a later token, so
+    only l_max = 1 matches greedy; every wider cap mismatches every sentence."""
+    report = check_equivalence(_PeekingScorer(_PEEK_VOCAB), corpus, l_max_values)
+    assert [(m.sentence, m.l_max) for m in report.mismatches] == [
+        (idx, l_max) for idx in range(len(corpus)) for l_max in l_max_values if l_max != 1
+    ]
+    assert [row.outputs_match_greedy for row in report.rows] == [l_max == 1 for l_max in l_max_values]
+    for m in report.mismatches:
+        assert m.greedy_result.output != m.aggressive_result.output
 
 
 def test_check_equivalence_rejects_empty_corpus(vocab):
@@ -198,14 +207,14 @@ def test_bench_rejects_empty_sentence(vocab):
 @pytest.mark.parametrize("harness, message", [
     (lambda vocab: bench(identity_scorer(vocab), [(4, 5)], repetitions=0),
      "repetitions must be >= 1"),
-    (lambda vocab: sweep_lmax(identity_scorer(vocab), [(4, 5)], [None], repetitions=0),
+    (lambda vocab: check_equivalence(identity_scorer(vocab), [(4, 5)], repetitions=0),
      "repetitions must be >= 1"),
     (lambda vocab: sweep_depth([TransformerConfig(1, 1, 16, 2, 16, seed=1)], [(4, 5)], vocab,
                                repetitions=0),
      "repetitions must be >= 1"),
     (lambda vocab: bench(identity_scorer(vocab), [(4, 5)], warmup=-1),
      "warmup must be >= 0"),
-], ids=["bench", "sweep_lmax", "sweep_depth", "bench_negative_warmup"])
+], ids=["bench", "check_equivalence", "sweep_depth", "bench_negative_warmup"])
 def test_harness_rejects_zero_repetitions(vocab, harness, message):
     with pytest.raises(ValueError, match=message):
         harness(vocab)
@@ -217,7 +226,7 @@ def test_harness_rejects_zero_repetitions(vocab, harness, message):
 def test_sweep_lmax_monotone_and_saturating(vocab, rng):
     corpus = [tuple(rng.integers(4, len(vocab), size=n)) for n in (4, 7, 11)]
     values = [1, 2, 3, 5, 12, None]
-    rows = sweep_lmax(identity_scorer(vocab), corpus, values)
+    rows = check_equivalence(identity_scorer(vocab), corpus, values).rows
     iters = [row.sequential_iterations for row in rows]
     assert iters == sorted(iters, reverse=True)
     # l_max >= max sentence length + 1 saturates to the unlimited behavior
@@ -320,7 +329,7 @@ def test_sentence_json_aggregates(vocab):
 def test_lmax_csv_schema(vocab):
     import json
 
-    rows = sweep_lmax(identity_scorer(vocab), [(4, 5)], [1, None])
+    rows = check_equivalence(identity_scorer(vocab), [(4, 5)], [1, None]).rows
     lines = rows_csv(LmaxRow, rows).splitlines()
     assert lines[0] == (
         "l_max,sequential_iterations,positions_scored,tokens_emitted,wall_clock,"
