@@ -17,6 +17,7 @@ from .core import (
     AGGRESSIVE,
     WHITESPACE,
     DecodeConfig,
+    TokenIds,
     Vocab,
     build_vocab,
     corpus_to_ids,
@@ -27,7 +28,7 @@ from .core import (
     prepare_input,
     tokenize,
 )
-from .decoding import OUTPUT, DecodeResult, decode
+from .decoding import ALIGNED, OUTPUT, DecodeResult, decode
 from .metrics import (
     DepthRow,
     LmaxRow,
@@ -46,13 +47,17 @@ from .transformer import TinyTransformer, TransformerConfig
 SCORER_KINDS = ("identity", "scripted", "ngram", "transformer")
 
 
+_TAGS = {OUTPUT: "look", ALIGNED: "align"}
+
+
 def emit_trace(result: DecodeResult, vocab: Vocab, scheme: str = WHITESPACE) -> str:
     """Render the output as bracketed per-iteration segments.
 
     Tokens inside one bracket were emitted by a single sequential iteration
     and are joined as `detokenize` joins them under `scheme`, sentinels
     included; the subscript is the iteration index and the tag is agg (a
-    parallel pass verifying a copy of the input), look (a parallel pass
+    parallel pass verifying a copy of the input), align (a parallel pass
+    verifying the input's re-entries after an edit), look (a parallel pass
     verifying a draft looked up in the output) or ar (one-by-one).
     """
     tokens = result.output[1:]
@@ -61,7 +66,7 @@ def emit_trace(result: DecodeResult, vocab: Vocab, scheme: str = WHITESPACE) -> 
     for idx, record in enumerate(result.trace.iterations):
         segment = tokens[pos: pos + record.accepted]
         pos += record.accepted
-        tag = "ar" if record.mode != AGGRESSIVE else "look" if record.source == OUTPUT else "agg"
+        tag = "ar" if record.mode != AGGRESSIVE else _TAGS.get(record.source, "agg")
         parts.append(f"[{join_surfaces(map(vocab.surface, segment), scheme)}]_{idx}({tag})")
     return " ".join(parts)
 
@@ -367,16 +372,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
     lines = _load_lines(args, "corpus")
     scorer = _make_scorer(args, lines)
     vocab = scorer.vocab
-    corpus_ids = corpus_to_ids(lines, args.scheme, vocab)
+    corpus = _nonempty_corpus(lines, vocab, args.scheme)
+    line_numbers = list(corpus)
     report = check_equivalence(
         scorer,
-        corpus_ids,
+        list(corpus.values()),
         l_max_values=_parse_lmax(args.lmax),
         cfg=DecodeConfig(max_len=args.max_len),
     )
     mismatches = [
         {
-            "sentence": m.sentence,
+            "sentence": line_numbers[m.sentence],
             "l_max": "unlimited" if m.l_max is None else m.l_max,
             "greedy": detokenize(m.greedy_result.output, vocab, args.scheme),
             "aggressive": detokenize(m.aggressive_result.output, vocab, args.scheme),
@@ -404,15 +410,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _nonempty_corpus(lines: list[str], vocab: Vocab, scheme: str):
-    ids = corpus_to_ids(lines, scheme, vocab)
-    return [seq for seq in ids if seq]
+def _nonempty_corpus(lines: list[str], vocab: Vocab, scheme: str) -> dict[int, TokenIds]:
+    """The token ids of each line that has any, keyed by its 0-based line number."""
+    return {i: seq for i, seq in enumerate(corpus_to_ids(lines, scheme, vocab)) if seq}
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     lines = _load_lines(args, "corpus")
     scorer = _make_scorer(args, lines)
-    corpus_ids = _nonempty_corpus(lines, scorer.vocab, args.scheme)
+    corpus_ids = list(_nonempty_corpus(lines, scorer.vocab, args.scheme).values())
     rows = bench(
         scorer,
         corpus_ids,
@@ -441,7 +447,7 @@ def _cmd_sweep_lmax(args: argparse.Namespace) -> int:
     scorer = _make_scorer(args, lines)
     rows = check_equivalence(
         scorer,
-        _nonempty_corpus(lines, scorer.vocab, args.scheme),
+        list(_nonempty_corpus(lines, scorer.vocab, args.scheme).values()),
         l_max_values=_parse_lmax(args.lmax),
         cfg=DecodeConfig(max_len=args.max_len),
         repetitions=args.repetitions,
@@ -456,7 +462,7 @@ def _cmd_sweep_depth(args: argparse.Namespace) -> int:
         raise ValueError("sweep-depth requires --seed for the transformer weights")
     lines = _load_lines(args, "corpus")
     vocab = build_vocab(lines, args.scheme)
-    corpus_ids = _nonempty_corpus(lines, vocab, args.scheme)
+    corpus_ids = list(_nonempty_corpus(lines, vocab, args.scheme).values())
     configs = [
         TransformerConfig(
             encoder_layers=enc,

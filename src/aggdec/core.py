@@ -197,10 +197,15 @@ class IterationRecord(NamedTuple):
 
     mode is "aggressive" (a parallel draft-and-verify pass) or
     "autoregressive" (a single-token step). source names where a pass's
-    draft came from: "input" (a copy after a unique input suffix match) or
+    draft came from: "input" (a copy after a unique input suffix match),
     "output" (the continuation of an earlier occurrence of the output's last
-    two tokens). suffix_match carries the (index, anchor length - 1) pair
-    that licensed the pass, indexing the draft's source sequence;
+    two tokens) or "aligned" (the input's re-entry after the last pass's
+    bifurcation, the better of two branches verified together: as if the
+    disagreeing token were inserted, or substituted). suffix_match carries
+    the (index, anchor length - 1) pair that licensed the pass, indexing the
+    draft's source sequence; an aligned pass's is (t - 1, -1) for its kept
+    branch x[t:], placed by alignment with no suffix matched.
+    positions_scored counts every row scored, a row shared by branches once.
     bifurcation is the output index of the first disagreeing token, when one
     was accepted. fallback says why aggressive decoding took an
     autoregressive step: "absent" (the last output token is not in the

@@ -32,6 +32,16 @@ Aggressive decoding's proposer tries, in this order:
    where the input does not.
 3. A one-token input anchor, drafted as in 1.
 
+Without a draft, the loop can still re-enter the input where the last pass
+left it (input-guided re-entry; Ge et al., arXiv 2205.10350). If that pass
+copied x[s:] and rejected its k-th token, the token emitted in its place was
+either inserted before x[s+k-1] or replaced it, so the copy goes on at
+x[s+k-1:] or at x[s+k:]. An aligned pass verifies both branches in one
+scorer call, as a token tree of two paths sharing their first row (SpecInfer,
+Miao et al., arXiv 2305.09781), and keeps the one greedy agrees with
+longest; its own bifurcation sets the next re-entry. It needs the scorer's
+``predict_branches``, so a scorer without it takes the autoregressive step.
+
 PAD is never emitted, so a pass whose draft is accepted up to its PAD slot
 still earns the token that slot's row predicts.
 
@@ -84,6 +94,7 @@ _PRIOR_COMPARED = 10
 
 INPUT = "input"
 OUTPUT = "output"
+ALIGNED = "aligned"
 
 # Records are immutable, so every autoregressive step with the same fallback
 # reason shares one.
@@ -254,20 +265,56 @@ def _window(rate: float, cost: float, cap: int) -> int:
     return w
 
 
+def _aligned_pass(predict_branches, o: list[int], x: TokenIds, start: int, l_max: int | None, cost: float, rate: float):
+    """Verify the insertion re-entry x[start - 1:] and the substitution
+    re-entry x[start:] in one predict_branches call. Each branch's window
+    follows the pass rule; a branch whose window is a single position is
+    left out, and None is returned when no branch is left. Otherwise returns
+    (t, copied, predicted, chosen, k, scored) for the branch x[t:] that
+    greedy agrees with longest, the insertion on a tie: k is its
+    bifurcation, and scored counts the rows of every branch, the shared
+    first row once."""
+    starts, copies = [], []
+    for t in (start - 1, start):
+        w = len(x) - t
+        if l_max is not None and l_max < w:
+            w = l_max
+        if cost:
+            w = _window(rate, cost, w)
+        if w > 1:
+            starts.append(t)
+            copies.append(x[t:t + w])
+    if not copies:
+        return None
+    best = None
+    for t, copied, (predicted, chosen) in zip(starts, copies, predict_branches(tuple(o), copies)):
+        k = find_bifurcation(predicted, copied)
+        accepted = len(copied) if k is None else k
+        if best is None or accepted > best[0]:
+            best = (accepted, t, copied, predicted, chosen, k)
+    return best[1:] + (sum(map(len, copies)) - len(copies) + 1,)
+
+
 def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callable | None) -> DecodeResult:
     """Decode until EOS or max_len. ``propose(o, x, budget)`` returns a Draft
     to verify, or None for one autoregressive step, whose record then names
     the fallback reason; budget is the number of tokens o may still grow by.
     A pass verifies the draft's first _window(...) tokens, capped by l_max.
-    Every token is its row's argmax, and only accepted rows are checked, so
-    a contract breach (a NaN or non-finite chosen logit, or PAD as the
-    chosen token) raises where greedy would raise."""
+    Where propose returns None right after a pass that copied the input and
+    bifurcated, and the scorer answers predict_branches, an aligned pass
+    takes the step's place. Every token is its row's argmax, and only
+    accepted rows are checked, so a contract breach (a NaN or non-finite
+    chosen logit, or PAD as the chosen token) raises where greedy would
+    raise."""
     vocab = scorer.vocab
     n = len(x) - 2
     max_len = cfg.resolve_max_len(n)
     session = scorer.session(x)
+    branches = None
     if hasattr(scorer, "predict_positions") and type(session).score_positions is DecodeSession.score_positions:
         predict = partial(scorer.predict_positions, session.state)  # the session's rows are the scorer's
+        if propose is not None and getattr(scorer, "predict_branches", None) is not None:
+            branches = partial(scorer.predict_branches, session.state)
     else:
         score = session.score_positions
 
@@ -279,24 +326,36 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
     o = [vocab.bos]
     records: list[IterationRecord] = []
     drafted_accepted, drafted_compared = _PRIOR_ACCEPTED, _PRIOR_COMPARED
+    reentry = None  # x[reentry - 1] is the input token the last pass rejected, when branches may follow
     while o[-1] != eos and len(o) - 1 < max_len:
         j = len(o) - 1
         draft = None if propose is None else propose(o, x, max_len - j)
-        if draft is None:
+        # without a draft: an aligned pass where the last pass left a re-entry, else one step
+        if draft is None and (
+            reentry is None
+            or (aligned := _aligned_pass(branches, o, x, reentry, l_max, cost, drafted_accepted / drafted_compared))
+            is None
+        ):
             tokens, chosen = predict(tuple(o), (j,))
             # o[j] is never PAD, so searching all of x searches x[0..n]
             record = _STEPS[None if propose is None else "ambiguous" if o[j] in x else "absent"]
+            reentry = None
         else:
-            drafted, source, anchor = draft
-            w = len(drafted)
-            if l_max is not None and l_max < w:
-                w = l_max
-            if cost:
-                w = _window(drafted_accepted / drafted_compared, cost, w)
-            copied = drafted[:w]
-            prefix = tuple(o) + copied[:-1]  # pseudo decoder inputs; never includes PAD
-            predicted, chosen = predict(prefix, range(j, j + w))
-            k = find_bifurcation(predicted, copied)
+            if draft is not None:
+                drafted, source, anchor = draft
+                w = len(drafted)
+                if l_max is not None and l_max < w:
+                    w = l_max
+                if cost:
+                    w = _window(drafted_accepted / drafted_compared, cost, w)
+                copied = drafted[:w]
+                prefix = tuple(o) + copied[:-1]  # pseudo decoder inputs; never includes PAD
+                predicted, chosen = predict(prefix, range(j, j + w))
+                k = find_bifurcation(predicted, copied)
+                scored = w
+            else:
+                t, copied, predicted, chosen, k, scored = aligned
+                w, source, anchor = len(copied), ALIGNED, (t - 1, -1)
             if k is None:
                 matched = accepted = w
             else:
@@ -307,7 +366,9 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
                 accepted = max_len - j
             bifurcation = None if k is None or k > accepted else j + k
             tokens = predicted[:accepted]
-            record = IterationRecord(AGGRESSIVE, w, accepted, anchor, bifurcation, source)
+            record = IterationRecord(AGGRESSIVE, scored, accepted, anchor, bifurcation, source)
+            # an input copy x[anchor[0] + 1:] rejected its k-th token
+            reentry = None if branches is None or bifurcation is None or source == OUTPUT else anchor[0] + 1 + k
         _check_chosen(chosen, tokens, j)
         if pad in tokens:
             raise ValueError(f"PAD emitted at position {j + tokens.index(pad)}")
@@ -336,6 +397,17 @@ def aggressive_decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeR
     Without a draft, decoding falls back to one autoregressive step,
     recorded as "absent" (the last token is not in the input) or
     "ambiguous" (no unique suffix and no output draft).
+
+    Where the scorer answers ``predict_branches`` and the last pass copied
+    the input x[s:] and bifurcated at its k-th token, a missing draft gets
+    an "aligned" pass instead of the step: it verifies the insertion
+    re-entry x[s+k-1:] and the substitution re-entry x[s+k:] in one call,
+    each in its own window, and keeps the branch greedy agrees with longest,
+    the insertion on a tie. A branch windowed to one position is left out,
+    and with none left (at l_max = 1, say) the step is taken as before. The
+    record's suffix_match is (t - 1, -1) for the kept branch x[t:], its
+    positions_scored counts every branch's rows with the shared first one
+    once, and the rate moves by the kept branch alone.
 
     A pass scores the w positions, at most l_max and the draft's length,
     that maximise (1 - a^w) / ((1 - a)(1 + c(w - 1))): the expected tokens

@@ -10,7 +10,9 @@ A scorer answers in two ways. ``score_positions`` returns logit rows, which
 beam search and ``check`` read. ``predict_positions`` returns only what
 greedy and aggressive decoding read of each row: its argmax, ties to the
 smallest token id, and that token's logit. The default derives both from the
-rows; the scripted and n-gram scorers answer without building any.
+rows; the scripted and n-gram scorers answer without building any. The
+scripted scorer also answers ``predict_branches``: the predictions of several
+drafts that share a prefix, from one call.
 """
 
 from __future__ import annotations
@@ -70,6 +72,16 @@ class Scorer:
     the rows is never bypassed. A scorer with a session of its own (one whose
     class redefines ``score_positions``), or without ``predict_positions``,
     is decoded from that session's rows.
+
+    ``predict_branches(state, prefix, branches)`` returns, for each branch,
+    the (tokens, chosen) of ``predict_positions`` for ``prefix + branch[:-1]``
+    at positions len(prefix) - 1 onward, bit for bit. Aggressive decoding
+    asks it, under the same rule, to verify in one call the two ways of
+    re-entering the input after a pass that copied it and bifurcated (see
+    ``aggressive_decode``). ``Scorer`` defines no default, so a scorer
+    without the method never verifies branches, and an iteration never hides
+    several sequential scorer calls; a subclass that redefines
+    ``score_positions`` does not inherit it.
     """
 
     vocab: Vocab
@@ -77,8 +89,11 @@ class Scorer:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "score_positions" in cls.__dict__ and "predict_positions" not in cls.__dict__:
-            cls.predict_positions = Scorer.predict_positions
+        if "score_positions" in cls.__dict__:
+            if "predict_positions" not in cls.__dict__:
+                cls.predict_positions = Scorer.predict_positions
+            if "predict_branches" not in cls.__dict__ and hasattr(cls, "predict_branches"):
+                cls.predict_branches = None
 
     def encode(self, x: TokenIds):
         """Per-input state reused across all decoding iterations for that input."""
@@ -140,7 +155,9 @@ class ScriptedEditScorer(Scorer):
     output position, then EOS; unknown inputs therefore decode to themselves.
 
     It predicts without building rows: predict_positions returns the tokens
-    score_positions would one-hot, each with chosen logit 0.0.
+    score_positions would one-hot, each with chosen logit 0.0, and
+    predict_branches answers several branches from one comparison of the
+    shared prefix with the target.
 
     It declares no position_cost: a predicted position costs it about
     0.12 us against about 4.2 us for a whole aggressive pass (4.2 / 5.0 /
@@ -178,18 +195,21 @@ class ScriptedEditScorer(Scorer):
 
     def _tokens(self, state: _ScriptedState, prefix, positions) -> list[int]:
         """next_token(state, prefix[:p + 1]) for each p in positions, from one
-        pass over the prefix."""
+        pass over the prefix; a contiguous range is built from two slices."""
         emitted = tuple(prefix)[1:]
         source, target, eos = state.source, state.target, self.vocab.eos
+        contiguous = type(positions) is range and positions.step == 1
+        lo = positions.start if contiguous else min(positions) if positions else 0
         # Position p is on script iff emitted[:p] == target[:p], which holds for
         # every p up to a boundary b: compare tuples, and scan only on a
         # mismatch. b stays -1 when even the first requested position is off.
         b = -1
-        lo = min(positions) if positions else 0
         if target is not None and emitted[:lo] == target[:lo]:
             b = min(len(emitted), len(target))
             if emitted[lo:b] != target[lo:b]:
                 b = next(compress(count(lo), map(ne, emitted[lo:b], target[lo:b])))
+        if contiguous:
+            return _script_run(source, target, eos, b, lo, positions.stop)
         tokens = []
         for p in positions:
             if p <= b:
@@ -209,6 +229,44 @@ class ScriptedEditScorer(Scorer):
     def predict_positions(self, state, prefix, positions) -> tuple[list[int], list[float]]:
         tokens = self._tokens(state, prefix, positions)
         return tokens, [0.0] * len(tokens)
+
+    def predict_branches(self, state, prefix, branches) -> list[tuple[list[int], list[float]]]:
+        """predict_positions for each branch's prefix + branch[:-1], with the
+        prefix compared with the target once: a branch's boundary is where
+        the branch leaves the target's continuation."""
+        emitted = tuple(prefix)[1:]
+        j = len(emitted)
+        source, target, eos = state.source, state.target, self.vocab.eos
+        rest = target[j:] if target is not None and emitted == target[:j] else None
+        answers = []
+        for branch in branches:
+            b = -1
+            if rest is not None:  # as in _tokens, with branch[:-1] for emitted[j:]
+                b = min(len(branch) - 1, len(rest))
+                if branch[:b] != rest[:b]:
+                    b = next(compress(count(), map(ne, branch, rest)))
+                b += j
+            tokens = _script_run(source, target, eos, b, j, j + len(branch))
+            answers.append((tokens, [0.0] * len(tokens)))
+        return answers
+
+
+def _script_run(source: TokenIds, target: TokenIds | None, eos: int, b: int, lo: int, hi: int) -> list[int]:
+    """The scripted tokens of positions lo..hi-1 when those up to b are on
+    script: target[lo:b + 1], then source[b + 1:hi], each followed by EOS
+    at the positions past its end."""
+    tokens = []
+    if b >= lo:
+        top = b + 1 if b < hi else hi
+        tokens = list(target[lo:top])
+        if len(tokens) < top - lo:  # position b == len(target) ends the target
+            tokens.append(eos)
+        lo = top
+    if lo < hi:
+        copied = source[lo:hi]
+        tokens += copied
+        tokens += [eos] * (hi - lo - len(copied))
+    return tokens
 
 
 def identity_scorer(vocab: Vocab) -> ScriptedEditScorer:

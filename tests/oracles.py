@@ -17,6 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from aggdec.scorers import DecodeSession, ScriptedEditScorer
+
 
 def naive_suffix_match(o, x):
     """Count occurrences from scratch for each suffix length."""
@@ -59,7 +61,8 @@ def scan_suffix_match(o, x):
 # a suffix search on every aggressive iteration, Python scans for the
 # bifurcation and the chosen-logit check, a window recomputed on every pass,
 # records built by keyword. Predictions come from each session's rows, by the
-# scan, not from predict_positions.
+# scan, not from predict_positions; an aligned pass scores each branch in a
+# call of its own, not through predict_branches.
 
 
 def reference_find_bifurcation(predictions, copied):
@@ -117,30 +120,73 @@ def reference_propose_draft(o, x, budget):
     return (tuple(x[match[0] + 1:]), "input", (match[0], 0))
 
 
-def reference_decode(scorer, x, cfg, aggressive):
+def reference_branches(session, o, x, start, l_max, cost, rate):
+    """The aligned pass's branches, x[start - 1:] and x[start:], each windowed
+    by the pass rule and scored by its own score_positions call, a branch
+    windowed to one position left out: (t, copied, predicted, chosen) per
+    branch, in that order."""
+    j = len(o) - 1
+    branches = []
+    for t in (start - 1, start):
+        w = len(x) - t if l_max is None else min(len(x) - t, l_max)
+        if cost:
+            w = reference_window(rate, cost, w)
+        if w > 1:
+            copied = tuple(x[t:t + w])
+            predicted, chosen = scan_predictions(session.score_positions(tuple(o) + copied[:-1], range(j, j + w)))
+            branches.append((t, copied, predicted, chosen))
+    return branches
+
+
+def reference_decode(scorer, x, cfg, aggressive, branching=True):
     """(output, records) of greedy (aggressive=False) or aggressive decoding,
-    records as tuples of IterationRecord's fields in order."""
+    records as tuples of IterationRecord's fields in order. With branching,
+    a scorer that answers predict_branches through a plain DecodeSession
+    verifies, where the proposer has no draft right after a pass that copied
+    the input and bifurcated, the input's two re-entries, and keeps the one
+    greedy agrees with longest; without it, every such iteration is one
+    autoregressive step."""
     vocab = scorer.vocab
     max_len = cfg.resolve_max_len(len(x) - 2)
     session = scorer.session(x)
+    branching = (
+        branching and aggressive and getattr(scorer, "predict_branches", None) is not None
+        and type(session).score_positions is DecodeSession.score_positions
+    )
     cost = getattr(scorer, "position_cost", 0.0)
     o = [vocab.bos]
     records = []
     drafted_accepted, drafted_compared = 9, 10
+    reentry = None
     while o[-1] != vocab.eos and len(o) - 1 < max_len:
         j = len(o) - 1
         draft = reference_propose_draft(o, x, max_len - j) if aggressive else None
-        if draft is None:
+        branches = []
+        if draft is None and reentry is not None:
+            branches = reference_branches(session, o, x, reentry, cfg.l_max, cost, drafted_accepted / drafted_compared)
+        if draft is None and not branches:
             tokens, chosen = scan_predictions(session.score_positions(tuple(o), (j,)))
             fallback = None if not aggressive else "ambiguous" if o[j] in x[:-1] else "absent"
             record = ("autoregressive", 1, 1, None, None, None, fallback)
+            reentry = None
         else:
-            drafted, source, anchor = draft
-            w = len(drafted) if cfg.l_max is None else min(len(drafted), cfg.l_max)
-            if cost:
-                w = reference_window(drafted_accepted / drafted_compared, cost, w)
-            copied = drafted[:w]
-            predicted, chosen = scan_predictions(session.score_positions(tuple(o) + copied[:-1], range(j, j + w)))
+            if draft is None:
+                lengths = []
+                for t, copied, predicted, chosen in branches:
+                    k = reference_find_bifurcation(predicted, copied)
+                    lengths.append(len(copied) if k is None else k)
+                t, copied, predicted, chosen = branches[lengths.index(max(lengths))]
+                source, anchor = "aligned", (t - 1, -1)
+                scored = sum(len(branch[1]) for branch in branches) - len(branches) + 1
+            else:
+                drafted, source, anchor = draft
+                w = len(drafted) if cfg.l_max is None else min(len(drafted), cfg.l_max)
+                if cost:
+                    w = reference_window(drafted_accepted / drafted_compared, cost, w)
+                copied = drafted[:w]
+                predicted, chosen = scan_predictions(session.score_positions(tuple(o) + copied[:-1], range(j, j + w)))
+                scored = w
+            w = len(copied)
             k = reference_find_bifurcation(predicted, copied)
             matched = w if k is None else k - 1
             drafted_accepted += matched
@@ -148,7 +194,8 @@ def reference_decode(scorer, x, cfg, aggressive):
             accepted = min(w if k is None else k, max_len - j)
             tokens = predicted[:accepted]
             bifurcation = j + k if k is not None and k <= accepted else None
-            record = ("aggressive", w, accepted, anchor, bifurcation, source, None)
+            record = ("aggressive", scored, accepted, anchor, bifurcation, source, None)
+            reentry = anchor[0] + 1 + k if branching and source != "output" and bifurcation is not None else None
         reference_check_chosen(chosen, tokens, j)
         if vocab.pad in tokens:
             raise ValueError(f"PAD emitted at position {j + tokens.index(vocab.pad)}")
@@ -394,3 +441,11 @@ class _ReferenceSession:
         dup.ids = self.ids
         dup.cache = self.cache.copy()
         return dup
+
+
+class SteppingScriptedScorer(ScriptedEditScorer):
+    """The scripted scorer without predict_branches, so aggressive decoding
+    takes an autoregressive step wherever the proposer has no draft, as the
+    reference loop without branching does."""
+
+    predict_branches = None

@@ -20,6 +20,7 @@ from aggdec import (
 )
 from aggdec import metrics
 from aggdec.cli import emit_trace, main
+from oracles import SteppingScriptedScorer
 
 
 @pytest.fixture
@@ -38,12 +39,14 @@ def test_emit_trace_single_segment(vocab):
 
 
 def test_emit_trace_mixed_segments(vocab):
+    """After the edit X, a scorer without branches steps once and re-enters
+    the input; the scripted scorer re-enters it in one aligned pass."""
     pair = (tokenize("a b c d", "whitespace", vocab), tokenize("a b X d", "whitespace", vocab))
-    scorer = ScriptedEditScorer([pair], vocab)
-    result = aggressive_decode(
-        scorer, prepare_input(pair[0], vocab), DecodeConfig(mode="aggressive")
-    )
+    x = prepare_input(pair[0], vocab)
+    result = aggressive_decode(SteppingScriptedScorer([pair], vocab), x, DecodeConfig(mode="aggressive"))
     assert emit_trace(result, vocab) == "[a b X]_0(agg) [d]_1(ar) [<eos>]_2(agg)"
+    result = aggressive_decode(ScriptedEditScorer([pair], vocab), x, DecodeConfig(mode="aggressive"))
+    assert emit_trace(result, vocab) == "[a b X]_0(agg) [d <eos>]_1(align)"
 
 
 def test_emit_trace_tags_output_lookup_passes(vocab):
@@ -51,12 +54,14 @@ def test_emit_trace_tags_output_lookup_passes(vocab):
     the output as running on, and one pass accepts the rest of the target
     and the EOS where the draft ran on."""
     pair = (tokenize("a b c d", "whitespace", vocab), tokenize("X a b X a b X a", "whitespace", vocab))
-    scorer = ScriptedEditScorer([pair], vocab)
-    result = aggressive_decode(
-        scorer, prepare_input(pair[0], vocab), DecodeConfig(mode="aggressive")
-    )
+    x = prepare_input(pair[0], vocab)
+    result = aggressive_decode(SteppingScriptedScorer([pair], vocab), x, DecodeConfig(mode="aggressive"))
     assert emit_trace(result, vocab) == (
         "[X]_0(agg) [a]_1(ar) [b X]_2(agg) [a]_3(ar) [b X a <eos>]_4(look)"
+    )
+    result = aggressive_decode(ScriptedEditScorer([pair], vocab), x, DecodeConfig(mode="aggressive"))
+    assert emit_trace(result, vocab) == (
+        "[X]_0(agg) [a b X]_1(align) [a]_2(align) [b X a <eos>]_3(look)"
     )
 
 
@@ -250,7 +255,7 @@ def test_check_exits_nonzero_on_mismatch(corpus_file, capsys, monkeypatch, vocab
         "  greedy:     a b\n"
         "  aggressive: a c\n"
         "  greedy trace:     [a]_0(ar) [b]_1(ar) [<eos>]_2(ar)\n"
-        "  aggressive trace: [a c]_0(agg) [<eos>]_1(ar)\n"
+        "  aggressive trace: [a c]_0(agg) [<eos>]_1(align)\n"
         "1 mismatches / 1 sentences\n"
     )
     assert main([*check, "--format", "json"]) == 1
@@ -263,7 +268,7 @@ def test_check_exits_nonzero_on_mismatch(corpus_file, capsys, monkeypatch, vocab
             "greedy": "a b",
             "aggressive": "a c",
             "greedy_trace": "[a]_0(ar) [b]_1(ar) [<eos>]_2(ar)",
-            "aggressive_trace": "[a c]_0(agg) [<eos>]_1(ar)",
+            "aggressive_trace": "[a c]_0(agg) [<eos>]_1(align)",
         }],
     }
 
@@ -342,6 +347,41 @@ def test_sweep_lmax_of_blank_lines_only_is_an_error(tmp_path, capsys):
     assert captured.err == "error: equivalence check needs a nonempty corpus\n"
 
 
+def test_check_of_blank_lines_only_is_an_error(tmp_path, capsys):
+    """check, like sweep-lmax and bench, decodes only the lines that hold a
+    token, so a corpus of blank lines has no sentence to check."""
+    path = tmp_path / "blank.txt"
+    path.write_text("\n \n", encoding="utf-8")
+    assert main(["check", "--scorer", "identity", "--corpus", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: equivalence check needs a nonempty corpus\n"
+
+
+def test_check_names_a_mismatch_by_its_input_line(tmp_path, capsys, monkeypatch, vocab):
+    """Blank lines are not sentences to check, but a mismatch still names
+    the 0-based number of the line it was decoded from."""
+    from aggdec import cli as cli_module
+    from aggdec.metrics import EquivalenceReport, Mismatch
+
+    x = prepare_input(tokenize("a b", "whitespace", vocab), vocab)
+    result = greedy_decode(identity_scorer(vocab), x, DecodeConfig())
+    checked = []
+
+    def fake(scorer, corpus, **kwargs):
+        checked.append(corpus)
+        return EquivalenceReport(len(corpus), len(corpus), (Mismatch(0, None, result, result),), ())
+
+    monkeypatch.setattr(cli_module, "check_equivalence", fake)
+    path = tmp_path / "corpus.txt"
+    path.write_text("\na b\n\n", encoding="utf-8")
+    assert main(["check", "--scorer", "identity", "--corpus", str(path), "--format", "json"]) == 1
+    assert len(checked[0]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["sentences"] == 1
+    assert [m["sentence"] for m in report["mismatches"]] == [1]
+
+
 def test_sweep_config_nargs_value_matches_flag(corpus_file, tmp_path, capsys):
     src = tmp_path / "src.txt"
     tgt = tmp_path / "tgt.txt"
@@ -355,7 +395,7 @@ def test_sweep_config_nargs_value_matches_flag(corpus_file, tmp_path, capsys):
     assert main(argv + ["--scorer", "scripted", "--scripted-pairs", str(src), str(tgt)]) == 0
     from_flags = capsys.readouterr().out.splitlines()
     iterations = [[line.split(",")[1] for line in out] for out in (from_config, from_flags)]
-    assert iterations[0] == iterations[1] == ["sequential_iterations", "5", "3"]
+    assert iterations[0] == iterations[1] == ["sequential_iterations", "5", "2"]
 
 
 @pytest.mark.parametrize("line, message", [

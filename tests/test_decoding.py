@@ -26,13 +26,16 @@ from aggdec import (
 from aggdec import decoding
 from aggdec.decoding import Draft, _check_chosen, argmax_with_tiebreak, propose_draft
 from aggdec.scorers import DecodeSession, predictions
+from aggdec.synthetic import rewrite_pairs, synthetic_vocab
 from oracles import (
     naive_suffix_match,
     reference_check_chosen,
     reference_decode,
     reference_find_bifurcation,
+    reference_window,
     scan_argmax,
     scan_suffix_match,
+    SteppingScriptedScorer,
 )
 
 WORDS = ["a", "b", "c", "d", "X"]
@@ -404,10 +407,55 @@ def test_aggressive_untouched_input_single_pass(vocab):
 
 
 def test_aggressive_hand_trace(vocab):
-    """Substitution example: one pass to the disagreement, one autoregressive
-    step, one re-entry pass; 3 sequential iterations against greedy's 5."""
+    """Substitution example: one pass to the disagreement, then one aligned
+    pass that verifies both re-entries into the input and keeps the
+    substitution's; 2 sequential iterations against greedy's 5."""
     pair = (ids("a b c d", vocab), ids("a b X d", vocab))
     scorer = ScriptedEditScorer([pair], vocab)
+    x = prepare_input(pair[0], vocab)
+    result = aggressive_decode(scorer, x, DecodeConfig(mode="aggressive"))
+    assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
+    first, second = result.trace.iterations
+    assert first.mode == AGGRESSIVE and first.source == "input"
+    assert first.suffix_match == (0, 0)
+    assert first.positions_scored == 5 and first.accepted == 3
+    assert first.bifurcation == 3
+    # X is not in the input: the branches are x[3:] = (c, d, PAD), as if X
+    # were inserted, and x[4:] = (d, PAD), as if it replaced c; they share
+    # their first row
+    assert second.mode == AGGRESSIVE and second.source == "aligned"
+    assert second.suffix_match == (3, -1)
+    assert second.positions_scored == 3 + 2 - 1 and second.accepted == 2
+    assert second.bifurcation == 5
+    assert first.fallback is None and second.fallback is None
+    greedy = greedy_decode(scorer, x, DecodeConfig())
+    assert greedy.output == result.output
+    assert greedy.trace.sequential_iterations == 5
+    assert all(r.fallback is None and r.source is None for r in greedy.trace.iterations)
+
+
+def test_an_aligned_pass_keeps_the_insertion_on_a_tie(vocab):
+    """Deleting the second a: the first pass rejects a for b, and after
+    `b b` the proposer has no draft. Both branches, x[3:] = (a, b, X, PAD)
+    and x[4:] = (b, X, PAD), reject their first token for X, so each
+    accepts one token; the insertion's is kept, and its bifurcation sets
+    the next re-entry."""
+    pair = (ids("a b a b X", vocab), ids("a b b X", vocab))
+    result = aggressive_decode(ScriptedEditScorer([pair], vocab), prepare_input(pair[0], vocab),
+                               DecodeConfig(mode="aggressive"))
+    assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
+    assert [tuple(r) for r in result.trace.iterations] == [
+        (AGGRESSIVE, 6, 3, (0, 0), 3, "input", None),
+        (AGGRESSIVE, 4 + 3 - 1, 1, (2, -1), 4, "aligned", None),
+        (AGGRESSIVE, 1, 1, (5, 0), 5, "input", None),
+    ]
+
+
+def test_aggressive_hand_trace_without_branches(vocab):
+    """The same rewrite under a scorer that answers no predict_branches: one
+    pass to the disagreement, one autoregressive step, one re-entry pass."""
+    pair = (ids("a b c d", vocab), ids("a b X d", vocab))
+    scorer = SteppingScriptedScorer([pair], vocab)
     x = prepare_input(pair[0], vocab)
     result = aggressive_decode(scorer, x, DecodeConfig(mode="aggressive"))
     assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
@@ -421,22 +469,27 @@ def test_aggressive_hand_trace(vocab):
     assert third.mode == AGGRESSIVE and third.source == "input"
     assert third.suffix_match == (4, 0) and third.accepted == 1
     assert first.fallback is None and third.fallback is None
-    greedy = greedy_decode(scorer, x, DecodeConfig())
-    assert greedy.output == result.output
-    assert greedy.trace.sequential_iterations == 5
-    assert all(r.fallback is None and r.source is None for r in greedy.trace.iterations)
 
 
 def test_fallback_after_an_ambiguous_suffix(vocab):
     """After X, the output's `X a` and then `X a b` occur nowhere in the
     input, while `a` and `b` each occur twice there: no suffix is unique and
-    the output has no repeat to draft from."""
+    the output has no repeat to draft from. Without branches each of those
+    is an autoregressive step; with them, one aligned pass after the edit
+    re-enters the input as if X replaced its first b."""
     pair = (ids("a b a b", vocab), ids("a X a b", vocab))
-    scorer = ScriptedEditScorer([pair], vocab)
-    result = aggressive_decode(scorer, prepare_input(pair[0], vocab), DecodeConfig(mode="aggressive"))
+    stepping = SteppingScriptedScorer([pair], vocab)
+    result = aggressive_decode(stepping, prepare_input(pair[0], vocab), DecodeConfig(mode="aggressive"))
     assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
     assert [r.mode for r in result.trace.iterations] == [AGGRESSIVE] + [AUTOREGRESSIVE] * 3
     assert [r.fallback for r in result.trace.iterations] == [None, "absent", "ambiguous", "ambiguous"]
+    scorer = ScriptedEditScorer([pair], vocab)
+    result = aggressive_decode(scorer, prepare_input(pair[0], vocab), DecodeConfig(mode="aggressive"))
+    assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
+    assert [(r.source, r.suffix_match, r.accepted) for r in result.trace.iterations] == [
+        ("input", (0, 0), 2),
+        ("aligned", (2, -1), 3),
+    ]
 
 
 def test_aggressive_lmax_window_cap(vocab):
@@ -480,6 +533,12 @@ class _Costly(ScriptedEditScorer):
     one-position pass."""
 
     position_cost = 0.15
+
+
+class _CostlyStepping(_Costly):
+    """_Costly without branches: it steps where the proposer has no draft."""
+
+    predict_branches = None
 
 
 class _Proxy:
@@ -528,18 +587,28 @@ def _check_windows(records, cost, caps):
     a is the rate of drafted tokens accepted out of those compared in the
     passes before it, from a prior of 9 of 10. A pass that matched m drafted
     tokens accepted m of min(w, m + 1) compared. caps holds each pass's
-    draft length, capped by l_max."""
+    draft length, capped by l_max; for an aligned pass, a dict from each
+    branch's start t in the input to its length, capped by l_max. Each
+    branch then scored the window the plain search picks, a branch of one
+    position was left out, the shared first row counts once, and the kept
+    branch, x[suffix_match[0] + 1:], is the one whose matches count."""
     accepted, compared = 9, 10
     passes = [(b, r) for b, r in _boundaries(records) if r.mode == AGGRESSIVE]
     assert len(passes) == len(caps)
     for (boundary, record), cap in zip(passes, caps):
-        w = record.positions_scored
-        if cost == 0:
-            assert w == cap
+        rate = accepted / compared
+        if record.source == "aligned":
+            windows = {t: reference_window(rate, cost, c) if cost else c for t, c in cap.items()}
+            windows = {t: v for t, v in windows.items() if v > 1}
+            assert record.positions_scored == sum(windows.values()) - len(windows) + 1
+            w = windows[record.suffix_match[0] + 1]
         else:
-            rate = accepted / compared
-            ratios = [(1 - rate**v) / ((1 - rate) * (1 + cost * (v - 1))) for v in range(1, cap + 1)]
-            assert ratios[w - 1] == pytest.approx(max(ratios), rel=1e-12, abs=0)
+            w = record.positions_scored
+            if cost == 0:
+                assert w == cap
+            else:
+                ratios = [(1 - rate**v) / ((1 - rate) * (1 + cost * (v - 1))) for v in range(1, cap + 1)]
+                assert ratios[w - 1] == pytest.approx(max(ratios), rel=1e-12, abs=0)
         matched = w if record.bifurcation is None else record.bifurcation - boundary
         accepted += matched
         compared += min(w, matched + 1)
@@ -568,9 +637,17 @@ def test_costly_positions_narrow_the_window_as_drafts_are_rejected():
     assert any(r.bifurcation is None and r.accepted == r.positions_scored < _full_window(r) for r in records)
     _check_windows(records, _Costly.position_cost, [_full_window(r) for r in records])
     # an autoregressive step leaves the rate alone, and l_max still caps the window
-    records = _decode_rule_case("w3 X w6 w1 w9", l_max=4, scorer_type=_Costly)
+    records = _decode_rule_case("w3 X w6 w1 w9", l_max=4, scorer_type=_CostlyStepping)
     assert [r.mode for r in records] == [AGGRESSIVE, AGGRESSIVE, AUTOREGRESSIVE] + [AGGRESSIVE] * 3
     _check_windows(records, _Costly.position_cost, [_full_window(r, 4) for r in records if r.mode == AGGRESSIVE])
+    # with branches, an aligned pass takes the step's place: each branch is
+    # windowed by the rule, and the kept one moves the rate
+    records = _decode_rule_case("w3 X w6 w1 w9", l_max=4, scorer_type=_Costly)
+    assert [r.source for r in records] == ["input", "input", "aligned"] + ["input"] * 3
+    assert records[2].positions_scored == 4 + 4 - 1
+    caps = [_full_window(r, 4) for r in records]
+    caps[2] = {t: min(len(_RULE_SOURCE.split()) + 2 - t, 4) for t in (5, 6)}  # X rejected x[5] = w4
+    _check_windows(records, _Costly.position_cost, caps)
 
 
 def test_a_scorer_without_position_cost_decodes_with_full_windows():
@@ -616,6 +693,25 @@ def test_a_subclass_that_redefines_only_its_rows_is_decoded_from_them(vocab, sco
     for mode in ("greedy", "aggressive"):
         result = decode(scorer, x, DecodeConfig(mode=mode))
         assert result.output == (vocab.bos,) + ids("a b X d X", vocab) + (vocab.eos,)
+
+
+def test_a_subclass_that_redefines_its_rows_does_not_inherit_predict_branches(vocab):
+    """An inherited predict_branches would answer from the scripted rows that
+    _SwapsRows replaced: after the edit X it would re-enter the input as if
+    X replaced c, and copy the second c. Only a class that defines the
+    method, or inherits it without redefining its rows, verifies branches;
+    _SwapsRows is decoded from its own rows, with autoregressive steps."""
+    assert not hasattr(Scorer, "predict_branches")
+    assert getattr(NgramScorer, "predict_branches", None) is None
+    assert _Costly.predict_branches is ScriptedEditScorer.predict_branches
+    assert _SwapsRows.predict_branches is None
+    scorer = _SwapsRows((), vocab)
+    x = prepare_input(ids("a b c d c", vocab), vocab)
+    result = aggressive_decode(scorer, x, DecodeConfig(mode="aggressive"))
+    assert result.output == (vocab.bos,) + ids("a b X d X", vocab) + (vocab.eos,)
+    assert [r.source or r.fallback for r in result.trace.iterations] == ["input", "absent", "input", "absent"]
+    output, records = reference_decode(scorer, x, DecodeConfig(mode="aggressive"), True, branching=False)
+    assert output == result.output and [tuple(r) for r in result.trace.iterations] == records
 
 
 class _RowsScorer:
@@ -912,10 +1008,19 @@ def test_equivalence_property(data, label, l_max, max_len):
         # drafted tokens accepted in the passes before it
         limit = aggressive_cfg.resolve_max_len(len(raw))
         caps = []
+        previous = None
         for b, record in _boundaries(aggressive.trace.iterations):
-            if record.mode == AGGRESSIVE:
-                drafted = len(propose_draft(list(greedy.output[:b]), x, limit - b + 1).tokens)
-                caps.append(drafted if l_max is None else min(drafted, l_max))
+            draft = propose_draft(list(greedy.output[:b]), x, limit - b + 1)
+            if record.source == "aligned":
+                # only where the proposer has no draft, right after a pass that
+                # copied the input from s and rejected its k-th token
+                before, last = previous
+                assert draft is None and last.source in ("input", "aligned") and last.bifurcation is not None
+                start = last.suffix_match[0] + 1 + last.bifurcation - (before - 1)
+                caps.append({t: len(x) - t if l_max is None else min(len(x) - t, l_max) for t in (start - 1, start)})
+            elif record.mode == AGGRESSIVE:
+                caps.append(len(draft.tokens) if l_max is None else min(len(draft.tokens), l_max))
+            previous = b, record
         _check_windows(aggressive.trace.iterations, getattr(scorer, "position_cost", 0.0), caps)
         boundary = 1
         for record in aggressive.trace.iterations:
@@ -962,6 +1067,31 @@ def test_decode_loop_equals_the_reference_loop(data, kind, l_max, cost, max_len)
             output, records = reference_decode(scorer, x, cfg, aggressive)
             assert result.output == output
             assert [tuple(record) for record in result.trace.iterations] == records
+
+
+def test_aligned_passes_cut_the_iterations_of_a_scripted_rewrite_corpus():
+    """On a seeded low-edit rewrite corpus, verifying the insertion and
+    substitution re-entries in one pass, where the proposer has no draft,
+    takes at most 0.8 of the iterations of the loop that steps there
+    instead. At l_max = 1 no branch window exceeds one position, so every
+    record is the stepping loop's."""
+    synth = synthetic_vocab(150)
+    pairs = rewrite_pairs(np.random.default_rng(17), 200, synth, 20, 60, (0.0, 0.1))
+    scorer = ScriptedEditScorer(pairs, synth)
+    branched = stepped = 0
+    for source, target in pairs:
+        x = prepare_input(source, synth)
+        cfg = DecodeConfig(mode="aggressive")
+        result = aggressive_decode(scorer, x, cfg)
+        output, records = reference_decode(scorer, x, cfg, True, branching=False)
+        assert result.output == output == (synth.bos,) + target + (synth.eos,)
+        branched += result.trace.sequential_iterations
+        stepped += len(records)
+        cfg = DecodeConfig(mode="aggressive", l_max=1)
+        result = aggressive_decode(scorer, x, cfg)
+        assert (result.output, [tuple(r) for r in result.trace.iterations]) == reference_decode(
+            scorer, x, cfg, True, branching=False)
+    assert branched <= 0.8 * stepped
 
 
 def test_lmax_monotone_iterations_identity(vocab):

@@ -115,7 +115,12 @@ def test_scripted_rows_follow_next_token(source, target, on_script, tail, data):
     scorer = ScriptedEditScorer(pairs, vocab)
     state = scorer.encode(prepare_input(source, vocab))
     prefix = (vocab.bos,) + (source if target is None else target)[:on_script] + tail
-    positions = data.draw(st.lists(st.integers(0, len(prefix) - 1), unique=True).map(sorted))
+    n = len(prefix)
+    # sorted positions, or a contiguous range, which is built from slices
+    positions = data.draw(st.one_of(
+        st.lists(st.integers(0, n - 1), unique=True).map(sorted),
+        st.integers(0, n).flatmap(lambda lo: st.integers(lo, n).map(lambda hi: range(lo, hi))),
+    ))
     rows = scorer.score_positions(state, prefix, positions)
     assert rows.shape == (len(positions), len(vocab))
     for row, p in zip(rows, positions):
@@ -141,6 +146,36 @@ def test_scripted_predictions_equal_its_rows(source, target, on_script, tail, da
     positions = data.draw(st.one_of(st.just(range(n)), st.lists(st.integers(0, n - 1), max_size=2 * n)))
     prediction = scorer.predict_positions(state, prefix, positions)
     assert same_predictions(prediction, scorer.score_positions(state, prefix, positions))
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=_words, target=st.one_of(st.none(), _words), on_script=st.integers(0, 9),
+       tail=_words, data=st.data())
+def test_scripted_branches_equal_per_branch_predictions(source, target, on_script, tail, data):
+    """predict_branches answers each branch as predict_positions answers the
+    prefix followed by the branch's pseudo inputs, bit for bit, and as the
+    rows do: for a prefix on script or off it, a source without a target,
+    and branches that follow the script, leave it, or run past the end of
+    the source or the target."""
+    vocab = Vocab(["a", "b", "c", "d", "X"])
+    pairs = [(source, target)] if target is not None else []
+    scorer = ScriptedEditScorer(pairs, vocab)
+    state = scorer.encode(prepare_input(source, vocab))
+    script = source if target is None else target
+    prefix = (vocab.bos,) + script[:on_script] + tail
+    j = len(prefix) - 1
+    # a branch continues the script for a while, then goes its own way
+    branch = st.tuples(st.integers(0, 10), _words).map(
+        lambda drawn: (script[len(prefix) - 1:][: drawn[0]] + drawn[1]) or (4,))
+    branches = data.draw(st.lists(branch, max_size=3))
+    answers = scorer.predict_branches(state, prefix, branches)
+    assert len(answers) == len(branches)
+    for branch, answer in zip(branches, answers):
+        pseudo = prefix + branch[:-1]
+        positions = range(j, j + len(branch))
+        assert same_predictions(answer, scorer.score_positions(state, pseudo, list(positions)))
+        assert same_predictions(scorer.predict_positions(state, pseudo, positions),
+                                scorer.score_positions(state, pseudo, list(positions)))
 
 
 def test_ngram_uniform_counts_tie_break(vocab):
