@@ -1,8 +1,9 @@
 """Command line: decode corpora, check greedy equivalence, and run benchmarks.
 
-Subcommands: decode, check, bench, sweep-lmax, sweep-depth. Corpora are UTF-8
-text, one sentence per line. Outputs are deterministic for a fixed (config,
-seed, corpus) triple, except for wall-clock columns.
+Subcommands: decode, check, bench, sweep-depth. `check` as csv or json also
+prints each `--lmax` value's aggregate totals. Corpora are UTF-8 text, one
+sentence per line. Outputs are deterministic for a fixed (config, seed,
+corpus) triple, except for wall-clock columns.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 
 from .core import (
     AGGRESSIVE,
+    UNLIMITED,
     WHITESPACE,
     DecodeConfig,
     TokenIds,
@@ -75,7 +77,7 @@ def _parse_lmax(text: str) -> list[int | None]:
     values: list[int | None] = []
     for piece in text.split(","):
         piece = piece.strip()
-        if piece == "unlimited":
+        if piece == UNLIMITED:
             values.append(None)
             continue
         try:
@@ -84,7 +86,7 @@ def _parse_lmax(text: str) -> list[int | None]:
                 raise ValueError
         except ValueError:
             raise ValueError(
-                f"--lmax values must be ints >= 1 or 'unlimited', got {piece!r}"
+                f"--lmax values must be ints >= 1 or {UNLIMITED!r}, got {piece!r}"
             ) from None
         values.append(value)
     return values
@@ -158,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     scoring.add_argument("--order", type=int, default=2, help="n-gram order")
     scoring.add_argument("--smoothing", type=float, default=0.1)
     scoring.add_argument("--copy-bias", type=float, default=0.0)
-    scoring.add_argument("--lmax", default="unlimited",
-                         help="comma list of ints or 'unlimited'; decode and bench take one value")
+    scoring.add_argument("--lmax", default=UNLIMITED,
+                         help=f"comma list of ints or {UNLIMITED!r}; decode and bench take one value")
 
     beam = _Parser(add_help=False)  # decode and bench
     beam.add_argument("--beam", type=int, default=5)
@@ -177,9 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decode, parser=p)
 
     p = sub.add_parser("check", parents=[common, scoring],
-                       help="verify aggressive output equals greedy output")
+                       help="verify aggressive output equals greedy output; totals per --lmax value")
     p.add_argument("--corpus", required=True, metavar="PATH")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--repetitions", type=int, default=1)
+    p.add_argument("--warmup", type=int, default=0)
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=_cmd_check, parser=p)
 
     p = sub.add_parser("bench", parents=[common, scoring, beam],
@@ -190,14 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-beam", action="store_true")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=_cmd_bench, parser=p)
-
-    p = sub.add_parser("sweep-lmax", parents=[common, scoring],
-                       help="aggregate stats per copy-window cap")
-    p.add_argument("--corpus", required=True, metavar="PATH")
-    p.add_argument("--repetitions", type=int, default=1)
-    p.add_argument("--warmup", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_sweep_lmax, parser=p)
 
     p = sub.add_parser("sweep-depth", parents=[common],
                        help="wall-clock per encoder+decoder depth")
@@ -379,11 +375,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         list(corpus.values()),
         l_max_values=_parse_lmax(args.lmax),
         cfg=DecodeConfig(max_len=args.max_len),
+        repetitions=args.repetitions,
+        warmup=args.warmup,
     )
     mismatches = [
         {
             "sentence": line_numbers[m.sentence],
-            "l_max": "unlimited" if m.l_max is None else m.l_max,
+            "l_max": UNLIMITED if m.l_max is None else m.l_max,
             "greedy": detokenize(m.greedy_result.output, vocab, args.scheme),
             "aggressive": detokenize(m.aggressive_result.output, vocab, args.scheme),
             "greedy_trace": emit_trace(m.greedy_result, vocab, args.scheme),
@@ -391,11 +389,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
         }
         for m in report.mismatches
     ]
-    if args.format == "json":
+    if args.format == "csv":
+        _write(args, rows_csv(LmaxRow, report.rows))
+    elif args.format == "json":
         _write(args, rows_json({
             "sentences": report.sentences,
             "decode_pairs": report.decode_pairs,
             "mismatches": mismatches,
+            "rows": report.rows,
         }))
     else:
         detail = "".join(
@@ -439,21 +440,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"mean iteration speedup {summary['mean_iteration_speedup']:.2f}x; "
             f"mean wall-clock speedup {summary['mean_wall_speedup']:.2f}x",
         )
-    return 0
-
-
-def _cmd_sweep_lmax(args: argparse.Namespace) -> int:
-    lines = _load_lines(args, "corpus")
-    scorer = _make_scorer(args, lines)
-    rows = check_equivalence(
-        scorer,
-        list(_nonempty_corpus(lines, scorer.vocab, args.scheme).values()),
-        l_max_values=_parse_lmax(args.lmax),
-        cfg=DecodeConfig(max_len=args.max_len),
-        repetitions=args.repetitions,
-        warmup=args.warmup,
-    ).rows
-    _write(args, rows_json(rows) if args.format == "json" else rows_csv(LmaxRow, rows))
     return 0
 
 

@@ -154,6 +154,9 @@ MODES = (GREEDY, BEAM, AGGRESSIVE)
 
 AUTOREGRESSIVE = "autoregressive"
 
+# How an l_max of None (no cap) is written in `--lmax` and in reports.
+UNLIMITED = "unlimited"
+
 
 @dataclass(frozen=True)
 class DecodeConfig:

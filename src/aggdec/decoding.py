@@ -265,6 +265,13 @@ def _window(rate: float, cost: float, cap: int) -> int:
     return w
 
 
+def _pass_width(length: int, l_max: int | None, cost: float, rate: float) -> int:
+    """How many of a draft's `length` tokens a pass verifies: at most l_max,
+    and the _window of that cap when the scorer prices its positions."""
+    w = length if l_max is None or l_max >= length else l_max
+    return _window(rate, cost, w) if cost else w
+
+
 def _aligned_pass(predict_branches, o: list[int], x: TokenIds, start: int, l_max: int | None, cost: float, rate: float):
     """Verify the insertion re-entry x[start - 1:] and the substitution
     re-entry x[start:] in one predict_branches call. Each branch's window
@@ -276,11 +283,7 @@ def _aligned_pass(predict_branches, o: list[int], x: TokenIds, start: int, l_max
     first row once."""
     starts, copies = [], []
     for t in (start - 1, start):
-        w = len(x) - t
-        if l_max is not None and l_max < w:
-            w = l_max
-        if cost:
-            w = _window(rate, cost, w)
+        w = _pass_width(len(x) - t, l_max, cost, rate)
         if w > 1:
             starts.append(t)
             copies.append(x[t:t + w])
@@ -299,8 +302,8 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
     """Decode until EOS or max_len. ``propose(o, x, budget)`` returns a Draft
     to verify, or None for one autoregressive step, whose record then names
     the fallback reason; budget is the number of tokens o may still grow by.
-    A pass verifies the draft's first _window(...) tokens, capped by l_max.
-    Where propose returns None right after a pass that copied the input and
+    A pass verifies the draft's first _pass_width(...) tokens. Where
+    propose returns None right after a pass that copied the input and
     bifurcated, and the scorer answers predict_branches, an aligned pass
     takes the step's place. Every token is its row's argmax, and only
     accepted rows are checked, so a contract breach (a NaN or non-finite
@@ -343,11 +346,7 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
         else:
             if draft is not None:
                 drafted, source, anchor = draft
-                w = len(drafted)
-                if l_max is not None and l_max < w:
-                    w = l_max
-                if cost:
-                    w = _window(drafted_accepted / drafted_compared, cost, w)
+                w = _pass_width(len(drafted), l_max, cost, drafted_accepted / drafted_compared)
                 copied = drafted[:w]
                 prefix = tuple(o) + copied[:-1]  # pseudo decoder inputs; never includes PAD
                 predicted, chosen = predict(prefix, range(j, j + w))

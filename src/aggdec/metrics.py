@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import AGGRESSIVE, BEAM, GREEDY, DecodeConfig, TokenIds, Vocab, prepare_input, strip_sentinels
+from .core import AGGRESSIVE, BEAM, GREEDY, UNLIMITED, DecodeConfig, TokenIds, Vocab, prepare_input, strip_sentinels
 from .decoding import DecodeResult, aggressive_decode, beam_decode, greedy_decode
 from .scorers import Scorer
 from .transformer import TinyTransformer, TransformerConfig
@@ -118,7 +118,7 @@ class Mismatch:
 class LmaxRow:
     """One copy-window cap's aggressive-decoding totals over a corpus."""
 
-    l_max: int | None = field(metadata={"none": "unlimited"})
+    l_max: int | None = field(metadata={"none": UNLIMITED})
     sequential_iterations: int
     positions_scored: int
     tokens_emitted: int

@@ -229,10 +229,11 @@ def test_check_json_format(corpus_file, capsys):
 
 
 def test_check_exits_nonzero_on_mismatch(corpus_file, capsys, monkeypatch, vocab):
-    """Exit code is 0 iff the mismatch count is 0; each mismatch is shown with
-    both outputs and traces, and an unlimited l_max reads `unlimited`."""
+    """Exit code is 0 iff the mismatch count is 0, in every format; each
+    mismatch is shown with both outputs and traces, and an unlimited l_max
+    reads `unlimited` in mismatches and per-l_max rows alike."""
     from aggdec import cli as cli_module
-    from aggdec.metrics import EquivalenceReport, Mismatch
+    from aggdec.metrics import EquivalenceReport, LmaxRow, Mismatch
 
     raw = tokenize("a b", "whitespace", vocab)
     x = prepare_input(raw, vocab)
@@ -245,7 +246,7 @@ def test_check_exits_nonzero_on_mismatch(corpus_file, capsys, monkeypatch, vocab
         mismatches=(
             Mismatch(sentence=0, l_max=None, greedy_result=greedy, aggressive_result=aggressive),
         ),
-        rows=(),
+        rows=(LmaxRow(None, 2, 3, 3, 0.5, False),),
     )
     monkeypatch.setattr(cli_module, "check_equivalence", lambda *a, **k: fake)
     check = ["check", "--scorer", "identity", "--corpus", str(corpus_file)]
@@ -270,7 +271,20 @@ def test_check_exits_nonzero_on_mismatch(corpus_file, capsys, monkeypatch, vocab
             "greedy_trace": "[a]_0(ar) [b]_1(ar) [<eos>]_2(ar)",
             "aggressive_trace": "[a c]_0(agg) [<eos>]_1(align)",
         }],
+        "rows": [{
+            "l_max": "unlimited",
+            "sequential_iterations": 2,
+            "positions_scored": 3,
+            "tokens_emitted": 3,
+            "wall_clock": 0.5,
+            "outputs_match_greedy": False,
+        }],
     }
+    assert main([*check, "--format", "csv"]) == 1
+    assert capsys.readouterr().out == (
+        "l_max,sequential_iterations,positions_scored,tokens_emitted,wall_clock,outputs_match_greedy\n"
+        "unlimited,2,3,3,0.500000,false\n"
+    )
 
 
 def test_bench_csv(corpus_file, capsys):
@@ -314,7 +328,7 @@ def test_bench_json(corpus_file, capsys):
 
 def test_sweep_lmax_nonincreasing(corpus_file, capsys):
     code = main([
-        "sweep-lmax", "--scorer", "identity", "--corpus", str(corpus_file),
+        "check", "--scorer", "identity", "--corpus", str(corpus_file),
         "--lmax", "1,2,3,unlimited", "--format", "csv",
     ])
     assert code == 0
@@ -327,7 +341,7 @@ def test_sweep_lmax_config_overrides_flags(corpus_file, tmp_path, capsys):
     config = tmp_path / "sweep.cfg"
     config.write_text("lmax = 1,unlimited\n", encoding="utf-8")
     code = main([
-        "sweep-lmax", "--scorer", "identity", "--corpus", str(corpus_file),
+        "check", "--scorer", "identity", "--corpus", str(corpus_file),
         "--lmax", "3", "--config", str(config), "--format", "csv",
     ])
     assert code == 0
@@ -338,17 +352,19 @@ def test_sweep_lmax_config_overrides_flags(corpus_file, tmp_path, capsys):
 
 
 def test_sweep_lmax_of_blank_lines_only_is_an_error(tmp_path, capsys):
-    """Like check, the sweep refuses a corpus with no sentence to decode."""
+    """As in text, check's per-l_max table refuses a corpus with no sentence
+    to decode, and prints no header."""
     path = tmp_path / "blank.txt"
     path.write_text("\n\n", encoding="utf-8")
-    assert main(["sweep-lmax", "--scorer", "identity", "--corpus", str(path)]) == 1
+    argv = ["check", "--scorer", "identity", "--corpus", str(path), "--lmax", "1,unlimited"]
+    assert main(argv + ["--format", "csv"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: equivalence check needs a nonempty corpus\n"
 
 
 def test_check_of_blank_lines_only_is_an_error(tmp_path, capsys):
-    """check, like sweep-lmax and bench, decodes only the lines that hold a
+    """check, like bench, decodes only the lines that hold a
     token, so a corpus of blank lines has no sentence to check."""
     path = tmp_path / "blank.txt"
     path.write_text("\n \n", encoding="utf-8")
@@ -389,7 +405,7 @@ def test_sweep_config_nargs_value_matches_flag(corpus_file, tmp_path, capsys):
     tgt.write_text("a b X d\n", encoding="utf-8")
     config = tmp_path / "sweep.cfg"
     config.write_text(f"scorer = scripted\nscripted_pairs = {src} {tgt}\n", encoding="utf-8")
-    argv = ["sweep-lmax", "--corpus", str(src), "--lmax", "1,unlimited"]
+    argv = ["check", "--corpus", str(src), "--lmax", "1,unlimited", "--format", "csv"]
     assert main(argv + ["--config", str(config)]) == 0
     from_config = capsys.readouterr().out.splitlines()
     assert main(argv + ["--scorer", "scripted", "--scripted-pairs", str(src), str(tgt)]) == 0
@@ -412,8 +428,8 @@ def test_sweep_config_value_rejected_like_flag(corpus_file, tmp_path, capsys, li
     config = tmp_path / "sweep.cfg"
     config.write_text(f"# sweep settings\n{line}\n", encoding="utf-8")
     code = main([
-        "sweep-lmax", "--scorer", "identity", "--corpus", str(corpus_file),
-        "--config", str(config),
+        "check", "--scorer", "identity", "--corpus", str(corpus_file),
+        "--lmax", "1,unlimited", "--format", "csv", "--config", str(config),
     ])
     assert code == 1
     err = capsys.readouterr().err
@@ -458,13 +474,12 @@ def test_decode_character_scheme_round_trips_text(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("subcommand, tail", [
-    pytest.param("check", ["--format", "csv"], id="check-csv"),
-    pytest.param("sweep-lmax", ["--format", "text"], id="sweep-lmax-text"),
+    pytest.param("check", ["--format", "xml"], id="check-xml"),
     pytest.param("sweep-depth", ["--format", "text"], id="sweep-depth-text"),
     # options a subcommand never reads are not accepted either
     pytest.param("check", ["--mode", "beam"], id="check-mode"),
     pytest.param("bench", ["--mode", "greedy"], id="bench-mode"),
-    pytest.param("sweep-lmax", ["--beam", "2"], id="sweep-lmax-beam"),
+    pytest.param("check", ["--lmax", "1,unlimited", "--beam", "2"], id="sweep-lmax-beam"),
     pytest.param("sweep-depth", ["--lmax", "2"], id="sweep-depth-lmax"),
     pytest.param("sweep-depth", ["--scorer", "ngram"], id="sweep-depth-scorer"),
 ])
@@ -486,7 +501,7 @@ BENCH = ["bench", "--scorer", "identity", "--repetitions", "1", "--warmup", "0"]
     (BENCH, True),
     (SWEEP_DEPTH, False),
     (SWEEP_DEPTH, True),
-    (["sweep-lmax", "--scorer", "identity"], True),
+    (["check", "--scorer", "identity", "--lmax", "1,unlimited", "--format", "csv"], True),
 ], ids=["bench", "bench-config", "sweep-depth", "sweep-depth-config", "sweep-lmax-config"])
 def test_threads_pinned_once_per_run(corpus_file, tmp_path, monkeypatch, argv, from_config):
     """`--threads 1`, or `threads = 1` in a config file, asks for the pin

@@ -33,13 +33,11 @@ CASES = {
     "check_text": ["check", *NGRAM, "--corpus", "{corpus}", "--lmax", "1,3,unlimited"],
     "check_json": ["check", *NGRAM, "--corpus", "{corpus}", "--lmax", "2,unlimited",
                    "--format", "json"],
+    "check_csv": ["check", *NGRAM, "--corpus", "{corpus}", "--lmax", "1,2,unlimited",
+                  "--format", "csv"],
     "bench_csv": ["bench", *SCRIPTED, "--corpus", "{corpus}", *ONCE, "--with-beam",
                   "--beam", "2", "--format", "csv"],
     "bench_json": ["bench", *SCRIPTED, "--corpus", "{corpus}", *ONCE, "--format", "json"],
-    # no --format: a sweep's default output is its CSV table
-    "sweep_lmax_csv": ["sweep-lmax", *NGRAM, "--corpus", "{corpus}", "--lmax", "1,2,unlimited"],
-    "sweep_lmax_json": ["sweep-lmax", *NGRAM, "--corpus", "{corpus}", "--lmax", "1,2,unlimited",
-                        "--format", "json"],
     "sweep_depth_csv": ["sweep-depth", "--corpus", "{corpus}", *DEPTH, "--format", "csv"],
     "sweep_depth_json": ["sweep-depth", "--corpus", "{corpus}", *DEPTH, "--format", "json"],
 }
