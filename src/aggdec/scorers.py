@@ -184,18 +184,11 @@ class ScriptedEditScorer(Scorer):
         source = tuple(x[1:-1])
         return _ScriptedState(source=source, target=self._table.get(source))
 
-    def next_token(self, state: _ScriptedState, prefix: Sequence[int]) -> int:
-        emitted = tuple(prefix[1:])
-        j = len(emitted)
-        target = state.target
-        if target is not None and emitted == target[:j]:
-            return target[j] if j < len(target) else self.vocab.eos
-        source = state.source
-        return source[j] if j < len(source) else self.vocab.eos
-
     def _tokens(self, state: _ScriptedState, prefix, positions) -> list[int]:
-        """next_token(state, prefix[:p + 1]) for each p in positions, from one
-        pass over the prefix; a contiguous range is built from two slices."""
+        """The scripted token after prefix[:p + 1] for each p in positions:
+        target[p] while prefix[1:p + 1] is target[:p], else source[p], and
+        EOS past the end of either. One pass over the prefix; a contiguous
+        range is built from two slices."""
         emitted = tuple(prefix)[1:]
         source, target, eos = state.source, state.target, self.vocab.eos
         contiguous = type(positions) is range and positions.step == 1
@@ -224,7 +217,8 @@ class ScriptedEditScorer(Scorer):
         return tokens
 
     def score_positions(self, state, prefix, positions) -> np.ndarray:
-        """Row k is the one-hot of next_token(state, prefix[:positions[k] + 1])."""
+        """Row k is the one-hot of the scripted token at positions[k] (see
+        _tokens), over a background of SCRIPTED_OFF_LOGIT, with PAD at -inf."""
         tokens = self._tokens(state, prefix, positions)
         rows = np.empty((len(tokens), len(self._background)))
         rows[:] = self._background
@@ -288,6 +282,12 @@ class _NgramState:
     n: int
 
 
+# An n-gram context's row: its argmax (ties to the smallest id), that
+# token's logit, the background logit of the tokens it has not seen, and its
+# cells, {token: logit}, for the tokens it has seen and for PAD.
+_NgramRow = tuple[int, float, float, dict[int, float]]
+
+
 class NgramScorer(Scorer):
     """Additive-smoothed n-gram over the decoder history plus a copy bias.
 
@@ -299,14 +299,19 @@ class NgramScorer(Scorer):
     exactly, then stops). smoothing must be finite and positive, and
     copy_bias finite.
 
-    Every context seen in the corpus owns one row of a single log-probability
-    table, built once with PAD's column at -inf; the last row is the unseen
-    context's. A call gathers its rows from the table in one take and adds
-    copy_bias at each row's aligned token. Each row's argmax and that logit
-    are kept too, so predict_positions builds no row: a position's
-    prediction is its context's argmax or its biased aligned token, whichever
-    logit is larger (ties to the smaller id). Only when the aligned token is
-    the argmax and copy_bias is negative does it read the whole row.
+    Only what the corpus has is stored, so memory grows with the corpus's
+    tokens, not with contexts x vocabulary. Each context seen in the corpus
+    has a row: a cell, log(count + s) - log(total + s * V), for each token
+    seen after it; PAD's cell at -inf; one background logit,
+    log(s) - log(total + s * V), which every other token shares; and the
+    row's argmax and that logit. Contexts with equal counts share one row,
+    and the unseen context's row has the background alone. score_positions
+    builds each row it returns from its background and cells and adds
+    copy_bias at the aligned token. predict_positions builds no row: a
+    position's prediction is its context's argmax or its biased aligned
+    token, whichever logit is larger (ties to the smaller id), one lookup
+    in the cells. Only when the aligned token is the argmax and copy_bias is
+    negative does it build the whole row.
 
     position_cost: one aggressive pass (proposer, predict_positions,
     chosen-logit check, PAD test, record) with its first drafted token
@@ -315,7 +320,14 @@ class NgramScorer(Scorer):
     10 tokens of context; 2-CPU Xeon, 1 BLAS thread; per input the best of
     seven batches of 1000, median over five inputs, lowest of twelve runs).
     One more position costs about 0.33 us, about a tenth (0.12) of a
-    one-position pass, which is the declared 0.1.
+    one-position pass, which is the declared 0.1. It is kept as that
+    measured cost, not tuned end to end, where it is not the best: decoding
+    the seed-21 ngram-edit inputs (decode only, each sentence's best of 9
+    interleaved repetitions), aggressive p50 over greedy p50 read
+    1.53-1.60 at c = 0.1 and 1.44-1.50 / 1.46-1.55 / 1.54-1.61 at
+    c = 0.2 / 0.3 / 0.5 over seven runs (2-CPU Xeon VM). c = 0.2 was about
+    6% faster at p50 and 7% at p95, at 2.3% more iterations (15937 against
+    15586); any other c changes the iteration counts.
     """
 
     position_cost = 0.1
@@ -340,29 +352,64 @@ class NgramScorer(Scorer):
         self.order = order
         self.smoothing = float(smoothing)
         self.copy_bias = float(copy_bias)
-        size = len(vocab)
+        size, s, pad, back = len(vocab), self.smoothing, vocab.pad, order - 1
         row_ids: dict[TokenIds, int] = {}
+        row_id = row_ids.setdefault
         rows: list[int] = []
         tokens: list[int] = []
         for seq in corpus:
             toks = (vocab.bos,) + tuple(seq) + (vocab.eos,)
-            for i in range(1, len(toks)):
-                rows.append(row_ids.setdefault(toks[max(0, i - order + 1): i], len(row_ids)))
-                tokens.append(toks[i])
-        table = np.zeros((len(row_ids) + 1, size))  # the last row, count 0, is the unseen context's
-        np.add.at(table, (rows, tokens), 1.0)
-        # counts become smoothed log-probabilities in place,
-        # log(count + s) - log(total + s * V), so no second table is held
-        log_denom = np.log(table.sum(axis=1) + self.smoothing * size)
-        table += self.smoothing
-        np.log(table, out=table)
-        table -= log_denom[:, None]
-        # a finite copy_bias keeps this column at -inf
-        table[:, vocab.pad] = NEG_INF
-        self._row_ids = row_ids
-        self._table = table
-        self._argmax = table.argmax(axis=1).tolist()  # ties to the smallest id
-        self._top = table.max(axis=1).tolist()  # each row's logit at its argmax
+            rows += [row_id(toks[i - back if i > back else 0: i], len(row_ids)) for i in range(1, len(toks))]
+            tokens += toks[1:]
+        unseen = len(row_ids)  # one more row, with no counts, is the unseen context's
+        rows = np.array(rows)
+        # each row's cells, by row, then by token: the tokens it has seen, and PAD
+        keys, counts = np.unique(
+            np.concatenate([rows * size + tokens, np.arange(unseen + 1) * size + pad]), return_counts=True
+        )
+        cell_rows, cell_tokens = np.divmod(keys, size)
+        is_pad = cell_tokens == pad
+        counts[is_pad] -= 1
+        # log(count + s) - log(total + s * V), with the float operations of a
+        # dense table, so every logit is bit for bit the same
+        log_denom = np.log(np.bincount(rows, minlength=unseen + 1) + s * size)
+        logs = np.log(np.append(counts + s, s))
+        values = logs[:-1] - log_denom[cell_rows]
+        values[is_pad] = NEG_INF  # a finite copy_bias keeps PAD there
+        background = logs[-1] - log_denom
+        # each row's argmax among its cells, ties to the smallest id: the
+        # sort is stable, so tied cells stay in token order
+        bounds = np.searchsorted(cell_rows, np.arange(unseen + 2))
+        firsts = np.lexsort((-values, cell_rows))[bounds[:-1]]
+        argmax, top = cell_tokens[firsts], values[firsts]
+        competes = np.flatnonzero(background >= top).tolist()
+        signatures = np.stack([cell_tokens, counts], axis=1).tobytes()
+        argmax, top, background = argmax.tolist(), top.tolist(), background.tolist()
+        cell_tokens, values, bounds = cell_tokens.tolist(), values.tolist(), bounds.tolist()
+        # The background is below every cell but PAD's unless count + s == s.
+        # Where it is not, the first token the cells leave to it competes.
+        for r in competes:
+            taken = set(cell_tokens[bounds[r]: bounds[r + 1]])
+            first = next(t for t in count() if t not in taken)
+            if first < size and (background[r] > top[r] or first < argmax[r]):
+                argmax[r], top[r] = first, background[r]
+        # Contexts with the same counts have the same row, and share it. A
+        # row's kind is its cells' (token, count) pairs, 16 bytes a cell.
+        kinds = [signatures[16 * a: 16 * b] for a, b in zip(bounds, bounds[1:])]
+        shared: dict[bytes, _NgramRow] = {}
+        for r, kind in enumerate(kinds):
+            if kind not in shared:
+                a, b = bounds[r], bounds[r + 1]
+                shared[kind] = argmax[r], top[r], background[r], dict(zip(cell_tokens[a:b], values[a:b]))
+        self._rows = {ctx: shared[kind] for ctx, kind in zip(row_ids, kinds)}
+        self._unseen = shared[kinds[unseen]]
+
+    def _dense(self, row: _NgramRow) -> np.ndarray:
+        """A row as a fresh logit vector over the vocabulary."""
+        _, _, background, cells = row
+        logits = np.full(len(self.vocab), background)
+        logits[list(cells)] = list(cells.values())
+        return logits
 
     def encode(self, x: TokenIds) -> _NgramState:
         x = tuple(x)
@@ -370,40 +417,34 @@ class NgramScorer(Scorer):
 
     def score_positions(self, state, prefix, positions) -> np.ndarray:
         x, n, eos, back = state.x, state.n, self.vocab.eos, self.order - 2
-        row_id = self._row_ids.get
-        ids, aligned = [], []
-        for p in positions:
+        row_of, unseen, bias = self._rows.get, self._unseen, self.copy_bias
+        rows = np.empty((len(positions), len(self.vocab)))
+        for k, p in enumerate(positions):
             lo = p - back
-            ids.append(row_id(tuple(prefix[lo if lo > 0 else 0: p + 1]), -1))  # -1: the unseen row
-            aligned.append(x[p + 1] if p < n else eos)
-        rows = self._table.take(ids, axis=0)  # a copy, never a view into the table
-        bias = self.copy_bias
-        for k, token in enumerate(aligned):
-            rows[k, token] += bias
+            rows[k] = self._dense(row_of(tuple(prefix[lo if lo > 0 else 0: p + 1]), unseen))
+            rows[k, x[p + 1] if p < n else eos] += bias
         return rows
 
     def predict_positions(self, state, prefix, positions) -> tuple[list[int], list[float]]:
         x, n, eos, back = state.x, state.n, self.vocab.eos, self.order - 2
-        row_id, argmax, tops = self._row_ids.get, self._argmax, self._top
-        logit, bias = self._table.item, self.copy_bias
+        row_of, unseen, bias = self._rows.get, self._unseen, self.copy_bias
         tokens, chosen = [], []
         for p in positions:
             lo = p - back
-            r = row_id(tuple(prefix[lo if lo > 0 else 0: p + 1]), -1)
+            row = row_of(tuple(prefix[lo if lo > 0 else 0: p + 1]), unseen)
+            best, top, background, cells = row
             aligned = x[p + 1] if p < n else eos
-            best = argmax[r]
-            top = tops[r]
             if aligned != best:
-                value = logit(r, aligned) + bias  # the aligned token's logit in the row
+                value = cells.get(aligned, background) + bias  # the aligned token's logit in the row
                 if value > top or (value == top and aligned < best):
                     best, top = aligned, value
             elif bias >= 0:
                 top += bias
             else:  # the bias may drop the argmax below another token
-                row = self._table[r].copy()
-                row[aligned] = top + bias
-                best = int(row.argmax())
-                top = row.item(best)
+                logits = self._dense(row)
+                logits[aligned] = top + bias
+                best = int(logits.argmax())
+                top = logits.item(best)
             tokens.append(best)
             chosen.append(top)
         return tokens, chosen

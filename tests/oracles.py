@@ -5,7 +5,8 @@ rescans the window for every suffix length instead of filtering anchors (a
 second one keeps the plain candidate scan the fast version replaced), the
 verify-loop oracle keeps the decode loop's bookkeeping as plain scans, the
 edit-distance oracle is the plain recursion rather than the DP table, and the
-argmax oracle is a left-to-right scan. The n-gram oracle counts and
+argmax oracle is a left-to-right scan. The scripted oracle applies the
+rewrite rule to one whole prefix at a time. The n-gram oracle counts and
 normalises each context's row when it is asked for. The transformer oracle is the decoder
 forward pass written plainly (mean/var layer norm, a sinusoid table per call,
 a key/value cache grown by concatenation, an np.where causal mask), against
@@ -250,6 +251,17 @@ def same_predictions(prediction, rows) -> bool:
         and all(type(c) is float for c in chosen)
         and np.array(chosen, dtype=float).tobytes() == np.array(expected_chosen, dtype=float).tobytes()
     )
+
+
+def scripted_next_token(state, prefix, eos):
+    """ScriptedEditScorer's token after the whole prefix, from its rule: the
+    target continues while the emitted tokens are a prefix of it, and the
+    source is copied otherwise, each followed by EOS."""
+    emitted = tuple(prefix[1:])
+    j = len(emitted)
+    if state.target is not None and emitted == state.target[:j]:
+        return state.target[j] if j < len(state.target) else eos
+    return state.source[j] if j < len(state.source) else eos
 
 
 class ReferenceNgram:

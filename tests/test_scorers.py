@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from aggdec import (
 )
 from aggdec.decoding import argmax_with_tiebreak
 from aggdec.scorers import SCRIPTED_OFF_LOGIT, log_softmax
-from oracles import ReferenceNgram, same_predictions
+from oracles import ReferenceNgram, same_predictions, scripted_next_token
 
 
 def ids(text, vocab):
@@ -73,9 +74,9 @@ def test_scripted_off_target_fallback_copies_source(vocab):
     scorer = ScriptedEditScorer([pair], vocab)
     state = scorer.encode(prepare_input(pair[0], vocab))
     diverged = (vocab.bos, vocab.id_of("b"), vocab.id_of("b"))
-    assert scorer.next_token(state, diverged) == vocab.id_of("c")
+    assert scorer.predict_positions(state, diverged, (2,))[0] == [vocab.id_of("c")]
     exhausted = (vocab.bos,) + ids("b b b", vocab)
-    assert scorer.next_token(state, exhausted) == vocab.eos
+    assert scorer.predict_positions(state, exhausted, (3,))[0] == [vocab.eos]
 
 
 def test_scripted_rejects_duplicate_sources(vocab):
@@ -108,8 +109,9 @@ _words = st.lists(st.integers(4, 8), max_size=8).map(tuple)
 @given(source=_words, target=st.one_of(st.none(), _words), on_script=st.integers(0, 9),
        tail=_words, data=st.data())
 def test_scripted_rows_follow_next_token(source, target, on_script, tail, data):
-    """Every row of a multi-position call is the one-hot of next_token on its
-    own prefix, on script, past the script's end, and after leaving it."""
+    """Every row of a multi-position call is the one-hot of the scripted
+    rule's next token on its own prefix, on script, past the script's end,
+    and after leaving it."""
     vocab = Vocab(["a", "b", "c", "d", "X"])
     pairs = [(source, target)] if target is not None else []
     scorer = ScriptedEditScorer(pairs, vocab)
@@ -125,7 +127,7 @@ def test_scripted_rows_follow_next_token(source, target, on_script, tail, data):
     assert rows.shape == (len(positions), len(vocab))
     for row, p in zip(rows, positions):
         expected = np.full(len(vocab), SCRIPTED_OFF_LOGIT)
-        expected[scorer.next_token(state, prefix[: p + 1])] = 0.0
+        expected[scripted_next_token(state, prefix[: p + 1], vocab.eos)] = 0.0
         expected[vocab.pad] = float("-inf")
         assert np.array_equal(row, expected)
 
@@ -267,15 +269,23 @@ def test_log_softmax_rejects_all_masked():
 
 _NGRAM_WORDS = ["a", "b", "c", "d", "X"]
 
+# Corpus and prefix ids for the n-gram oracle tests: the words, UNK and the
+# sentinels BOS, EOS and PAD, which a corpus may hold too; the scorer must
+# keep PAD at -inf wherever it is counted.
+_ngram_ids = st.lists(st.integers(0, 8), max_size=8).map(tuple)
+
+# 1e17 makes count + s == s, so every cell of a row ties but PAD's
+_ngram_smoothing = st.sampled_from([0.1, 0.37, 1.0, 2.5, 1e17])
+
 
 @settings(max_examples=150, deadline=None)
 @given(
-    corpus=st.lists(_words, min_size=1, max_size=6),
+    corpus=st.lists(_ngram_ids, min_size=1, max_size=6),
     order=st.integers(1, 4),
-    smoothing=st.sampled_from([0.1, 0.37, 1.0, 2.5]),
+    smoothing=_ngram_smoothing,
     copy_bias=st.sampled_from([0.0, 2.0, 1e9]),
     source=_words,
-    tail=_words,
+    tail=_ngram_ids,
     as_list=st.booleans(),
     data=st.data(),
 )
@@ -297,12 +307,12 @@ def test_ngram_rows_match_oracle_bit_for_bit(corpus, order, smoothing, copy_bias
 
 @settings(max_examples=300, deadline=None)
 @given(
-    corpus=st.lists(_words, min_size=1, max_size=6),
+    corpus=st.lists(_ngram_ids, min_size=1, max_size=6),
     order=st.integers(1, 4),
-    smoothing=st.sampled_from([0.1, 0.37, 1.0, 2.5]),
+    smoothing=_ngram_smoothing,
     copy_bias=st.sampled_from([-1e9, -40.0, -1.5, -0.3, 0.0, 0.3, 2.0, 40.0, 1e9]),
     source=_words,
-    tail=_words,
+    tail=_ngram_ids,
     data=st.data(),
 )
 def test_ngram_predictions_equal_its_rows(corpus, order, smoothing, copy_bias, source, tail, data):
@@ -340,15 +350,36 @@ def test_ngram_prediction_breaks_an_exact_tie_to_the_smaller_id(top, other):
     assert same_predictions(prediction, scorer.score_positions(state, (vocab.bos,), (0,)))
 
 
-def test_ngram_scorer_is_not_changed_by_decoding(rng):
+@pytest.mark.parametrize("copy_bias", [1.0, -1.5])
+def test_ngram_scorer_is_not_changed_by_decoding(rng, copy_bias):
     """The scorer is immutable: decoding, which visits seen and unseen
-    contexts, leaves every attribute byte for byte as constructed."""
+    contexts, leaves every attribute byte for byte as constructed. A
+    negative copy_bias builds a whole row wherever the aligned token is its
+    context's argmax, and that row is the caller's own."""
     vocab = Vocab(_NGRAM_WORDS)
     corpus = [tuple(int(t) for t in rng.integers(4, 7, size=6)) for _ in range(10)]
-    scorer = NgramScorer(corpus, order=3, smoothing=0.1, vocab=vocab, copy_bias=1.0)
+    scorer = NgramScorer(corpus, order=3, smoothing=0.1, vocab=vocab, copy_bias=copy_bias)
     before = pickle.dumps(vars(scorer))
     for raw in corpus[:3] + [(8, 8, 7, 4), (7,)]:
         x = prepare_input(raw, vocab)
         greedy_decode(scorer, x, DecodeConfig())
         aggressive_decode(scorer, x, DecodeConfig(mode="aggressive"))
     assert pickle.dumps(vars(scorer)) == before
+
+
+def test_ngram_memory_grows_with_the_corpus_not_the_vocabulary():
+    """A few short sentences over a 20 000-word vocabulary: a table of
+    contexts x vocabulary would take about 8 B x 20 000 for each of the
+    corpus's 80-odd contexts, about 13 MB, while the counts the corpus has
+    take a few kB."""
+    vocab = Vocab(f"w{i}" for i in range(20_000))
+    rng = np.random.default_rng(5)
+    corpus = [tuple(int(t) for t in rng.integers(4, len(vocab), size=8)) for _ in range(10)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        NgramScorer(corpus, order=3, smoothing=0.1, vocab=vocab, copy_bias=2.0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
