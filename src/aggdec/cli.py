@@ -165,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     beam = _Parser(add_help=False)  # decode and bench
     beam.add_argument("--beam", type=int, default=5)
-    beam.add_argument("--length-penalty", type=float, default=0.0)
 
     parser = _Parser(prog="aggdec", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -297,7 +296,6 @@ def _decode_config(args: argparse.Namespace) -> DecodeConfig:
         max_len=args.max_len,
         l_max=_single_lmax(args),
         beam_size=args.beam,
-        length_penalty=args.length_penalty,
     )
 
 

@@ -62,9 +62,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self._surfaces)
 
-    def __contains__(self, surface: str) -> bool:
-        return surface in self._ids
-
     def id_of(self, surface: str) -> int:
         """Id for a surface string; unknown surfaces map to UNK."""
         return self._ids.get(surface, self.unk)
@@ -164,15 +161,16 @@ class DecodeConfig:
 
     max_len bounds the number of emitted tokens (BOS excluded); None derives
     2 * input_length + 16 per sentence. l_max caps how many tokens one
-    parallel verification pass may copy; None means unlimited. beam_size and
-    length_penalty apply to beam mode only.
+    parallel verification pass may copy; None means unlimited. beam_size
+    applies to beam mode only, which ranks hypotheses by summed log-prob
+    with no length penalty (see ``beam_decode`` for the key and the stop
+    rule).
     """
 
     mode: str = GREEDY
     max_len: int | None = None
     l_max: int | None = None
     beam_size: int = 1
-    length_penalty: float = 0.0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -183,8 +181,6 @@ class DecodeConfig:
             raise ValueError("l_max must be >= 1 when finite")
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
-        if self.length_penalty < 0:
-            raise ValueError("length_penalty must be >= 0")
 
     def resolve_max_len(self, input_len: int) -> int:
         return self.max_len if self.max_len is not None else 2 * input_len + 16

@@ -432,34 +432,28 @@ class _Hypothesis:
 def beam_decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeResult:
     """Standard beam search over summed log-probabilities.
 
-    Finished hypotheses are ranked by score / length**length_penalty, length
-    counting emitted tokens. beam_size=1 with length_penalty=0 reproduces
-    greedy_decode exactly, including its truncation behavior at max_len. The
-    trace records the winning hypothesis path, one autoregressive record per
-    emitted token; the extra per-step scoring cost of the other beams shows up
-    in wall-clock only.
+    Every hypothesis is ranked by one key, (-summed log-prob, length, ids):
+    a tie goes to the shorter, then to the smaller ids. Each step extends
+    every live hypothesis by its beam_size + 1 best tokens and keeps, in
+    rank order among the first 2 * beam_size candidates, the first beam_size
+    that do not end in EOS. An EOS candidate finishes only if it ranks among
+    the first beam_size, which keeps beam_size=1 identical to greedy_decode,
+    truncation at max_len included. Only the best finished hypothesis is
+    kept, and the search stops once no live hypothesis's log-prob exceeds
+    its: log-probs never rise, and a hypothesis that finishes later is
+    longer, so it loses the tie. The result is the best finished hypothesis,
+    else the best live one at max_len. The trace records the winning
+    hypothesis path, one autoregressive record per emitted token; the extra
+    per-step scoring cost of the other beams shows up in wall-clock only.
     """
     _require_mode(cfg, BEAM)
     vocab = scorer.vocab
     beam_size = cfg.beam_size
-    alpha = cfg.length_penalty
     max_len = cfg.resolve_max_len(len(x) - 2)
-
-    def penalized(logprob: float, length: int) -> float:
-        return logprob / (length ** alpha) if alpha > 0 else logprob
-
     live = [_Hypothesis((vocab.bos,), 0.0, scorer.session(x))]
-    finished: list[tuple[TokenIds, float]] = []  # kept as the best beam_size seen
+    best = None  # the best finished hypothesis's ranking key, (-logprob, length, ids)
     for _ in range(max_len):
-        if not live:
-            break
-        if (
-            alpha == 0
-            and len(finished) >= beam_size
-            and max(h.logprob for h in live)
-            <= min(score for _, score in finished)
-        ):
-            # log-probs only decrease, so no live path can enter the pool
+        if not live or best is not None and max(h.logprob for h in live) <= -best[0]:
             break
         candidates: list[tuple[float, int, int, _Hypothesis]] = []
         for parent_rank, hyp in enumerate(live):
@@ -471,7 +465,6 @@ def beam_decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeResult:
                 if not np.isfinite(logp[tok]):
                     continue  # masked (PAD)
                 candidates.append((hyp.logprob + float(logp[tok]), tok, parent_rank, hyp))
-        # all candidates share one length, so raw-score order == penalized order
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         new_live: list[_Hypothesis] = []
         for rank, (cum, tok, _, hyp) in enumerate(candidates[: 2 * beam_size]):
@@ -479,21 +472,14 @@ def beam_decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeResult:
             if tok == vocab.eos:
                 # only a top-beam_size EOS may finish; this is what keeps
                 # beam_size=1 identical to greedy even at max_len truncation
-                if rank < beam_size:
-                    finished.append((ids, cum))
+                if rank < beam_size and (best is None or (-cum, len(ids), ids) < best):
+                    best = (-cum, len(ids), ids)
             elif len(new_live) < beam_size:
                 new_live.append(_Hypothesis(ids, cum, hyp.session.fork()))
-        if len(finished) > beam_size:
-            finished.sort(key=lambda f: (-penalized(f[1], len(f[0]) - 1), len(f[0]), f[0]))
-            del finished[beam_size:]
         live = new_live
-    pool = finished if finished else [(h.ids, h.logprob) for h in live]
-
-    def ranking(entry: tuple[TokenIds, float]):
-        ids, logprob = entry
-        return (-penalized(logprob, len(ids) - 1), len(ids), ids)
-
-    best_ids = min(pool, key=ranking)[0]
+    if best is None:
+        best = min((-h.logprob, len(h.ids), h.ids) for h in live)
+    best_ids = best[2]
     trace = DecodeTrace(iterations=(_STEPS[None],) * (len(best_ids) - 1))
     validate_trace(trace, len(best_ids) - 1)
     return DecodeResult(output=best_ids, trace=trace)

@@ -5,7 +5,8 @@ rescans the window for every suffix length instead of filtering anchors (a
 second one keeps the plain candidate scan the fast version replaced), the
 verify-loop oracle keeps the decode loop's bookkeeping as plain scans, the
 edit-distance oracle is the plain recursion rather than the DP table, and the
-argmax oracle is a left-to-right scan. The scripted oracle applies the
+argmax oracle is a left-to-right scan. The beam oracle keeps a pool of
+finished hypotheses where the fast one keeps the best. The scripted oracle applies the
 rewrite rule to one whole prefix at a time. The n-gram oracle counts and
 normalises each context's row when it is asked for. The transformer oracle is the decoder
 forward pass written plainly (mean/var layer norm, a sinusoid table per call,
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from aggdec.scorers import DecodeSession, ScriptedEditScorer
+from aggdec.scorers import DecodeSession, ScriptedEditScorer, log_softmax
 
 
 def naive_suffix_match(o, x):
@@ -203,6 +204,50 @@ def reference_decode(scorer, x, cfg, aggressive, branching=True):
         o.extend(tokens)
         records.append(record)
     return tuple(o), records
+
+
+# --- beam search ----------------------------------------------------------------
+#
+# Beam search as it stood with a length penalty, at penalty 0: a pool of the
+# best beam_size finished hypotheses, pruned after every step, a stop once the
+# pool is full and no live hypothesis beats its worst entry, and a final
+# ranking over the pool (over the live hypotheses when nothing finished).
+
+
+def reference_beam(scorer, x, cfg):
+    """(output, records) of beam search, records as in reference_decode."""
+    vocab = scorer.vocab
+    beam_size = cfg.beam_size
+    max_len = cfg.resolve_max_len(len(x) - 2)
+    live = [((vocab.bos,), 0.0, scorer.session(x))]
+    finished = []
+    for _ in range(max_len):
+        if not live:
+            break
+        if len(finished) >= beam_size and max(lp for _, lp, _ in live) <= min(lp for _, lp in finished):
+            break
+        candidates = []
+        for parent_rank, (ids, logprob, session) in enumerate(live):
+            logp = log_softmax(session.score_positions(ids, (len(ids) - 1,))[0])
+            for tok in np.argsort(-logp, kind="stable")[: beam_size + 1]:
+                tok = int(tok)
+                if np.isfinite(logp[tok]):
+                    candidates.append((logprob + float(logp[tok]), tok, parent_rank, ids, session))
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        new_live = []
+        for rank, (cum, tok, _, ids, session) in enumerate(candidates[: 2 * beam_size]):
+            if tok == vocab.eos:
+                if rank < beam_size:
+                    finished.append((ids + (tok,), cum))
+            elif len(new_live) < beam_size:
+                new_live.append((ids + (tok,), cum, session.fork()))
+        if len(finished) > beam_size:
+            finished.sort(key=lambda f: (-f[1], len(f[0]), f[0]))
+            del finished[beam_size:]
+        live = new_live
+    pool = finished if finished else [(ids, lp) for ids, lp, _ in live]
+    output = min(pool, key=lambda f: (-f[1], len(f[0]), f[0]))[0]
+    return output, [("autoregressive", 1, 1, None, None, None, None)] * (len(output) - 1)
 
 
 def recursive_levenshtein(a, b) -> int:

@@ -436,6 +436,19 @@ def test_sweep_config_value_rejected_like_flag(corpus_file, tmp_path, capsys, li
     assert f"{config}:2: " in err and message in err
 
 
+@pytest.mark.parametrize("argv", [["decode", "--input"], ["bench", "--corpus"]])
+def test_beam_takes_no_length_penalty(corpus_file, tmp_path, capsys, argv):
+    """Beam search ranks by summed log-prob alone: `length_penalty` is an
+    unknown config key and `--length-penalty` an unknown flag."""
+    config = tmp_path / "beam.cfg"
+    config.write_text("length_penalty = 1\n", encoding="utf-8")
+    assert main(argv + [str(corpus_file), "--config", str(config)]) == 1
+    assert f"{config}:1: unknown config key 'length_penalty'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [str(corpus_file), "--length-penalty", "1"])
+    assert excinfo.value.code == 2
+
+
 def test_sweep_depth_smoke(corpus_file, capsys):
     code = main([
         "sweep-depth", "--corpus", str(corpus_file), "--depths", "1+1,1+2",
@@ -576,7 +589,6 @@ def test_negative_float_flag_in_any_spelling_is_a_value(corpus_file, capsys, val
     ("--copy-bias", "-nan", "copy_bias"),
     ("--smoothing", "-inf", "smoothing"),
     ("--smoothing", "-1e-3", "smoothing"),
-    ("--length-penalty", "-1e-3", "length_penalty"),
 ])
 def test_negative_float_flag_reaches_its_own_check(corpus_file, capsys, flag, value, name):
     """A negative infinity or exponent is parsed as the flag's value, so the

@@ -157,8 +157,6 @@ def test_decode_config_validation():
         DecodeConfig(l_max=0)
     with pytest.raises(ValueError):
         DecodeConfig(beam_size=0)
-    with pytest.raises(ValueError):
-        DecodeConfig(length_penalty=-1.0)
 
 
 def test_decode_config_default_max_len():

@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aggdec import (
     AGGRESSIVE,
@@ -29,6 +29,7 @@ from aggdec.scorers import DecodeSession, predictions
 from aggdec.synthetic import rewrite_pairs, synthetic_vocab
 from oracles import (
     naive_suffix_match,
+    reference_beam,
     reference_check_chosen,
     reference_decode,
     reference_find_bifurcation,
@@ -216,11 +217,17 @@ def test_suffix_match_never_anchors_pad(vocab):
 @given(
     o_tail=st.lists(st.integers(min_value=4, max_value=8), min_size=0, max_size=10),
     raw=st.lists(st.integers(min_value=4, max_value=8), min_size=0, max_size=12),
+    bos=st.booleans(),
 )
-def test_suffix_match_agrees_with_naive_oracle(o_tail, raw):
+@example(o_tail=[4], raw=[4, 4], bos=False)  # the suffix outgrows o before it is unique
+def test_suffix_match_agrees_with_naive_oracle(o_tail, raw, bos):
+    """Also for an output without its leading BOS, which the decoders never
+    pass: without BOS to make it unique, the suffix can outgrow the output."""
     vocab = Vocab(WORDS)
     x = prepare_input(tuple(raw), vocab)
-    o = (vocab.bos,) + tuple(o_tail)
+    o = ((vocab.bos,) if bos else ()) + tuple(o_tail)
+    if not o:
+        return
     got = find_suffix_match(o, x)
     expected = naive_suffix_match(o, x)
     assert (got is None and expected is None) or (got.i, got.q) == expected
@@ -915,6 +922,78 @@ def test_beam_size_one_matches_greedy_on_transformer(rng):
         assert beam.output == greedy.output
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["table", "scripted", "ngram"]),
+    beam_size=st.integers(1, 5),
+    max_len=st.sampled_from([1, 3, None]),
+)
+def test_beam_equals_the_reference_beam(data, kind, beam_size, max_len):
+    """Beam search returns the output and trace of the reference that keeps
+    a pool of finished hypotheses. Masked tables give rows with fewer finite
+    logits than beam_size + 1, and at masked = 1 only EOS is finite, so
+    every live hypothesis finishes before max_len."""
+    vocab = Vocab(WORDS)
+    corpus = data.draw(
+        st.lists(
+            st.lists(st.integers(min_value=4, max_value=8), min_size=0, max_size=10).map(tuple),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    if kind == "table":
+        scorer = _TableScorer(
+            vocab, data.draw(st.integers(0, 2**32 - 1)), data.draw(st.floats(0.0, 6.0)), 0.0,
+            masked=data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+            eos_bias=data.draw(st.sampled_from([-2.0, 0.0, 1.0, 3.0])),
+        )
+    else:
+        scorer = _scorer_from_label(kind, vocab, corpus)
+    cfg = DecodeConfig(mode="beam", beam_size=beam_size, max_len=max_len)
+    for raw in corpus:
+        x = prepare_input(raw, vocab)
+        result = beam_decode(scorer, x, cfg)
+        assert (result.output, [tuple(r) for r in result.trace.iterations]) == reference_beam(scorer, x, cfg)
+
+
+class _PrefixScorer(Scorer):
+    """Rows looked up by the whole prefix, {token: logit}, every other token
+    masked."""
+
+    def __init__(self, vocab, rows):
+        self.vocab = vocab
+        self.rows = rows
+
+    def encode(self, x):
+        return tuple(x)
+
+    def score_positions(self, state, prefix, positions):
+        rows = np.full((len(positions), len(self.vocab)), NEG)
+        for k, p in enumerate(positions):
+            for tok, logit in self.rows[tuple(prefix[: p + 1])].items():
+                rows[k, tok] = logit
+        return rows
+
+
+def test_beam_breaks_a_finished_tie_to_the_smaller_ids(vocab):
+    """a X and b c finish in one step with equal log-probs. b c ranks first
+    among the candidates, its last token being the smaller, but a X has the
+    smaller ids and wins."""
+    a, b, c, X = (vocab.id_of(w) for w in ("a", "b", "c", "X"))
+    bos, eos = vocab.bos, vocab.eos
+    scorer = _PrefixScorer(vocab, {
+        (bos,): {a: 0.0, b: 0.0},
+        (bos, a): {X: 0.0},
+        (bos, b): {c: 0.0},
+        (bos, a, X): {eos: 0.0},
+        (bos, b, c): {eos: 0.0},
+    })
+    x = prepare_input((a,), vocab)
+    cfg = DecodeConfig(mode="beam", beam_size=2)
+    assert beam_decode(scorer, x, cfg).output == reference_beam(scorer, x, cfg)[0] == (bos, a, X, eos)
+
+
 # --- the equivalence property -------------------------------------------------------
 
 
@@ -941,12 +1020,19 @@ class _TableScorer(Scorer):
     row looked up by the prefix's last two tokens, plus ``copy_bias`` on the
     token that follows the first occurrence of prefix[p] in the input (EOS
     after the last input token), so the bias sets how often it copies. It
-    declares the given position_cost."""
+    declares the given position_cost. Each cell but EOS's is masked with
+    probability ``masked``, so every row keeps a finite logit, and EOS's
+    cells get ``eos_bias``."""
 
-    def __init__(self, vocab, seed, copy_bias, position_cost):
+    def __init__(self, vocab, seed, copy_bias, position_cost, masked=0.0, eos_bias=0.0):
         self.vocab = vocab
         size = len(vocab)
-        self.table = np.random.default_rng(seed).normal(size=(size, size, size))
+        rng = np.random.default_rng(seed)
+        self.table = rng.normal(size=(size, size, size))
+        mask = rng.random(self.table.shape) < masked
+        mask[:, :, vocab.eos] = False
+        self.table[mask] = NEG
+        self.table[:, :, vocab.eos] += eos_bias
         self.table[:, :, vocab.pad] = NEG
         self.copy_bias = copy_bias
         self.position_cost = position_cost
