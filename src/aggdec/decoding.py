@@ -305,10 +305,11 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
     A pass verifies the draft's first _pass_width(...) tokens. Where
     propose returns None right after a pass that copied the input and
     bifurcated, and the scorer answers predict_branches, an aligned pass
-    takes the step's place. Every token is its row's argmax, and only
-    accepted rows are checked, so a contract breach (a NaN or non-finite
-    chosen logit, or PAD as the chosen token) raises where greedy would
-    raise."""
+    takes the step's place. A pass accepts nothing past its first EOS, as
+    greedy emits nothing past it, so a draft may hold EOS. Every token is
+    its row's argmax, and only accepted rows are checked, so a contract
+    breach (a NaN or non-finite chosen logit, or PAD as the chosen token)
+    raises where greedy would raise."""
     vocab = scorer.vocab
     n = len(x) - 2
     max_len = cfg.resolve_max_len(n)
@@ -363,8 +364,11 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
             drafted_compared += accepted  # the matched tokens and the rejected one, if any
             if accepted > max_len - j:  # greedy truncates at max_len; so do we
                 accepted = max_len - j
-            bifurcation = None if k is None or k > accepted else j + k
             tokens = predicted[:accepted]
+            if eos in tokens:  # and stops at its first EOS, which a draft may hold
+                accepted = tokens.index(eos) + 1
+                tokens = tokens[:accepted]
+            bifurcation = None if k is None or k > accepted else j + k
             record = IterationRecord(AGGRESSIVE, scored, accepted, anchor, bifurcation, source)
             # an input copy x[anchor[0] + 1:] rejected its k-th token
             reentry = None if branches is None or bifurcation is None or source == OUTPUT else anchor[0] + 1 + k

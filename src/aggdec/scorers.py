@@ -187,34 +187,32 @@ class ScriptedEditScorer(Scorer):
     def _tokens(self, state: _ScriptedState, prefix, positions) -> list[int]:
         """The scripted token after prefix[:p + 1] for each p in positions:
         target[p] while prefix[1:p + 1] is target[:p], else source[p], and
-        EOS past the end of either. One pass over the prefix; a contiguous
-        range is built from two slices."""
-        emitted = tuple(prefix)[1:]
+        EOS past the end of either. A contiguous range is built from two
+        slices around one boundary."""
+        prefix = tuple(prefix)  # a list's slice never equals the target's
         source, target, eos = state.source, state.target, self.vocab.eos
-        contiguous = type(positions) is range and positions.step == 1
-        lo = positions.start if contiguous else min(positions) if positions else 0
-        # Position p is on script iff emitted[:p] == target[:p], which holds for
-        # every p up to a boundary b: compare tuples, and scan only on a
+        if type(positions) is not range or positions.step != 1:
+            # Greedy's one-position step, positions == (j,), comes here: one
+            # compare of two slices costs it less than finding the boundary.
+            # On scripted-copy greedy_ms_p50 fell 0.102 -> 0.082 ms (medians
+            # of 10 alternating 35 s perfbench pairs, 2-CPU Xeon VM).
+            tokens = []
+            for p in positions:
+                if target is not None and prefix[1:p + 1] == target[:p]:
+                    tokens.append(target[p] if p < len(target) else eos)
+                else:
+                    tokens.append(source[p] if p < len(source) else eos)
+            return tokens
+        # Position p is on script iff prefix[1:p + 1] == target[:p], which holds
+        # for every p up to a boundary b: compare tuples, and scan only on a
         # mismatch. b stays -1 when even the first requested position is off.
+        emitted, lo = prefix[1:], positions.start
         b = -1
         if target is not None and emitted[:lo] == target[:lo]:
             b = min(len(emitted), len(target))
             if emitted[lo:b] != target[lo:b]:
                 b = next(compress(count(lo), map(ne, emitted[lo:b], target[lo:b])))
-        if contiguous:
-            return _script_run(source, target, eos, b, lo, positions.stop)
-        # Greedy's one-position step, positions == (j,), comes here. A slice
-        # of one _script_run over min..max would also do, but that costs the
-        # step more than this loop: on scripted-copy it put greedy_ms_p50 up
-        # by about a quarter, 0.104-0.107 ms to 0.125-0.137 ms (perfbench/run.py
-        # --seed 21 --seconds 8, 4 alternating pairs, 2-CPU Xeon VM).
-        tokens = []
-        for p in positions:
-            if p <= b:
-                tokens.append(target[p] if p < len(target) else eos)
-            else:
-                tokens.append(source[p] if p < len(source) else eos)
-        return tokens
+        return _script_run(source, target, eos, b, lo, positions.stop)
 
     def score_positions(self, state, prefix, positions) -> np.ndarray:
         """Row k is the one-hot of the scripted token at positions[k] (see

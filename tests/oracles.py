@@ -5,9 +5,10 @@ rescans the window for every suffix length instead of filtering anchors (a
 second one keeps the plain candidate scan the fast version replaced), the
 verify-loop oracle keeps the decode loop's bookkeeping as plain scans, the
 edit-distance oracle is the plain recursion rather than the DP table, and the
-argmax oracle is a left-to-right scan. The beam oracle keeps a pool of
-finished hypotheses where the fast one keeps the best. The scripted oracle applies the
-rewrite rule to one whole prefix at a time. The n-gram oracle counts and
+argmax oracle is a left-to-right scan. The greedy-draft proposer drafts
+greedy's own output and then runs on past its EOS. The beam oracle keeps a
+pool of finished hypotheses where the fast one keeps the best. The scripted
+oracle applies the rewrite rule to one whole prefix at a time. The n-gram oracle counts and
 normalises each context's row when it is asked for. The transformer oracle is the decoder
 forward pass written plainly (mean/var layer norm, a sinusoid table per call,
 a key/value cache grown by concatenation, an np.where causal mask), against
@@ -19,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from aggdec.decoding import Draft
 from aggdec.scorers import DecodeSession, ScriptedEditScorer, log_softmax
 
 
@@ -138,6 +140,15 @@ def reference_branches(session, o, x, start, l_max, cost, rate):
             predicted, chosen = scan_predictions(session.score_positions(tuple(o) + copied[:-1], range(j, j + w)))
             branches.append((t, copied, predicted, chosen))
     return branches
+
+
+def greedy_draft_proposer(greedy_output, tail):
+    """A proposer, as _verify_loop takes it, that drafts the rest of greedy's
+    output, EOS included, then the tokens of tail: a perfect draft that runs
+    on past the end."""
+    def propose(o, x, budget):
+        return Draft(tuple(greedy_output[len(o):]) + tuple(tail), "output", (len(o) - 1, 0))
+    return propose
 
 
 def reference_decode(scorer, x, cfg, aggressive, branching=True):

@@ -28,6 +28,7 @@ from aggdec.decoding import Draft, _check_chosen, argmax_with_tiebreak, propose_
 from aggdec.scorers import DecodeSession, predictions
 from aggdec.synthetic import rewrite_pairs, synthetic_vocab
 from oracles import (
+    greedy_draft_proposer,
     naive_suffix_match,
     reference_beam,
     reference_check_chosen,
@@ -1178,6 +1179,32 @@ def test_aligned_passes_cut_the_iterations_of_a_scripted_rewrite_corpus():
         assert (result.output, [tuple(r) for r in result.trace.iterations]) == reference_decode(
             scorer, x, cfg, True, branching=False)
     assert branched <= 0.8 * stepped
+
+
+@pytest.mark.parametrize("kind", ["scripted", "ngram"])
+@pytest.mark.parametrize("l_max", [None, 2])
+def test_a_pass_accepts_nothing_past_its_first_eos(kind, l_max):
+    """A draft that holds the rest of greedy's output, its EOS, and input
+    tokens after it decodes to greedy's output: the pass that accepts EOS
+    stops there, and its record counts only the tokens it emitted, with no
+    bifurcation past the cut."""
+    synth = synthetic_vocab(150)
+    pairs = rewrite_pairs(np.random.default_rng(21), 60, synth, 10, 40, (0.0, 0.3))
+    if kind == "scripted":
+        scorer = ScriptedEditScorer(pairs, synth)
+    else:
+        scorer = NgramScorer([target for _, target in pairs], 3, 0.1, synth, copy_bias=2.0)
+    cut = 0
+    for source, _ in pairs:
+        x = prepare_input(source, synth)
+        greedy = greedy_decode(scorer, x, DecodeConfig(mode="greedy")).output
+        cfg = DecodeConfig(mode="aggressive", l_max=l_max)
+        result = decoding._verify_loop(scorer, x, cfg, greedy_draft_proposer(greedy, x[1:4]))
+        assert result.output == greedy
+        last = result.trace.iterations[-1]
+        assert last.bifurcation is None
+        cut += last.positions_scored > last.accepted
+    assert cut  # some final passes scored rows past EOS
 
 
 def test_lmax_monotone_iterations_identity(vocab):

@@ -118,11 +118,14 @@ def test_scripted_rows_follow_next_token(source, target, on_script, tail, data):
     state = scorer.encode(prepare_input(source, vocab))
     prefix = (vocab.bos,) + (source if target is None else target)[:on_script] + tail
     n = len(prefix)
-    # sorted positions, or a contiguous range, which is built from slices
+    # sorted positions, a contiguous range, which is built from slices, or
+    # greedy's step at the prefix's end
     positions = data.draw(st.one_of(
         st.lists(st.integers(0, n - 1), unique=True).map(sorted),
         st.integers(0, n).flatmap(lambda lo: st.integers(lo, n).map(lambda hi: range(lo, hi))),
+        st.just((n - 1,)),
     ))
+    prefix = data.draw(st.sampled_from([prefix, list(prefix)]))  # any Sequence[int]
     rows = scorer.score_positions(state, prefix, positions)
     assert rows.shape == (len(positions), len(vocab))
     for row, p in zip(rows, positions):
@@ -144,8 +147,12 @@ def test_scripted_predictions_equal_its_rows(source, target, on_script, tail, da
     state = scorer.encode(prepare_input(source, vocab))
     prefix = (vocab.bos,) + (source if target is None else target)[:on_script] + tail
     n = len(prefix)
-    # every position in order, or any draw of them: unsorted, repeated, a strict subset, none
-    positions = data.draw(st.one_of(st.just(range(n)), st.lists(st.integers(0, n - 1), max_size=2 * n)))
+    # every position in order, greedy's step at the prefix's end, or any draw
+    # of them: unsorted, repeated, a strict subset, none
+    positions = data.draw(st.one_of(
+        st.just(range(n)), st.just((n - 1,)), st.lists(st.integers(0, n - 1), max_size=2 * n)
+    ))
+    prefix = data.draw(st.sampled_from([prefix, list(prefix)]))  # any Sequence[int]
     prediction = scorer.predict_positions(state, prefix, positions)
     assert same_predictions(prediction, scorer.score_positions(state, prefix, positions))
 
