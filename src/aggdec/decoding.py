@@ -15,8 +15,11 @@ only that each accepted row's chosen logit is finite and its token not PAD.
 The loop need not read rows either: where the session's rows are the
 scorer's, it asks the scorer's ``predict_positions`` for each scored
 position's argmax and chosen logit, which the scripted and n-gram scorers
-answer without building a row (``Scorer`` states the rule). Beam search
-reads the rows themselves.
+answer without building a row (``Scorer`` states the rule). A pass's answer
+may end at its first disagreement with the draft, as the n-gram's does, and
+the pass then bifurcates at its last answered row; its record's
+``positions_scored`` counts the rows answered. Beam search reads the rows
+themselves.
 
 Aggressive decoding's proposer tries, in this order:
 
@@ -57,10 +60,11 @@ both draft sources from a prior of 9 of 10: a pass that matches m drafted
 tokens adds m accepted and min(w, m + 1) compared. So a scorer that keeps
 rejecting drafts soon verifies one or two positions a pass, and one that
 keeps accepting them verifies long ones; a scorer whose extra positions are
-free (c = 0) verifies every draft in full. This only narrows the window a
-pass verifies, never what a scored row means, so the output is greedy's by
-the same argument as for an ``l_max`` cap. c is a fixed property of the
-scorer, never timed, so iteration counts repeat exactly.
+free (c = 0), or whose answer stops at the disagreement, verifies every
+draft in full. This only narrows the window a pass verifies, never what a
+scored row means, so the output is greedy's by the same argument as for an
+``l_max`` cap. c is a fixed property of the scorer, never timed, so
+iteration counts repeat exactly.
 """
 
 from __future__ import annotations
@@ -245,6 +249,18 @@ def _check_chosen(chosen: list[float], tokens: list[int], first: int) -> None:
             raise ValueError(f"{what} at position {first + r}")
 
 
+def _broken_answer(scored: int, w: int, j: int) -> ValueError:
+    """The error for a pass of w positions from decoder position j whose
+    answer held `scored` predictions: more than w, none, or fewer than w
+    that do not end at their first disagreement with the draft."""
+    if scored > w:
+        return ValueError(f"{scored} predictions for a window of {w} at position {j}")
+    if not scored:
+        return ValueError(f"no predictions at position {j}")
+    position = j + scored - 1
+    return ValueError(f"answer ends short of its window and not at its first disagreement at position {position}")
+
+
 # A sentence's rate is a ratio of small integers and a cap is at most max_len,
 # so a few distinct (rate, cost, cap) keys recur across passes and sentences.
 @lru_cache(maxsize=4096)
@@ -302,8 +318,12 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
     """Decode until EOS or max_len. ``propose(o, x, budget)`` returns a Draft
     to verify, or None for one autoregressive step, whose record then names
     the fallback reason; budget is the number of tokens o may still grow by.
-    A pass verifies the draft's first _pass_width(...) tokens. Where
-    propose returns None right after a pass that copied the input and
+    A pass verifies the draft's first _pass_width(...) tokens, and its
+    positions_scored counts the rows the scorer answered: every position of
+    the window, or those through the first disagreement when the answer
+    ends there. An answer with more rows than the window, with none, or
+    ending short of the window anywhere else raises, naming the position.
+    Where propose returns None right after a pass that copied the input and
     bifurcated, and the scorer answers predict_branches, an aligned pass
     takes the step's place. A pass accepts nothing past its first EOS, as
     greedy emits nothing past it, so a draft may hold EOS. Every token is
@@ -351,8 +371,10 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
                 copied = drafted[:w]
                 prefix = tuple(o) + copied[:-1]  # pseudo decoder inputs; never includes PAD
                 predicted, chosen = predict(prefix, range(j, j + w))
-                k = find_bifurcation(predicted, copied)
-                scored = w
+                scored = len(predicted)  # the answer may end at its first disagreement
+                k = find_bifurcation(predicted, copied[:scored]) if 0 < scored <= w else None
+                if scored != w and k != scored:
+                    raise _broken_answer(scored, w, j)
             else:
                 t, copied, predicted, chosen, k, scored = aligned
                 w, source, anchor = len(copied), ALIGNED, (t - 1, -1)

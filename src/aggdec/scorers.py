@@ -10,7 +10,8 @@ A scorer answers in two ways. ``score_positions`` returns logit rows, which
 beam search and ``check`` read. ``predict_positions`` returns only what
 greedy and aggressive decoding read of each row: its argmax, ties to the
 smallest token id, and that token's logit. The default derives both from the
-rows; the scripted and n-gram scorers answer without building any. The
+rows; the scripted and n-gram scorers answer without building any, and the
+n-gram ends a pass's answer at its first disagreement with the draft. The
 scripted scorer also answers ``predict_branches``: the predictions of several
 drafts that share a prefix, from one call.
 """
@@ -61,7 +62,9 @@ class Scorer:
     sizes each pass's window from it, and 0 means every draft is verified in
     full. It is a fixed property of the scorer, never timed at run time, so
     iteration counts repeat exactly. The decoders read it with getattr, so a
-    scorer that is not a subclass may leave it out and counts as 0.
+    scorer that is not a subclass may leave it out and counts as 0. It
+    serves scorers that score a whole block at once; one whose answer stops
+    at the first disagreement (below) pays for no row it does not emit.
 
     Greedy and aggressive decoding take each scored position's argmax and
     chosen logit from ``predict_positions`` when the scorer's session is a
@@ -75,13 +78,13 @@ class Scorer:
 
     ``predict_branches(state, prefix, branches)`` returns, for each branch,
     the (tokens, chosen) of ``predict_positions`` for ``prefix + branch[:-1]``
-    at positions len(prefix) - 1 onward, bit for bit. Aggressive decoding
-    asks it, under the same rule, to verify in one call the two ways of
-    re-entering the input after a pass that copied it and bifurcated (see
-    ``aggressive_decode``). ``Scorer`` defines no default, so a scorer
-    without the method never verifies branches, and an iteration never hides
-    several sequential scorer calls; a subclass that redefines
-    ``score_positions`` does not inherit it.
+    at positions len(prefix) - 1 onward, bit for bit and in full.
+    Aggressive decoding asks it, under the same rule, to verify in one call
+    the two ways of re-entering the input after a pass that copied it and
+    bifurcated (see ``aggressive_decode``). ``Scorer`` defines no default,
+    so a scorer without the method never verifies branches, and an
+    iteration never hides several sequential scorer calls; a subclass that
+    redefines ``score_positions`` does not inherit it.
     """
 
     vocab: Vocab
@@ -114,7 +117,14 @@ class Scorer:
     ) -> tuple[list[int], list[float]]:
         """(tokens, chosen): for each row score_positions would return, its
         argmax, ties to the smallest id, and that token's logit, equal bit
-        for bit to the row's."""
+        for bit to the row's.
+
+        When positions is a contiguous ascending range, the shape of a pass,
+        the answer may end early: right after the first position p, before
+        the last requested one, whose token differs from prefix[p + 1].
+        Every later row conditions on a draft token that p's prediction
+        rules out, so the decode loop never reads it. Any other positions
+        get a full answer. This default answers in full."""
         return predictions(self.score_positions(state, prefix, positions))
 
     def session(self, x: TokenIds) -> "DecodeSession":
@@ -161,8 +171,11 @@ class ScriptedEditScorer(Scorer):
 
     It declares no position_cost: a predicted position costs it about
     0.12 us against about 4.2 us for a whole aggressive pass (4.2 / 5.0 /
-    5.5 / 6.5 us at 1 / 2 / 8 / 20 positions, measured as for NgramScorer
-    on the seed-21 scripted-copy inputs), so every draft is verified in full.
+    5.5 / 6.5 us at 1 / 2 / 8 / 20 positions; one pass, proposer to record,
+    with its first drafted token rejected, on the seed-21 scripted-copy
+    inputs; per input the best of seven batches of 1000, median over five
+    inputs; 2-CPU Xeon, 1 BLAS thread), so every draft is verified in full.
+    It answers every position of a pass, so a pass counts its whole window.
     """
 
     def __init__(self, pairs: Iterable[tuple[Sequence[int], Sequence[int]]], vocab: Vocab):
@@ -311,23 +324,12 @@ class NgramScorer(Scorer):
     in the cells. Only when the aligned token is the argmax and copy_bias is
     negative does it build the whole row.
 
-    position_cost: one aggressive pass (proposer, predict_positions,
-    chosen-logit check, PAD test, record) with its first drafted token
-    rejected took, by positions predicted, 2.8 / 3.0 / 5.2 / 9.1 us at
-    1 / 2 / 8 / 20 (seed-21 ngram-edit inputs: 150-word vocabulary, order 3,
-    10 tokens of context; 2-CPU Xeon, 1 BLAS thread; per input the best of
-    seven batches of 1000, median over five inputs, lowest of twelve runs).
-    One more position costs about 0.33 us, about a tenth (0.12) of a
-    one-position pass, which is the declared 0.1. End to end it is as good
-    as 0.2: on whole tokenize -> decode -> detokenize trips of the 1600
-    seed-21 ngram-edit inputs (per sentence the best of 5 repetitions,
-    c = 0.1 and 0.2 interleaved, ten runs, 2-CPU Xeon VM), c = 0.2 moved
-    aggressive p50 by -0.2% to +1.4%, p95 by -0.1% to -2.3% and the summed
-    time by at most 0.4%, at 2.3% more iterations (15937 against 15586).
-    Any other c changes the iteration counts.
+    It predicts one position after another, so a pass's answer ends at its
+    first disagreement with the draft (see ``Scorer``): it scores no row
+    the decode loop would discard. A wider window then costs it nothing it
+    does not emit, so it declares no position_cost and verifies every draft
+    in full.
     """
-
-    position_cost = 0.1
 
     def __init__(
         self,
@@ -425,6 +427,8 @@ class NgramScorer(Scorer):
     def predict_positions(self, state, prefix, positions) -> tuple[list[int], list[float]]:
         x, n, eos, back = state.x, state.n, self.vocab.eos, self.order - 2
         row_of, unseen, bias = self._rows.get, self._unseen, self.copy_bias
+        # a pass's answer ends at its first disagreement with the draft
+        last = positions.stop - 1 if type(positions) is range and positions.step == 1 else -1
         tokens, chosen = [], []
         for p in positions:
             lo = p - back
@@ -444,4 +448,6 @@ class NgramScorer(Scorer):
                 top = logits.item(best)
             tokens.append(best)
             chosen.append(top)
+            if p < last and best != prefix[p + 1]:
+                break
         return tokens, chosen

@@ -289,8 +289,10 @@ class _CachedSession(DecodeSession):
         self._cache = scorer._new_cache(len(x))
 
     def score_positions(self, prefix, positions) -> np.ndarray:
-        prefix = tuple(prefix)
         positions = list(positions)
+        if not positions:  # nothing to run, and the cache stays as it is
+            return np.empty((0, len(self.scorer.vocab)))
+        prefix = tuple(prefix)
         keep = 0
         limit = min(len(self._ids), len(prefix))
         while keep < limit and self._ids[keep] == prefix[keep]:

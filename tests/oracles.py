@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from aggdec.decoding import Draft
-from aggdec.scorers import DecodeSession, ScriptedEditScorer, log_softmax
+from aggdec.scorers import DecodeSession, NgramScorer, ScriptedEditScorer, log_softmax
 
 
 def naive_suffix_match(o, x):
@@ -66,7 +66,8 @@ def scan_suffix_match(o, x):
 # bifurcation and the chosen-logit check, a window recomputed on every pass,
 # records built by keyword. Predictions come from each session's rows, by the
 # scan, not from predict_positions; an aligned pass scores each branch in a
-# call of its own, not through predict_branches.
+# call of its own, not through predict_branches. A pass counts the rows a
+# scorer that stops at its first disagreement would answer.
 
 
 def reference_find_bifurcation(predictions, copied):
@@ -142,6 +143,16 @@ def reference_branches(session, o, x, start, l_max, cost, rate):
     return branches
 
 
+def stops_at_disagreement(scorer, session):
+    """Whether the decode loop's passes get answers that end at their first
+    disagreement: the n-gram's predict_positions gives them, and the loop asks
+    it when the session is a plain DecodeSession."""
+    return (
+        getattr(type(scorer), "predict_positions", None) is NgramScorer.predict_positions
+        and type(session).score_positions is DecodeSession.score_positions
+    )
+
+
 def greedy_draft_proposer(greedy_output, tail):
     """A proposer, as _verify_loop takes it, that drafts the rest of greedy's
     output, EOS included, then the tokens of tail: a perfect draft that runs
@@ -158,7 +169,9 @@ def reference_decode(scorer, x, cfg, aggressive, branching=True):
     verifies, where the proposer has no draft right after a pass that copied
     the input and bifurcated, the input's two re-entries, and keeps the one
     greedy agrees with longest; without it, every such iteration is one
-    autoregressive step."""
+    autoregressive step. A drafted pass counts the rows of its window
+    through its first disagreement where the scorer stops_at_disagreement,
+    and all of them otherwise."""
     vocab = scorer.vocab
     max_len = cfg.resolve_max_len(len(x) - 2)
     session = scorer.session(x)
@@ -167,6 +180,7 @@ def reference_decode(scorer, x, cfg, aggressive, branching=True):
         and type(session).score_positions is DecodeSession.score_positions
     )
     cost = getattr(scorer, "position_cost", 0.0)
+    stops = stops_at_disagreement(scorer, session)
     o = [vocab.bos]
     records = []
     drafted_accepted, drafted_compared = 9, 10
@@ -199,6 +213,8 @@ def reference_decode(scorer, x, cfg, aggressive, branching=True):
                 copied = drafted[:w]
                 predicted, chosen = scan_predictions(session.score_positions(tuple(o) + copied[:-1], range(j, j + w)))
                 scored = w
+                if stops:
+                    scored = reference_find_bifurcation(predicted, copied) or w
             w = len(copied)
             k = reference_find_bifurcation(predicted, copied)
             matched = w if k is None else k - 1

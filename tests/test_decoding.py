@@ -38,6 +38,7 @@ from oracles import (
     scan_argmax,
     scan_suffix_match,
     SteppingScriptedScorer,
+    stops_at_disagreement,
 )
 
 WORDS = ["a", "b", "c", "d", "X"]
@@ -153,6 +154,49 @@ def test_contract_breach_raises_at_greedys_position_in_both_modes(vocab, cells, 
     for mode, l_max in (("greedy", None), ("aggressive", None), ("aggressive", 3)):
         with pytest.raises(ValueError, match=f"^{message} at position 5$"):
             decode(scorer, x, DecodeConfig(mode=mode, l_max=l_max))
+
+
+class _AnswersBrokenly(SteppingScriptedScorer):
+    """Scripted scorer that answers the pass from decoder position 3 with
+    ``cut(tokens)`` of its predictions: more than the window, none, or
+    fewer that do not end at a disagreement."""
+
+    def __init__(self, pairs, vocab, cut):
+        super().__init__(pairs, vocab)
+        self.cut = cut
+
+    def predict_positions(self, state, prefix, positions):
+        tokens, chosen = super().predict_positions(state, prefix, positions)
+        if type(positions) is range and positions.start == 3:
+            tokens = self.cut(tokens)
+            chosen = [0.0] * len(tokens)
+        return tokens, chosen
+
+
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        (lambda tokens: tokens + tokens[-1:], "3 predictions for a window of 2 at position 3"),
+        (lambda tokens: [], "no predictions at position 3"),
+        (lambda tokens: tokens[:1], "answer ends short of its window and not at its first disagreement at position 3"),
+    ],
+)
+def test_a_broken_answer_raises_naming_the_position(vocab, cut, message):
+    """a b c d -> a X c d: the first pass bifurcates at X, a step emits c,
+    and the one-token anchor c drafts d PAD, a pass of two positions from
+    decoder position 3 whose draft d the script accepts. An answer to it
+    with three predictions, none, or only d's (the window's first, which
+    agrees) breaks the rule that a short answer ends at its first
+    disagreement, and the loop raises rather than decoding on."""
+    pair = (ids("a b c d", vocab), ids("a X c d", vocab))
+    x = prepare_input(pair[0], vocab)
+    cfg = DecodeConfig(mode="aggressive")
+    result = aggressive_decode(_AnswersBrokenly([pair], vocab, lambda tokens: tokens), x, cfg)
+    assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
+    last = result.trace.iterations[-1]
+    assert (last.source, last.positions_scored) == ("input", 2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        aggressive_decode(_AnswersBrokenly([pair], vocab, cut), x, cfg)
 
 
 class _BreaksOffPath(ScriptedEditScorer):
@@ -589,7 +633,7 @@ def _boundaries(records):
         boundary += record.accepted
 
 
-def _check_windows(records, cost, caps):
+def _check_windows(records, cost, caps, stops=False):
     """Every aggressive pass scored the w in 1..cap that maximises
     (1 - a^w) / ((1 - a)(1 + cost(w - 1))), all of cap when cost is 0, where
     a is the rate of drafted tokens accepted out of those compared in the
@@ -599,7 +643,10 @@ def _check_windows(records, cost, caps):
     branch's start t in the input to its length, capped by l_max. Each
     branch then scored the window the plain search picks, a branch of one
     position was left out, the shared first row counts once, and the kept
-    branch, x[suffix_match[0] + 1:], is the one whose matches count."""
+    branch, x[suffix_match[0] + 1:], is the one whose matches count. Where
+    the scorer stops at the first disagreement (stops), a drafted pass
+    scored its window's rows through its bifurcation, all of them when it
+    has none, and, when max_len cut it, more rows than it accepted."""
     accepted, compared = 9, 10
     passes = [(b, r) for b, r in _boundaries(records) if r.mode == AGGRESSIVE]
     assert len(passes) == len(caps)
@@ -610,6 +657,14 @@ def _check_windows(records, cost, caps):
             windows = {t: v for t, v in windows.items() if v > 1}
             assert record.positions_scored == sum(windows.values()) - len(windows) + 1
             w = windows[record.suffix_match[0] + 1]
+        elif stops:
+            w = reference_window(rate, cost, cap) if cost else cap
+            if record.bifurcation is not None:
+                assert record.positions_scored == record.bifurcation - boundary + 1
+            elif record.accepted == w:
+                assert record.positions_scored == w
+            else:  # cut at max_len
+                assert record.accepted < record.positions_scored <= w
         else:
             w = record.positions_scored
             if cost == 0:
@@ -760,16 +815,16 @@ class _RowsSessionScorer(_Proxy):
 def test_duck_typed_scorers_and_sessions_decode_from_their_rows(vocab, wrap):
     """Without predict_positions, a scorer or session decodes from its rows
     to the same output and trace as the scorer it wraps, whose rows are the
-    same but which predicts without them. The duck-typed session, like the
-    proxy, declares no position_cost, so the n-gram runs with c = 0 on both
-    sides."""
+    same but which predicts without them. The proxy is decoded from its
+    session's rows too, so on both sides every pass is answered in full,
+    where the n-gram's own predictions stop at the first disagreement."""
     pairs = [(ids("a b c d", vocab), ids("a b X d", vocab)), (ids("c a d", vocab), ids("d a c c", vocab))]
     scripted = ScriptedEditScorer(pairs, vocab)
     ngram = NgramScorer([ids("a b c d", vocab), ids("c c a b", vocab)], order=2, smoothing=0.3,
                         vocab=vocab, copy_bias=1.0)
     for scorer in (scripted, ngram):
         wrapped = wrap(scorer)
-        plain = _Proxy(scorer)  # the same position_cost as the wrapped scorer: none
+        plain = _Proxy(scorer)  # answered from rows, as the wrapped scorer is
         for raw in ("a b c d", "c a d", "d d X a b"):
             x = prepare_input(ids(raw, vocab), vocab)
             for mode in ("greedy", "aggressive"):
@@ -1091,8 +1146,9 @@ def test_equivalence_property(data, label, l_max, max_len):
         )
         # accepted-prefix soundness at every iteration boundary; and every
         # pass scores the window the rule picks from the scorer's position
-        # cost (the n-gram's and the table's are nonzero) and the rate of
-        # drafted tokens accepted in the passes before it
+        # cost (the table's is nonzero) and the rate of drafted tokens
+        # accepted in the passes before it, through its first disagreement
+        # where the scorer stops there (the n-gram)
         limit = aggressive_cfg.resolve_max_len(len(raw))
         caps = []
         previous = None
@@ -1108,7 +1164,8 @@ def test_equivalence_property(data, label, l_max, max_len):
             elif record.mode == AGGRESSIVE:
                 caps.append(len(draft.tokens) if l_max is None else min(len(draft.tokens), l_max))
             previous = b, record
-        _check_windows(aggressive.trace.iterations, getattr(scorer, "position_cost", 0.0), caps)
+        _check_windows(aggressive.trace.iterations, getattr(scorer, "position_cost", 0.0), caps,
+                       stops_at_disagreement(scorer, scorer.session(x)))
         boundary = 1
         for record in aggressive.trace.iterations:
             if label == "table" and record.source == "output":
@@ -1205,6 +1262,34 @@ def test_a_pass_accepts_nothing_past_its_first_eos(kind, l_max):
         assert last.bifurcation is None
         cut += last.positions_scored > last.accepted
     assert cut  # some final passes scored rows past EOS
+
+
+@pytest.mark.parametrize("l_max, max_len", [(None, None), (3, None), (None, 12)])
+def test_ngram_passes_score_only_the_rows_they_accept(l_max, max_len):
+    """On a seeded rewrite corpus, every aggressive n-gram pass scores the
+    rows it accepts and no more, its answer ending at its first disagreement
+    (or at the draft's PAD slot, which always disagrees), except a final
+    pass cut at max_len. The outputs are greedy's."""
+    synth = synthetic_vocab(150)
+    pairs = rewrite_pairs(np.random.default_rng(5), 80, synth, 10, 40, (0.0, 0.3))
+    scorer = NgramScorer([target for _, target in pairs], 3, 0.1, synth, copy_bias=2.0)
+    passes = cut = 0
+    for source, _ in pairs:
+        x = prepare_input(source, synth)
+        greedy = greedy_decode(scorer, x, DecodeConfig(mode="greedy", max_len=max_len))
+        result = aggressive_decode(scorer, x, DecodeConfig(mode="aggressive", l_max=l_max, max_len=max_len))
+        assert result.output == greedy.output
+        records = result.trace.iterations
+        for record in records:
+            if record.mode != AGGRESSIVE:
+                continue
+            passes += 1
+            if record.positions_scored != record.accepted:
+                assert record is records[-1] and len(result.output) - 1 == max_len
+                assert record.positions_scored > record.accepted
+                cut += 1
+    assert passes > len(pairs)
+    assert bool(cut) == (max_len is not None)
 
 
 def test_lmax_monotone_iterations_identity(vocab):

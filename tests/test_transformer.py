@@ -185,8 +185,14 @@ def _walk(data, session, reference, o, steps, accept_all=False):
     """Score copy windows the way the verify loop does, asserting bit-identical
     rows: each window puts its copied tokens after the output ``o``, and the
     accepted part ends in a prediction that may differ from the copy, so the
-    next window overwrites the cache from there."""
+    next window overwrites the cache from there. Before a window, the session
+    may be asked for no positions after any prefix: it answers no rows and
+    leaves its cache as it was, so the window still gives the oracle's."""
     for _ in range(steps):
+        if data.draw(st.booleans()):
+            other = (ORACLE_VOCAB.bos,) + tuple(data.draw(st.lists(_token, max_size=12)))
+            none = data.draw(st.sampled_from([(), range(len(other) - 1, len(other) - 1)]))
+            assert session.score_positions(other, none).shape == (0, len(ORACLE_VOCAB))
         copied = data.draw(st.lists(_token, min_size=1, max_size=12))
         j = len(o) - 1
         prefix = tuple(o) + tuple(copied[:-1])
