@@ -9,7 +9,8 @@ share across concurrent decode sessions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import filterfalse, repeat
+from itertools import count, filterfalse, groupby, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -235,33 +236,38 @@ class DecodeTrace:
 
     @property
     def tokens_accepted(self) -> int:
-        return sum(r.accepted for r in self.iterations)
+        return sum(map(attrgetter("accepted"), self.iterations))
+
+
+def _record_error(idx: int, rec: IterationRecord) -> str | None:
+    """Why iteration idx's record is malformed, or None."""
+    if rec.mode == AGGRESSIVE:
+        if rec.accepted < 1:
+            return f"aggressive iteration {idx} accepted {rec.accepted} < 1"
+        if rec.positions_scored < rec.accepted:
+            return f"iteration {idx} accepted {rec.accepted} > scored {rec.positions_scored}"
+    elif rec.mode == AUTOREGRESSIVE:
+        if rec.positions_scored != 1 or rec.accepted != 1:
+            return f"autoregressive iteration {idx} must score and accept exactly one token"
+    else:
+        return f"iteration {idx} has unknown mode {rec.mode!r}"
+    return None
 
 
 def validate_trace(trace: DecodeTrace, output_len: int) -> None:
     """Post-hoc invariant check run after every decode.
 
-    output_len counts emitted tokens, BOS excluded.
+    output_len counts emitted tokens, BOS excluded. A run of equal records
+    is checked once (a decode's autoregressive steps share one record), and
+    only a malformed one makes the check walk the trace, to name the first
+    bad iteration.
     """
     if trace.tokens_accepted != output_len:
         raise ValueError(
             f"trace accepts {trace.tokens_accepted} tokens but output has {output_len}"
         )
-    for idx, rec in enumerate(trace.iterations):
-        if rec.mode == AGGRESSIVE:
-            if rec.accepted < 1:
-                raise ValueError(f"aggressive iteration {idx} accepted {rec.accepted} < 1")
-            if rec.positions_scored < rec.accepted:
-                raise ValueError(
-                    f"iteration {idx} accepted {rec.accepted} > scored {rec.positions_scored}"
-                )
-        elif rec.mode == AUTOREGRESSIVE:
-            if rec.positions_scored != 1 or rec.accepted != 1:
-                raise ValueError(
-                    f"autoregressive iteration {idx} must score and accept exactly one token"
-                )
-        else:
-            raise ValueError(f"iteration {idx} has unknown mode {rec.mode!r}")
+    if any(_record_error(0, rec) for rec, _ in groupby(trace.iterations)):
+        raise ValueError(next(filter(None, map(_record_error, count(), trace.iterations))))
 
 
 # --- corpus IO ---------------------------------------------------------------

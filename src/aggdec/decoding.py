@@ -12,14 +12,13 @@ autoregressive step. Each prediction is its row's argmax, ties to the
 smallest token id. The loop normalises no row into probabilities: it checks
 only that each accepted row's chosen logit is finite and its token not PAD.
 
-The loop need not read rows either: where the session's rows are the
-scorer's, it asks the scorer's ``predict_positions`` for each scored
-position's argmax and chosen logit, which the scripted and n-gram scorers
-answer without building a row (``Scorer`` states the rule). A pass's answer
-may end at its first disagreement with the draft, as the n-gram's does, and
-the pass then bifurcates at its last answered row; its record's
-``positions_scored`` counts the rows answered. Beam search reads the rows
-themselves.
+Every iteration makes one call, the session's ``predict``, with a tree of
+branches that share the output so far: a drafted pass is the tree of its
+draft's window, and a step the tree of one PAD slot, which is never
+predicted, so a step keeps its one row. Each answer holds its branch's
+rows' argmaxes and chosen logits, and may end at its first disagreement, as
+the n-gram's does; ``positions_scored`` counts the rows answered. Beam
+search reads the rows themselves.
 
 Aggressive decoding's proposer tries, in this order:
 
@@ -39,11 +38,11 @@ Without a draft, the loop can still re-enter the input where the last pass
 left it (input-guided re-entry; Ge et al., arXiv 2205.10350). If that pass
 copied x[s:] and rejected its k-th token, the token emitted in its place was
 either inserted before x[s+k-1] or replaced it, so the copy goes on at
-x[s+k-1:] or at x[s+k:]. An aligned pass verifies both branches in one
-scorer call, as a token tree of two paths sharing their first row (SpecInfer,
-Miao et al., arXiv 2305.09781), and keeps the one greedy agrees with
-longest; its own bifurcation sets the next re-entry. It needs the scorer's
-``predict_branches``, so a scorer without it takes the autoregressive step.
+x[s+k-1:] or at x[s+k:]. An aligned pass verifies both as a tree of two
+branches sharing their first row (SpecInfer, Miao et al., arXiv
+2305.09781), and keeps the one greedy agrees with longest; its own
+bifurcation sets the next re-entry. Only a session that declares
+``branching`` is handed such a tree; another takes the autoregressive step.
 
 PAD is never emitted, so a pass whose draft is accepted up to its PAD slot
 still earns the token that slot's row predicts.
@@ -89,7 +88,7 @@ from .core import (
     TokenIds,
     validate_trace,
 )
-from .scorers import DecodeSession, Scorer, log_softmax, predictions
+from .scorers import DecodeSession, Scorer, log_softmax
 
 # Prior of the running acceptance rate: 9 of 10 drafted tokens accepted. It
 # lets the first pass of a sentence verify a long draft.
@@ -232,16 +231,14 @@ def _require_mode(cfg: DecodeConfig, mode: str) -> None:
 
 
 def _check_chosen(chosen: list[float], tokens: list[int], first: int) -> None:
-    """Raise unless the chosen logit of each of the len(tokens) accepted
-    rows, chosen[r], is finite; row r is decoder position first + r. The
-    tokens are the rows' argmaxes, which numpy takes to a row's first NaN, so
-    a chosen logit is NaN when its row holds a NaN, -inf when the whole row
-    is masked, and +inf when a logit is. Rows past the accepted ones are
-    never read. A sum of floats is finite only if every term is, so one sum
-    clears the common case; the scan names the bad row, and passes finite
-    logits whose sum overflowed."""
-    if math.isfinite(sum(chosen[:len(tokens)])):
-        return
+    """Raise, naming the first of the len(tokens) accepted rows whose chosen
+    logit, chosen[r], is not finite; row r is decoder position first + r.
+    The tokens are the rows' argmaxes, which numpy takes to a row's first
+    NaN, so a chosen logit is NaN when its row holds a NaN, -inf when the
+    whole row is masked, and +inf when a logit is. Rows past the accepted
+    ones are never read. The decode loop calls it only when the accepted
+    rows' chosen logits do not sum to a finite number; finite logits whose
+    sum overflowed pass."""
     for r in range(len(tokens)):
         logit = chosen[r]
         if not math.isfinite(logit):
@@ -250,9 +247,9 @@ def _check_chosen(chosen: list[float], tokens: list[int], first: int) -> None:
 
 
 def _broken_answer(scored: int, w: int, j: int) -> ValueError:
-    """The error for a pass of w positions from decoder position j whose
+    """The error for a branch of w positions from decoder position j whose
     answer held `scored` predictions: more than w, none, or fewer than w
-    that do not end at their first disagreement with the draft."""
+    that do not end at their first disagreement with the branch."""
     if scored > w:
         return ValueError(f"{scored} predictions for a window of {w} at position {j}")
     if not scored:
@@ -288,117 +285,103 @@ def _pass_width(length: int, l_max: int | None, cost: float, rate: float) -> int
     return _window(rate, cost, w) if cost else w
 
 
-def _aligned_pass(predict_branches, o: list[int], x: TokenIds, start: int, l_max: int | None, cost: float, rate: float):
-    """Verify the insertion re-entry x[start - 1:] and the substitution
-    re-entry x[start:] in one predict_branches call. Each branch's window
-    follows the pass rule; a branch whose window is a single position is
-    left out, and None is returned when no branch is left. Otherwise returns
-    (t, copied, predicted, chosen, k, scored) for the branch x[t:] that
-    greedy agrees with longest, the insertion on a tie: k is its
-    bifurcation, and scored counts the rows of every branch, the shared
-    first row once."""
-    starts, copies = [], []
+def _reentries(x: TokenIds, start: int, l_max: int | None, cost: float, rate: float) -> list:
+    """(branch, suffix_match) per re-entry, x[start - 1:] and x[start:], windowed; one-position windows left out."""
+    aligned = []
     for t in (start - 1, start):
         w = _pass_width(len(x) - t, l_max, cost, rate)
         if w > 1:
-            starts.append(t)
-            copies.append(x[t:t + w])
-    if not copies:
-        return None
-    best = None
-    for t, copied, (predicted, chosen) in zip(starts, copies, predict_branches(tuple(o), copies)):
-        k = find_bifurcation(predicted, copied)
-        accepted = len(copied) if k is None else k
-        if best is None or accepted > best[0]:
-            best = (accepted, t, copied, predicted, chosen, k)
-    return best[1:] + (sum(map(len, copies)) - len(copies) + 1,)
+            aligned.append((x[t:t + w], (t - 1, -1)))
+    return aligned
 
 
 def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callable | None) -> DecodeResult:
     """Decode until EOS or max_len. ``propose(o, x, budget)`` returns a Draft
     to verify, or None for one autoregressive step, whose record then names
     the fallback reason; budget is the number of tokens o may still grow by.
-    A pass verifies the draft's first _pass_width(...) tokens, and its
-    positions_scored counts the rows the scorer answered: every position of
-    the window, or those through the first disagreement when the answer
-    ends there. An answer with more rows than the window, with none, or
-    ending short of the window anywhere else raises, naming the position.
-    Where propose returns None right after a pass that copied the input and
-    bifurcated, and the scorer answers predict_branches, an aligned pass
-    takes the step's place. A pass accepts nothing past its first EOS, as
-    greedy emits nothing past it, so a draft may hold EOS. Every token is
-    its row's argmax, and only accepted rows are checked, so a contract
-    breach (a NaN or non-finite chosen logit, or PAD as the chosen token)
-    raises where greedy would raise."""
+    Each iteration asks the session's predict for one tree: a drafted pass
+    verifies the draft's first _pass_width(...) tokens, and where propose
+    returns None right after a pass that copied the input and bifurcated, a
+    branching session gets an aligned pass in the step's place. A wrong
+    count of answers, or an answer with more rows than its branch, none, or
+    ending short of it but not at its first disagreement, raises, naming the
+    position. A pass keeps the branch greedy agrees with longest, the first
+    on a tie, and accepts nothing past its first EOS, as greedy emits
+    nothing past it. Every token is its row's argmax, and only accepted rows
+    are checked, so a contract breach (a NaN or non-finite chosen logit, or
+    PAD as the chosen token) raises where greedy would raise."""
     vocab = scorer.vocab
     n = len(x) - 2
     max_len = cfg.resolve_max_len(n)
     session = scorer.session(x)
-    branches = None
-    if hasattr(scorer, "predict_positions") and type(session).score_positions is DecodeSession.score_positions:
-        predict = partial(scorer.predict_positions, session.state)  # the session's rows are the scorer's
-        if propose is not None and getattr(scorer, "predict_branches", None) is not None:
-            branches = partial(scorer.predict_branches, session.state)
-    else:
-        score = session.score_positions
-
-        def predict(prefix, positions):
-            return predictions(score(prefix, positions))
-
+    predict = getattr(session, "predict", None) or partial(DecodeSession.predict, session)  # duck-typed: from rows
+    branching = propose is not None and getattr(session, "branching", False)
     cost = getattr(scorer, "position_cost", 0.0)  # scorers are duck-typed; 0 verifies drafts in full
     l_max, eos, pad = cfg.l_max, vocab.eos, vocab.pad
+    step = ((pad,),)  # PAD is never predicted, so a step's one row disagrees
     o = [vocab.bos]
     records: list[IterationRecord] = []
     drafted_accepted, drafted_compared = _PRIOR_ACCEPTED, _PRIOR_COMPARED
     reentry = None  # x[reentry - 1] is the input token the last pass rejected, when branches may follow
-    while o[-1] != eos and len(o) - 1 < max_len:
-        j = len(o) - 1
-        draft = None if propose is None else propose(o, x, max_len - j)
-        # without a draft: an aligned pass where the last pass left a re-entry, else one step
-        if draft is None and (
-            reentry is None
-            or (aligned := _aligned_pass(branches, o, x, reentry, l_max, cost, drafted_accepted / drafted_compared))
-            is None
+    j = 0  # the decoder position the next iteration scores first: o's last index
+    while o[-1] != eos and j < max_len:
+        if propose is not None and (draft := propose(o, x, max_len - j)) is not None:
+            drafted, source, anchor = draft
+            tree = (drafted[:_pass_width(len(drafted), l_max, cost, drafted_accepted / drafted_compared)],)
+            anchors = (anchor,)
+        elif reentry is not None and (
+            aligned := _reentries(x, reentry, l_max, cost, drafted_accepted / drafted_compared)
         ):
-            tokens, chosen = predict(tuple(o), (j,))
+            tree, anchors = zip(*aligned)
+            source = ALIGNED
+        else:
+            tree = step
+        # one block for every tree: check each answer, find its bifurcation, keep the longest-agreeing branch
+        answers = predict(tuple(o), tree)
+        if len(answers) != len(tree):
+            raise ValueError(f"a tree of {len(tree)} branches got {len(answers)} answers at position {j}")
+        agreed = i = 0
+        for copied in tree:  # indexed by hand: on a one-branch tree enumerate costs more
+            predicted = answers[i][0]
+            if len(predicted) == 1 and predicted[0] != copied[0]:  # every step's answer, and many a pass's
+                k = 1
+            else:  # the answer holds every row of its branch, or ends at its first disagreement
+                w, answered = len(copied), len(predicted)
+                k = find_bifurcation(predicted, copied[:answered]) if 0 < answered <= w else None
+                if answered != w and k != answered:
+                    raise _broken_answer(answered, w, j)
+            if (k or len(copied)) > agreed:  # k is never 0; the first branch on a tie
+                agreed, kept, k_kept = k or len(copied), i, k
+            i += 1
+        predicted, chosen = answers[kept]
+        if tree is step:  # its one row: j < max_len, and an EOS ends it
+            tokens, accepted = predicted, 1
             # o[j] is never PAD, so searching all of x searches x[0..n]
             record = _STEPS[None if propose is None else "ambiguous" if o[j] in x else "absent"]
             reentry = None
         else:
-            if draft is not None:
-                drafted, source, anchor = draft
-                w = _pass_width(len(drafted), l_max, cost, drafted_accepted / drafted_compared)
-                copied = drafted[:w]
-                prefix = tuple(o) + copied[:-1]  # pseudo decoder inputs; never includes PAD
-                predicted, chosen = predict(prefix, range(j, j + w))
-                scored = len(predicted)  # the answer may end at its first disagreement
-                k = find_bifurcation(predicted, copied[:scored]) if 0 < scored <= w else None
-                if scored != w and k != scored:
-                    raise _broken_answer(scored, w, j)
-            else:
-                t, copied, predicted, chosen, k, scored = aligned
-                w, source, anchor = len(copied), ALIGNED, (t - 1, -1)
-            if k is None:
-                matched = accepted = w
-            else:
-                matched, accepted = k - 1, k
-            drafted_accepted += matched
-            drafted_compared += accepted  # the matched tokens and the rejected one, if any
-            if accepted > max_len - j:  # greedy truncates at max_len; so do we
-                accepted = max_len - j
+            accepted = agreed if agreed < max_len - j else max_len - j  # greedy truncates at max_len; so do we
             tokens = predicted[:accepted]
             if eos in tokens:  # and stops at its first EOS, which a draft may hold
                 accepted = tokens.index(eos) + 1
                 tokens = tokens[:accepted]
+            k = k_kept
+            drafted_accepted += agreed if k is None else k - 1
+            drafted_compared += agreed  # the matched tokens and the rejected one, if any
             bifurcation = None if k is None or k > accepted else j + k
+            anchor = anchors[kept]
+            # the rows answered, the shared first row once
+            scored = len(predicted) if len(tree) == 1 else sum(len(answer[0]) for answer in answers) - len(tree) + 1
             record = IterationRecord(AGGRESSIVE, scored, accepted, anchor, bifurcation, source)
             # an input copy x[anchor[0] + 1:] rejected its k-th token
-            reentry = None if branches is None or bifurcation is None or source == OUTPUT else anchor[0] + 1 + k
-        _check_chosen(chosen, tokens, j)
+            reentry = None if not branching or bifurcation is None or source == OUTPUT else anchor[0] + 1 + k
+        if not math.isfinite(sum(chosen[:accepted])):  # finite only if every term is
+            _check_chosen(chosen, tokens, j)
         if pad in tokens:
             raise ValueError(f"PAD emitted at position {j + tokens.index(pad)}")
         o.extend(tokens)
         records.append(record)
+        j += accepted
     trace = DecodeTrace(iterations=tuple(records))
     validate_trace(trace, len(o) - 1)
     return DecodeResult(output=tuple(o), trace=trace)
@@ -423,10 +406,10 @@ def aggressive_decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeR
     recorded as "absent" (the last token is not in the input) or
     "ambiguous" (no unique suffix and no output draft).
 
-    Where the scorer answers ``predict_branches`` and the last pass copied
+    Where the scorer's session is ``branching`` and the last pass copied
     the input x[s:] and bifurcated at its k-th token, a missing draft gets
     an "aligned" pass instead of the step: it verifies the insertion
-    re-entry x[s+k-1:] and the substitution re-entry x[s+k:] in one call,
+    re-entry x[s+k-1:] and the substitution re-entry x[s+k:] as one tree,
     each in its own window, and keeps the branch greedy agrees with longest,
     the insertion on a tie. A branch windowed to one position is left out,
     and with none left (at l_max = 1, say) the step is taken as before. The

@@ -6,23 +6,23 @@ depend only on prefix[0..j] and the encoder state, never on later positions,
 which is what makes parallel copy-and-verify decoding emit exactly the greedy
 output. PAD's logit is -inf everywhere, so PAD can never be emitted.
 
-A scorer answers in two ways. ``score_positions`` returns logit rows, which
-beam search and ``check`` read. ``predict_positions`` returns only what
-greedy and aggressive decoding read of each row: its argmax, ties to the
-smallest token id, and that token's logit. The default derives both from the
-rows; the scripted and n-gram scorers answer without building any, and the
-n-gram ends a pass's answer at its first disagreement with the draft. The
-scripted scorer also answers ``predict_branches``: the predictions of several
-drafts that share a prefix, from one call.
+A scorer's rows, ``score_positions``, are what beam search and ``check``
+read. Greedy and aggressive decoding read only predictions, and ask the
+scorer's session for them: ``DecodeSession.predict`` takes a tree of
+branches that share a prefix and returns, for each row, its argmax, ties to
+the smallest token id, and that token's logit. The default session derives
+them from the rows, one call per branch. The scripted and n-gram sessions
+answer without building any row; the scripted one answers a whole tree in
+one call, and the n-gram's answer to a branch ends at its first
+disagreement with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress, count
 from operator import ne
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 class Scorer:
     """Base contract. Immutable after construction and shareable; per-decode
-    incremental state lives in a DecodeSession.
+    incremental state lives in a DecodeSession, which ``session`` returns.
 
     ``position_cost`` is the relative cost of one more scored position: an
     aggressive pass that scores w positions costs about
@@ -64,39 +64,15 @@ class Scorer:
     iteration counts repeat exactly. The decoders read it with getattr, so a
     scorer that is not a subclass may leave it out and counts as 0. It
     serves scorers that score a whole block at once; one whose answer stops
-    at the first disagreement (below) pays for no row it does not emit.
+    at the first disagreement (see ``DecodeSession.predict``) pays for no
+    row it does not emit.
 
-    Greedy and aggressive decoding take each scored position's argmax and
-    chosen logit from ``predict_positions`` when the scorer's session is a
-    plain ``DecodeSession``, whose rows are the scorer's own. A scorer may
-    override ``predict_positions`` to answer without building rows; the
-    default takes it from ``score_positions``, and a subclass that redefines
-    ``score_positions`` alone is given this default back, so an override of
-    the rows is never bypassed. A scorer with a session of its own (one whose
-    class redefines ``score_positions``), or without ``predict_positions``,
-    is decoded from that session's rows.
-
-    ``predict_branches(state, prefix, branches)`` returns, for each branch,
-    the (tokens, chosen) of ``predict_positions`` for ``prefix + branch[:-1]``
-    at positions len(prefix) - 1 onward, bit for bit and in full.
-    Aggressive decoding asks it, under the same rule, to verify in one call
-    the two ways of re-entering the input after a pass that copied it and
-    bifurcated (see ``aggressive_decode``). ``Scorer`` defines no default,
-    so a scorer without the method never verifies branches, and an
-    iteration never hides several sequential scorer calls; a subclass that
-    redefines ``score_positions`` does not inherit it.
+    Greedy and aggressive decoding ask only the session for predictions;
+    the default session derives them from ``score_positions``.
     """
 
     vocab: Vocab
     position_cost = 0.0
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if "score_positions" in cls.__dict__:
-            if "predict_positions" not in cls.__dict__:
-                cls.predict_positions = Scorer.predict_positions
-            if "predict_branches" not in cls.__dict__ and hasattr(cls, "predict_branches"):
-                cls.predict_branches = None
 
     def encode(self, x: TokenIds):
         """Per-input state reused across all decoding iterations for that input."""
@@ -112,28 +88,23 @@ class Scorer:
         """
         raise NotImplementedError
 
-    def predict_positions(
-        self, state, prefix: Sequence[int], positions: Sequence[int]
-    ) -> tuple[list[int], list[float]]:
-        """(tokens, chosen): for each row score_positions would return, its
-        argmax, ties to the smallest id, and that token's logit, equal bit
-        for bit to the row's.
-
-        When positions is a contiguous ascending range, the shape of a pass,
-        the answer may end early: right after the first position p, before
-        the last requested one, whose token differs from prefix[p + 1].
-        Every later row conditions on a draft token that p's prediction
-        rules out, so the decode loop never reads it. Any other positions
-        get a full answer. This default answers in full."""
-        return predictions(self.score_positions(state, prefix, positions))
-
     def session(self, x: TokenIds) -> "DecodeSession":
         return DecodeSession(self, x)
 
 
 class DecodeSession:
     """Scoring handle owned by a single decode; the default is stateless and
-    recomputes from the encoder state every call."""
+    recomputes from the encoder state every call.
+
+    ``predict`` is all that greedy and aggressive decoding ask of a session.
+    ``branching`` declares that it answers a tree of several branches in one
+    scorer call: aggressive decoding hands such a tree only to a session
+    that declares it, so an iteration never hides several sequential scorer
+    calls. The default, which scores each branch in a call of its own,
+    declares False.
+    """
+
+    branching = False
 
     def __init__(self, scorer: Scorer, x: TokenIds):
         self.scorer = scorer
@@ -141,6 +112,20 @@ class DecodeSession:
 
     def score_positions(self, prefix: Sequence[int], positions: Sequence[int]) -> np.ndarray:
         return self.scorer.score_positions(self.state, prefix, positions)
+
+    def predict(self, prefix: Sequence[int], branches: Sequence[Sequence[int]]) -> list[tuple[list[int], list[float]]]:
+        """One (tokens, chosen) answer per branch. Row r of a branch is
+        decoder position len(prefix) - 1 + r, conditioned on
+        prefix + branch[:r]; its answer is the row's argmax, ties to the
+        smallest id, and that token's logit, equal bit for bit to the row's.
+        An answer may end right after its first row whose token differs
+        from the branch's own token there: every later row conditions on a
+        token that row rules out, so the decode loop never reads it. This
+        default scores each branch in one score_positions call and answers
+        every row. It reads nothing but score_positions, so the decode loop
+        also uses it for a session that lacks predict."""
+        prefix, j = tuple(prefix), len(prefix) - 1
+        return [predictions(self.score_positions(prefix + tuple(b[:-1]), range(j, j + len(b)))) for b in branches]
 
     def fork(self) -> "DecodeSession":
         # stateless, so beam hypotheses may share it
@@ -150,10 +135,12 @@ class DecodeSession:
 # --- scripted edit scorer -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ScriptedState:
+# The states are NamedTuples: a decode builds one in about half a frozen
+# dataclass's time, and the scripted session unpacks its own per prediction.
+class _ScriptedState(NamedTuple):
     source: TokenIds
     target: TokenIds | None
+    eos: int
 
 
 class ScriptedEditScorer(Scorer):
@@ -164,10 +151,11 @@ class ScriptedEditScorer(Scorer):
     with no table entry, fall back to copying the source token at the same
     output position, then EOS; unknown inputs therefore decode to themselves.
 
-    It predicts without building rows: predict_positions returns the tokens
-    score_positions would one-hot, each with chosen logit 0.0, and
-    predict_branches answers several branches from one comparison of the
-    shared prefix with the target.
+    Its session predicts without building rows: each prediction is the
+    token score_positions would one-hot, with chosen logit 0.0. It answers
+    a one-position branch by the rule alone, and a longer one, or a tree of
+    several, from one comparison of the shared prefix with the target: a
+    branch's boundary is where it leaves the target's continuation.
 
     It declares no position_cost: a predicted position costs it about
     0.12 us against about 4.2 us for a whole aggressive pass (4.2 / 5.0 /
@@ -175,7 +163,7 @@ class ScriptedEditScorer(Scorer):
     with its first drafted token rejected, on the seed-21 scripted-copy
     inputs; per input the best of seven batches of 1000, median over five
     inputs; 2-CPU Xeon, 1 BLAS thread), so every draft is verified in full.
-    It answers every position of a pass, so a pass counts its whole window.
+    It answers every row of a branch, so a pass counts its whole window.
     """
 
     def __init__(self, pairs: Iterable[tuple[Sequence[int], Sequence[int]]], vocab: Vocab):
@@ -195,36 +183,22 @@ class ScriptedEditScorer(Scorer):
 
     def encode(self, x: TokenIds) -> _ScriptedState:
         source = tuple(x[1:-1])
-        return _ScriptedState(source=source, target=self._table.get(source))
+        return _ScriptedState(source, self._table.get(source), self.vocab.eos)
 
     def _tokens(self, state: _ScriptedState, prefix, positions) -> list[int]:
-        """The scripted token after prefix[:p + 1] for each p in positions:
-        target[p] while prefix[1:p + 1] is target[:p], else source[p], and
-        EOS past the end of either. A contiguous range is built from two
-        slices around one boundary."""
+        """The scripted token after prefix[:p + 1] for each p in positions: a
+        contiguous range from two slices around one boundary, else the rule."""
         prefix = tuple(prefix)  # a list's slice never equals the target's
-        source, target, eos = state.source, state.target, self.vocab.eos
+        source, target, eos = state
         if type(positions) is not range or positions.step != 1:
-            # Greedy's one-position step, positions == (j,), comes here: one
-            # compare of two slices costs it less than finding the boundary.
-            # On scripted-copy greedy_ms_p50 fell 0.102 -> 0.082 ms (medians
-            # of 10 alternating 35 s perfbench pairs, 2-CPU Xeon VM).
-            tokens = []
-            for p in positions:
-                if target is not None and prefix[1:p + 1] == target[:p]:
-                    tokens.append(target[p] if p < len(target) else eos)
-                else:
-                    tokens.append(source[p] if p < len(source) else eos)
-            return tokens
+            return [_script_token(source, target, eos, prefix, p) for p in positions]
         # Position p is on script iff prefix[1:p + 1] == target[:p], which holds
-        # for every p up to a boundary b: compare tuples, and scan only on a
-        # mismatch. b stays -1 when even the first requested position is off.
-        emitted, lo = prefix[1:], positions.start
+        # for every p up to a boundary b. b stays -1 when even the first
+        # requested position is off.
+        lo = positions.start
         b = -1
-        if target is not None and emitted[:lo] == target[:lo]:
-            b = min(len(emitted), len(target))
-            if emitted[lo:b] != target[lo:b]:
-                b = next(compress(count(lo), map(ne, emitted[lo:b], target[lo:b])))
+        if target is not None and prefix[1:lo + 1] == target[:lo]:
+            b = lo + _agreement(prefix[lo + 1:], target[lo:])
         return _script_run(source, target, eos, b, lo, positions.stop)
 
     def score_positions(self, state, prefix, positions) -> np.ndarray:
@@ -236,29 +210,47 @@ class ScriptedEditScorer(Scorer):
         rows[np.arange(len(tokens)), tokens] = 0.0
         return rows
 
-    def predict_positions(self, state, prefix, positions) -> tuple[list[int], list[float]]:
-        tokens = self._tokens(state, prefix, positions)
-        return tokens, [0.0] * len(tokens)
+    def session(self, x: TokenIds) -> "_ScriptedSession":
+        return _ScriptedSession(self, x)
 
-    def predict_branches(self, state, prefix, branches) -> list[tuple[list[int], list[float]]]:
-        """predict_positions for each branch's prefix + branch[:-1], with the
-        prefix compared with the target once: a branch's boundary is where
-        the branch leaves the target's continuation."""
-        emitted = tuple(prefix)[1:]
-        j = len(emitted)
-        source, target, eos = state.source, state.target, self.vocab.eos
-        rest = target[j:] if target is not None and emitted == target[:j] else None
+
+class _ScriptedSession(DecodeSession):
+    """Answers a tree of branches in one call, without rows."""
+
+    branching = True
+
+    def predict(self, prefix, branches) -> list[tuple[list[int], list[float]]]:
+        prefix = tuple(prefix)  # a list's slice never equals the target's
+        j = len(prefix) - 1
+        source, target, eos = self.state
+        if len(branches) == 1 and len(branches[0]) == 1:  # greedy's step: the rule costs less than a boundary
+            return [([_script_token(source, target, eos, prefix, j)], [0.0])]
+        rest = target[j:] if target is not None and prefix[1:] == target[:j] else None  # None: off script
         answers = []
         for branch in branches:
-            b = -1
-            if rest is not None:  # as in _tokens, with branch[:-1] for emitted[j:]
-                b = min(len(branch) - 1, len(rest))
-                if branch[:b] != rest[:b]:
-                    b = next(compress(count(), map(ne, branch, rest)))
-                b += j
+            # as in _tokens, with branch[:-1] for prefix[j + 1:]
+            b = -1 if rest is None else j + _agreement(branch[:-1], rest)
             tokens = _script_run(source, target, eos, b, j, j + len(branch))
             answers.append((tokens, [0.0] * len(tokens)))
         return answers
+
+
+def _script_token(source: TokenIds, target: TokenIds | None, eos: int, prefix: TokenIds, p: int) -> int:
+    """The scripted rule for the token after prefix[:p + 1]: target[p] while
+    prefix[1:p + 1] is target[:p], else source[p], and EOS past the end of
+    either."""
+    if target is not None and prefix[1:p + 1] == target[:p]:
+        return target[p] if p < len(target) else eos
+    return source[p] if p < len(source) else eos
+
+
+def _agreement(tokens: TokenIds, target: TokenIds) -> int:
+    """How many leading tokens tokens and target have in common: one compare
+    of two slices, and a scan only on a mismatch."""
+    m = min(len(tokens), len(target))
+    if tokens[:m] == target[:m]:
+        return m
+    return next(compress(count(), map(ne, tokens, target)), m)  # m: a list never equals a tuple
 
 
 def _script_run(source: TokenIds, target: TokenIds | None, eos: int, b: int, lo: int, hi: int) -> list[int]:
@@ -287,8 +279,7 @@ def identity_scorer(vocab: Vocab) -> ScriptedEditScorer:
 # --- n-gram scorer --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _NgramState:
+class _NgramState(NamedTuple):
     x: TokenIds
     n: int
 
@@ -318,17 +309,17 @@ class NgramScorer(Scorer):
     row's argmax and that logit. Contexts with equal counts share one row,
     and the unseen context's row has the background alone. score_positions
     builds each row it returns from its background and cells and adds
-    copy_bias at the aligned token. predict_positions builds no row: a
+    copy_bias at the aligned token. Its session predicts without rows: a
     position's prediction is its context's argmax or its biased aligned
     token, whichever logit is larger (ties to the smaller id), one lookup
     in the cells. Only when the aligned token is the argmax and copy_bias is
     negative does it build the whole row.
 
-    It predicts one position after another, so a pass's answer ends at its
-    first disagreement with the draft (see ``Scorer``): it scores no row
-    the decode loop would discard. A wider window then costs it nothing it
-    does not emit, so it declares no position_cost and verifies every draft
-    in full.
+    It predicts one position after another, so its answer to a branch ends
+    at its first disagreement with it (see ``DecodeSession.predict``): it
+    scores no row the decode loop would discard. A wider window then costs
+    it nothing it does not emit, so it declares no position_cost and
+    verifies every draft in full.
     """
 
     def __init__(
@@ -424,30 +415,49 @@ class NgramScorer(Scorer):
             rows[k, x[p + 1] if p < n else eos] += bias
         return rows
 
-    def predict_positions(self, state, prefix, positions) -> tuple[list[int], list[float]]:
-        x, n, eos, back = state.x, state.n, self.vocab.eos, self.order - 2
-        row_of, unseen, bias = self._rows.get, self._unseen, self.copy_bias
-        # a pass's answer ends at its first disagreement with the draft
-        last = positions.stop - 1 if type(positions) is range and positions.step == 1 else -1
-        tokens, chosen = [], []
-        for p in positions:
-            lo = p - back
-            row = row_of(tuple(prefix[lo if lo > 0 else 0: p + 1]), unseen)
-            best, top, background, cells = row
-            aligned = x[p + 1] if p < n else eos
-            if aligned != best:
-                value = cells.get(aligned, background) + bias  # the aligned token's logit in the row
-                if value > top or (value == top and aligned < best):
-                    best, top = aligned, value
-            elif bias >= 0:
-                top += bias
-            else:  # the bias may drop the argmax below another token
-                logits = self._dense(row)
-                logits[aligned] = top + bias
-                best = int(logits.argmax())
-                top = logits.item(best)
-            tokens.append(best)
-            chosen.append(top)
-            if p < last and best != prefix[p + 1]:
-                break
-        return tokens, chosen
+    def session(self, x: TokenIds) -> "_NgramSession":
+        return _NgramSession(self, x)
+
+
+class _NgramSession(DecodeSession):
+    """Answers each branch row by row, without building rows, and stops at
+    the branch's first disagreement."""
+
+    def __init__(self, scorer: NgramScorer, x: TokenIds):
+        super().__init__(scorer, x)
+        # what predict looks up for every row, bound once per decode
+        state = self.state
+        self._lookups = (state.x, state.n, scorer.vocab.eos, scorer.order - 2, scorer._rows.get,
+                         scorer._unseen, scorer.copy_bias)
+
+    def predict(self, prefix, branches) -> list[tuple[list[int], list[float]]]:
+        x, n, eos, back, row_of, unseen, bias = self._lookups
+        prefix = tuple(prefix)
+        j = len(prefix) - 1
+        answers = []
+        for branch in branches:
+            seq, p = prefix + tuple(branch[:-1]), j  # the branch's last token conditions no row
+            tokens, chosen = [], []
+            for drafted in branch:
+                lo = p - back
+                row = row_of(seq[lo if lo > 0 else 0: p + 1], unseen)
+                best, top, background, cells = row
+                aligned = x[p + 1] if p < n else eos
+                if aligned != best:
+                    value = cells.get(aligned, background) + bias  # the aligned token's logit in the row
+                    if value > top or (value == top and aligned < best):
+                        best, top = aligned, value
+                elif bias >= 0:
+                    top += bias
+                else:  # the bias may drop the argmax below another token
+                    logits = self.scorer._dense(row)
+                    logits[aligned] = top + bias
+                    best = int(logits.argmax())
+                    top = logits.item(best)
+                tokens.append(best)
+                chosen.append(top)
+                if best != drafted:  # every later row conditions on drafted, which best rules out
+                    break
+                p += 1
+            answers.append((tokens, chosen))
+        return answers

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from aggdec.decoding import Draft
-from aggdec.scorers import DecodeSession, NgramScorer, ScriptedEditScorer, log_softmax
+from aggdec.scorers import ScriptedEditScorer, _NgramSession, _ScriptedSession, log_softmax
 
 
 def naive_suffix_match(o, x):
@@ -65,9 +65,9 @@ def scan_suffix_match(o, x):
 # a suffix search on every aggressive iteration, Python scans for the
 # bifurcation and the chosen-logit check, a window recomputed on every pass,
 # records built by keyword. Predictions come from each session's rows, by the
-# scan, not from predict_positions; an aligned pass scores each branch in a
-# call of its own, not through predict_branches. A pass counts the rows a
-# scorer that stops at its first disagreement would answer.
+# scan, not from the session's predict; an aligned pass scores each branch in
+# a call of its own, not as one tree. A pass counts the rows a scorer that
+# stops at its first disagreement would answer.
 
 
 def reference_find_bifurcation(predictions, copied):
@@ -145,12 +145,9 @@ def reference_branches(session, o, x, start, l_max, cost, rate):
 
 def stops_at_disagreement(scorer, session):
     """Whether the decode loop's passes get answers that end at their first
-    disagreement: the n-gram's predict_positions gives them, and the loop asks
-    it when the session is a plain DecodeSession."""
-    return (
-        getattr(type(scorer), "predict_positions", None) is NgramScorer.predict_positions
-        and type(session).score_positions is DecodeSession.score_positions
-    )
+    disagreement: the scorer's session is the n-gram's, whose predict gives
+    them."""
+    return getattr(type(session), "predict", None) is _NgramSession.predict
 
 
 def greedy_draft_proposer(greedy_output, tail):
@@ -165,9 +162,9 @@ def greedy_draft_proposer(greedy_output, tail):
 def reference_decode(scorer, x, cfg, aggressive, branching=True):
     """(output, records) of greedy (aggressive=False) or aggressive decoding,
     records as tuples of IterationRecord's fields in order. With branching,
-    a scorer that answers predict_branches through a plain DecodeSession
-    verifies, where the proposer has no draft right after a pass that copied
-    the input and bifurcated, the input's two re-entries, and keeps the one
+    a scorer whose session declares branching verifies, where the proposer
+    has no draft right after a pass that copied the input and bifurcated,
+    the input's two re-entries, and keeps the one
     greedy agrees with longest; without it, every such iteration is one
     autoregressive step. A drafted pass counts the rows of its window
     through its first disagreement where the scorer stops_at_disagreement,
@@ -175,10 +172,7 @@ def reference_decode(scorer, x, cfg, aggressive, branching=True):
     vocab = scorer.vocab
     max_len = cfg.resolve_max_len(len(x) - 2)
     session = scorer.session(x)
-    branching = (
-        branching and aggressive and getattr(scorer, "predict_branches", None) is not None
-        and type(session).score_positions is DecodeSession.score_positions
-    )
+    branching = branching and aggressive and getattr(session, "branching", False)
     cost = getattr(scorer, "position_cost", 0.0)
     stops = stops_at_disagreement(scorer, session)
     o = [vocab.bos]
@@ -313,8 +307,8 @@ def scan_predictions(rows):
 
 
 def same_predictions(prediction, rows) -> bool:
-    """Whether a predict_positions answer equals the scan's predictions from
-    rows bit for bit, as plain ints and floats."""
+    """Whether an answer of a session's predict equals the scan's predictions
+    from rows bit for bit, as plain ints and floats."""
     tokens, chosen = prediction
     expected_tokens, expected_chosen = scan_predictions(rows)
     return (
@@ -527,9 +521,14 @@ class _ReferenceSession:
         return dup
 
 
-class SteppingScriptedScorer(ScriptedEditScorer):
-    """The scripted scorer without predict_branches, so aggressive decoding
-    takes an autoregressive step wherever the proposer has no draft, as the
-    reference loop without branching does."""
+class _SteppingSession(_ScriptedSession):
+    branching = False
 
-    predict_branches = None
+
+class SteppingScriptedScorer(ScriptedEditScorer):
+    """The scripted scorer with a session that is not branching, so
+    aggressive decoding takes an autoregressive step wherever the proposer
+    has no draft, as the reference loop without branching does."""
+
+    def session(self, x):
+        return _SteppingSession(self, x)

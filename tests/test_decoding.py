@@ -25,7 +25,7 @@ from aggdec import (
 )
 from aggdec import decoding
 from aggdec.decoding import Draft, _check_chosen, argmax_with_tiebreak, propose_draft
-from aggdec.scorers import DecodeSession, predictions
+from aggdec.scorers import DecodeSession, _ScriptedSession, predictions
 from aggdec.synthetic import rewrite_pairs, synthetic_vocab
 from oracles import (
     greedy_draft_proposer,
@@ -124,11 +124,14 @@ def test_block_chooser_names_the_bad_row(rows, first, data):
 
 class _BreaksAt(ScriptedEditScorer):
     """Identity scorer that writes ``value`` into ``cells`` of the row it
-    scores for decoder position 5."""
+    scores for decoder position 5, decoded from its rows."""
 
     def __init__(self, vocab, cells, value):
         super().__init__((), vocab)
         self.cells, self.value = cells, value
+
+    def session(self, x):
+        return DecodeSession(self, x)
 
     def score_positions(self, state, prefix, positions):
         rows = super().score_positions(state, prefix, positions)
@@ -156,21 +159,33 @@ def test_contract_breach_raises_at_greedys_position_in_both_modes(vocab, cells, 
             decode(scorer, x, DecodeConfig(mode=mode, l_max=l_max))
 
 
-class _AnswersBrokenly(SteppingScriptedScorer):
-    """Scripted scorer that answers the pass from decoder position 3 with
-    ``cut(tokens)`` of its predictions: more than the window, none, or
-    fewer that do not end at a disagreement."""
+class _AnswersBrokenly(ScriptedEditScorer):
+    """Scripted scorer whose session answers the tree from decoder position
+    ``at`` with ``cut(tokens)`` of its predictions: more than the window,
+    none, or fewer that do not end at a disagreement. Its session is not
+    branching, and fails the decode after 100 calls, so a loop that never
+    grows its output fails instead of hanging."""
 
-    def __init__(self, pairs, vocab, cut):
+    def __init__(self, pairs, vocab, cut, at=3):
         super().__init__(pairs, vocab)
-        self.cut = cut
+        self.cut, self.at = cut, at
 
-    def predict_positions(self, state, prefix, positions):
-        tokens, chosen = super().predict_positions(state, prefix, positions)
-        if type(positions) is range and positions.start == 3:
-            tokens = self.cut(tokens)
-            chosen = [0.0] * len(tokens)
-        return tokens, chosen
+    def session(self, x):
+        return _BrokenSession(self, x)
+
+
+class _BrokenSession(_ScriptedSession):
+    branching = False
+    calls = 0
+
+    def predict(self, prefix, branches):
+        self.calls += 1
+        assert self.calls <= 100, "the decode loop keeps asking"
+        answers = super().predict(prefix, branches)
+        if len(prefix) - 1 == self.scorer.at:
+            tokens = self.scorer.cut(answers[0][0])
+            answers = [(tokens, [0.0] * len(tokens))]
+        return answers
 
 
 @pytest.mark.parametrize(
@@ -199,15 +214,72 @@ def test_a_broken_answer_raises_naming_the_position(vocab, cut, message):
         aggressive_decode(_AnswersBrokenly([pair], vocab, cut), x, cfg)
 
 
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        (lambda tokens: [], "no predictions at position 2"),
+        (lambda tokens: tokens * 2, "2 predictions for a window of 1 at position 2"),
+    ],
+)
+def test_a_broken_step_answer_raises_naming_the_position(vocab, cut, message):
+    """a b c -> a X c: greedy steps at every position, and aggressive
+    decoding's first pass bifurcates at X, which the input lacks, so it
+    steps at decoder position 2 as well. A step's answer is checked like any
+    other: none, or two predictions for its one position, raises there
+    rather than decoding on, or looping without growing the output."""
+    pair = (ids("a b c", vocab), ids("a X c", vocab))
+    x = prepare_input(pair[0], vocab)
+    for mode in ("greedy", "aggressive"):
+        cfg = DecodeConfig(mode=mode)
+        result = decode(_AnswersBrokenly([pair], vocab, lambda tokens: tokens, at=2), x, cfg)
+        assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
+        assert result.trace.iterations[-2].mode == AUTOREGRESSIVE
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            decode(_AnswersBrokenly([pair], vocab, cut, at=2), x, cfg)
+
+
+class _MiscountsAnswers(ScriptedEditScorer):
+    """Scripted scorer whose session answers a tree of several branches with
+    ``change(answers)``: one answer too few, or one too many."""
+
+    def __init__(self, pairs, vocab, change):
+        super().__init__(pairs, vocab)
+        self.change = change
+
+    def session(self, x):
+        return _MiscountingSession(self, x)
+
+
+class _MiscountingSession(_ScriptedSession):
+    def predict(self, prefix, branches):
+        answers = super().predict(prefix, branches)
+        return self.scorer.change(answers) if len(branches) > 1 else answers
+
+
+@pytest.mark.parametrize("change, count", [(lambda answers: answers[:-1], 1), (lambda answers: answers * 2, 4)])
+def test_a_tree_answered_for_the_wrong_number_of_branches_raises(vocab, change, count):
+    """a b c d -> a b X d: the second iteration is an aligned pass, a tree of
+    two branches from decoder position 3 (see test_aggressive_hand_trace).
+    Answers for fewer or more branches raise there, rather than leaving a
+    branch unchecked or counting an extra answer's rows."""
+    pair = (ids("a b c d", vocab), ids("a b X d", vocab))
+    x = prepare_input(pair[0], vocab)
+    with pytest.raises(ValueError, match=f"^a tree of 2 branches got {count} answers at position 3$"):
+        aggressive_decode(_MiscountsAnswers([pair], vocab, change), x, DecodeConfig(mode="aggressive"))
+
+
 class _BreaksOffPath(ScriptedEditScorer):
     """Scripted scorer whose row for a position is all ``value`` when the
-    prefix up to it holds ``token``. That depends on the prefix alone, so the
-    scorer stays prefix consistent, and a script that never emits the token
-    keeps greedy decoding clear of those rows."""
+    prefix up to it holds ``token``, decoded from its rows. That depends on
+    the prefix alone, so the scorer stays prefix consistent, and a script
+    that never emits the token keeps greedy decoding clear of those rows."""
 
     def __init__(self, pairs, vocab, token, value):
         super().__init__(pairs, vocab)
         self.token, self.value = token, value
+
+    def session(self, x):
+        return DecodeSession(self, x)
 
     def score_positions(self, state, prefix, positions):
         rows = super().score_positions(state, prefix, positions)
@@ -504,7 +576,7 @@ def test_an_aligned_pass_keeps_the_insertion_on_a_tie(vocab):
 
 
 def test_aggressive_hand_trace_without_branches(vocab):
-    """The same rewrite under a scorer that answers no predict_branches: one
+    """The same rewrite under a scorer whose session is not branching: one
     pass to the disagreement, one autoregressive step, one re-entry pass."""
     pair = (ids("a b c d", vocab), ids("a b X d", vocab))
     scorer = SteppingScriptedScorer([pair], vocab)
@@ -587,10 +659,9 @@ class _Costly(ScriptedEditScorer):
     position_cost = 0.15
 
 
-class _CostlyStepping(_Costly):
-    """_Costly without branches: it steps where the proposer has no draft."""
-
-    predict_branches = None
+class _CostlyStepping(_Costly, SteppingScriptedScorer):
+    """_Costly with a session that is not branching: it steps where the
+    proposer has no draft."""
 
 
 class _Proxy:
@@ -729,14 +800,6 @@ def _swap_c_and_x(rows, vocab):
     return rows
 
 
-class _SwapsRows(ScriptedEditScorer):
-    """Identity scorer whose rows, and only its rows, swap c and X: a
-    prediction that bypassed them would copy c."""
-
-    def score_positions(self, state, prefix, positions):
-        return _swap_c_and_x(super().score_positions(state, prefix, positions), self.vocab)
-
-
 class _SwappingSession(DecodeSession):
     def score_positions(self, prefix, positions):
         return _swap_c_and_x(super().score_positions(prefix, positions), self.scorer.vocab)
@@ -749,7 +812,7 @@ class _SwapsInSession(ScriptedEditScorer):
         return _SwappingSession(self, x)
 
 
-@pytest.mark.parametrize("scorer_type", [_SwapsRows, _SwapsInSession])
+@pytest.mark.parametrize("scorer_type", [_SwapsInSession])
 def test_a_subclass_that_redefines_only_its_rows_is_decoded_from_them(vocab, scorer_type):
     scorer = scorer_type((), vocab)
     x = prepare_input(ids("a b c d c", vocab), vocab)
@@ -758,28 +821,9 @@ def test_a_subclass_that_redefines_only_its_rows_is_decoded_from_them(vocab, sco
         assert result.output == (vocab.bos,) + ids("a b X d X", vocab) + (vocab.eos,)
 
 
-def test_a_subclass_that_redefines_its_rows_does_not_inherit_predict_branches(vocab):
-    """An inherited predict_branches would answer from the scripted rows that
-    _SwapsRows replaced: after the edit X it would re-enter the input as if
-    X replaced c, and copy the second c. Only a class that defines the
-    method, or inherits it without redefining its rows, verifies branches;
-    _SwapsRows is decoded from its own rows, with autoregressive steps."""
-    assert not hasattr(Scorer, "predict_branches")
-    assert getattr(NgramScorer, "predict_branches", None) is None
-    assert _Costly.predict_branches is ScriptedEditScorer.predict_branches
-    assert _SwapsRows.predict_branches is None
-    scorer = _SwapsRows((), vocab)
-    x = prepare_input(ids("a b c d c", vocab), vocab)
-    result = aggressive_decode(scorer, x, DecodeConfig(mode="aggressive"))
-    assert result.output == (vocab.bos,) + ids("a b X d X", vocab) + (vocab.eos,)
-    assert [r.source or r.fallback for r in result.trace.iterations] == ["input", "absent", "input", "absent"]
-    output, records = reference_decode(scorer, x, DecodeConfig(mode="aggressive"), True, branching=False)
-    assert output == result.output and [tuple(r) for r in result.trace.iterations] == records
-
-
 class _RowsScorer:
-    """A scorer by duck typing alone, with a plain DecodeSession: it has rows
-    and no predict_positions."""
+    """A scorer by duck typing alone, with a plain DecodeSession: it has rows,
+    and its session predicts from them."""
 
     def __init__(self, scorer):
         self.vocab = scorer.vocab
@@ -796,8 +840,8 @@ class _RowsScorer:
 
 
 class _RowsSession:
-    """A session by duck typing alone, as a tracing proxy's is: it forwards
-    score_positions and has no predict_positions."""
+    """A session by duck typing alone: it forwards score_positions and has no
+    predict."""
 
     def __init__(self, session):
         self._session = session
@@ -813,23 +857,29 @@ class _RowsSessionScorer(_Proxy):
 
 @pytest.mark.parametrize("wrap", [_RowsScorer, _RowsSessionScorer])
 def test_duck_typed_scorers_and_sessions_decode_from_their_rows(vocab, wrap):
-    """Without predict_positions, a scorer or session decodes from its rows
-    to the same output and trace as the scorer it wraps, whose rows are the
-    same but which predicts without them. The proxy is decoded from its
-    session's rows too, so on both sides every pass is answered in full,
-    where the n-gram's own predictions stop at the first disagreement."""
+    """A scorer whose session predicts from its rows, or a session without
+    predict, decodes as the reference loop does from the same rows, every
+    pass answered in full and no branches verified, to the output of the
+    scorer it wraps, which predicts without rows. A proxy that forwards
+    session() gets that session's own predictions, and decodes exactly as
+    the scorer does: the n-gram's passes stop at their first disagreement,
+    and the scripted session verifies branches."""
     pairs = [(ids("a b c d", vocab), ids("a b X d", vocab)), (ids("c a d", vocab), ids("d a c c", vocab))]
     scripted = ScriptedEditScorer(pairs, vocab)
     ngram = NgramScorer([ids("a b c d", vocab), ids("c c a b", vocab)], order=2, smoothing=0.3,
                         vocab=vocab, copy_bias=1.0)
     for scorer in (scripted, ngram):
         wrapped = wrap(scorer)
-        plain = _Proxy(scorer)  # answered from rows, as the wrapped scorer is
         for raw in ("a b c d", "c a d", "d d X a b"):
             x = prepare_input(ids(raw, vocab), vocab)
             for mode in ("greedy", "aggressive"):
                 cfg = DecodeConfig(mode=mode)
-                assert decode(wrapped, x, cfg) == decode(plain, x, cfg)
+                result = decode(wrapped, x, cfg)
+                expected = decode(scorer, x, cfg)
+                assert (result.output, [tuple(r) for r in result.trace.iterations]) == reference_decode(
+                    wrapped, x, cfg, mode == "aggressive")
+                assert result.output == expected.output
+                assert decode(_Proxy(scorer), x, cfg) == expected
 
 
 def _no_rows(state, prefix, positions):

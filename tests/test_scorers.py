@@ -72,11 +72,12 @@ def test_scripted_off_target_fallback_copies_source(vocab):
     """A prefix that diverged from the target continues by copying the source."""
     pair = (ids("a b c", vocab), ids("a X", vocab))
     scorer = ScriptedEditScorer([pair], vocab)
-    state = scorer.encode(prepare_input(pair[0], vocab))
+    session = scorer.session(prepare_input(pair[0], vocab))
+    step = ((vocab.pad,),)
     diverged = (vocab.bos, vocab.id_of("b"), vocab.id_of("b"))
-    assert scorer.predict_positions(state, diverged, (2,))[0] == [vocab.id_of("c")]
+    assert session.predict(diverged, step)[0][0] == [vocab.id_of("c")]
     exhausted = (vocab.bos,) + ids("b b b", vocab)
-    assert scorer.predict_positions(state, exhausted, (3,))[0] == [vocab.eos]
+    assert session.predict(exhausted, step)[0][0] == [vocab.eos]
 
 
 def test_scripted_rejects_duplicate_sources(vocab):
@@ -135,56 +136,86 @@ def test_scripted_rows_follow_next_token(source, target, on_script, tail, data):
         assert np.array_equal(row, expected)
 
 
+def _same(answer, other) -> bool:
+    """Whether two answers are equal bit for bit."""
+    return answer[0] == other[0] and np.array(answer[1], dtype=float).tobytes() == np.array(
+        other[1], dtype=float).tobytes()
+
+
+def _check_tree(session, rows_of, prefix, tree, stops):
+    """session.predict(prefix, tree) answers each branch as the scan of its
+    rows, rows_of(prefix + branch[:-1], positions), bit for bit: through the
+    first row whose token differs from the branch's own where the session
+    stops there, and every row otherwise. Each branch's answer is also the
+    one it gets when asked alone."""
+    answers = session.predict(prefix, tree)
+    assert len(answers) == len(tree)
+    j = len(prefix) - 1
+    for branch, answer in zip(tree, answers):
+        rows = rows_of(tuple(prefix) + tuple(branch[:-1]), list(range(j, j + len(branch))))
+        if stops:
+            tokens = scan_predictions(rows)[0]
+            rows = rows[:next((r + 1 for r, t in enumerate(tokens) if t != branch[r]), len(branch))]
+        assert same_predictions(answer, rows)
+        assert _same(session.predict(prefix, (branch,))[0], answer)
+
+
+def _trees(data, rest, tokens, pad, max_branches=3):
+    """A tree of 1 to max_branches branches: each follows rest, the tokens
+    that agree with its first rows, for a while, then goes its own way, and
+    may end in a PAD slot; one may be the PAD slot alone. Its branches are
+    all tuples or all lists."""
+    branch = st.tuples(st.integers(0, 10), tokens, st.booleans()).map(
+        lambda d: (rest[:d[0]] + d[1] + (pad,) * d[2]) or (pad,))
+    tree = data.draw(st.lists(st.one_of(st.just((pad,)), branch), min_size=1, max_size=max_branches))
+    return data.draw(st.sampled_from([tuple(tree), [list(b) for b in tree]]))
+
+
+def _scripted_case(source, target, on_script, tail):
+    vocab = Vocab(["a", "b", "c", "d", "X"])
+    pairs = [(source, target)] if target is not None else []
+    scorer = ScriptedEditScorer(pairs, vocab)
+    session = scorer.session(prepare_input(source, vocab))
+    script = source if target is None else target
+    prefix = (vocab.bos,) + script[:on_script] + tail
+    return vocab, scorer, session, script, prefix
+
+
 @settings(max_examples=200, deadline=None)
 @given(source=_words, target=st.one_of(st.none(), _words), on_script=st.integers(0, 9),
        tail=_words, data=st.data())
 def test_scripted_predictions_equal_its_rows(source, target, on_script, tail, data):
-    """predict_positions gives each row's argmax and chosen logit, bit for
-    bit, on script and off it, for any list of positions."""
-    vocab = Vocab(["a", "b", "c", "d", "X"])
-    pairs = [(source, target)] if target is not None else []
-    scorer = ScriptedEditScorer(pairs, vocab)
-    state = scorer.encode(prepare_input(source, vocab))
-    prefix = (vocab.bos,) + (source if target is None else target)[:on_script] + tail
-    n = len(prefix)
-    # every position in order, greedy's step at the prefix's end, or any draw
-    # of them: unsorted, repeated, a strict subset, none
-    positions = data.draw(st.one_of(
-        st.just(range(n)), st.just((n - 1,)), st.lists(st.integers(0, n - 1), max_size=2 * n)
-    ))
+    """The session's predict gives each row's argmax and chosen logit, bit
+    for bit, on script and off it, for a list or tuple prefix and the trees a
+    decode asks for: greedy's step, a pass over the whole prefix from BOS,
+    and any one branch."""
+    vocab, scorer, session, script, prefix = _scripted_case(source, target, on_script, tail)
+    shape = data.draw(st.sampled_from(["step", "whole", "any"]))
+    if shape == "step":
+        tree = ((vocab.pad,),)
+    elif shape == "whole":
+        tree, prefix = (prefix[1:] + (vocab.pad,),), prefix[:1]
+    else:
+        tree = _trees(data, script[len(prefix) - 1:], _words, vocab.pad, 1)
     prefix = data.draw(st.sampled_from([prefix, list(prefix)]))  # any Sequence[int]
-    prediction = scorer.predict_positions(state, prefix, positions)
-    assert same_predictions(prediction, scorer.score_positions(state, prefix, positions))
+    _check_tree(session, lambda pseudo, positions: scorer.score_positions(session.state, pseudo, positions),
+                prefix, tree, stops=False)
 
 
 @settings(max_examples=300, deadline=None)
 @given(source=_words, target=st.one_of(st.none(), _words), on_script=st.integers(0, 9),
        tail=_words, data=st.data())
 def test_scripted_branches_equal_per_branch_predictions(source, target, on_script, tail, data):
-    """predict_branches answers each branch as predict_positions answers the
-    prefix followed by the branch's pseudo inputs, bit for bit, and as the
-    rows do: for a prefix on script or off it, a source without a target,
-    and branches that follow the script, leave it, or run past the end of
-    the source or the target."""
-    vocab = Vocab(["a", "b", "c", "d", "X"])
-    pairs = [(source, target)] if target is not None else []
-    scorer = ScriptedEditScorer(pairs, vocab)
-    state = scorer.encode(prepare_input(source, vocab))
-    script = source if target is None else target
-    prefix = (vocab.bos,) + script[:on_script] + tail
-    j = len(prefix) - 1
-    # a branch continues the script for a while, then goes its own way
-    branch = st.tuples(st.integers(0, 10), _words).map(
-        lambda drawn: (script[len(prefix) - 1:][: drawn[0]] + drawn[1]) or (4,))
-    branches = data.draw(st.lists(branch, max_size=3))
-    answers = scorer.predict_branches(state, prefix, branches)
-    assert len(answers) == len(branches)
-    for branch, answer in zip(branches, answers):
-        pseudo = prefix + branch[:-1]
-        positions = range(j, j + len(branch))
-        assert same_predictions(answer, scorer.score_positions(state, pseudo, list(positions)))
-        assert same_predictions(scorer.predict_positions(state, pseudo, positions),
-                                scorer.score_positions(state, pseudo, list(positions)))
+    """The session answers a tree of 1 to 3 branches in one call, each branch
+    as it is answered alone and as its rows are, bit for bit: for a prefix on
+    script or off it, a source without a target, and branches that follow
+    the script, leave it, run past the end of the source or the target, or
+    are one position long."""
+    vocab, scorer, session, script, prefix = _scripted_case(source, target, on_script, tail)
+    assert session.branching
+    tree = _trees(data, script[len(prefix) - 1:], _words, vocab.pad)
+    _check_tree(session, lambda pseudo, positions: scorer.score_positions(session.state, pseudo, positions),
+                prefix, tree, stops=False)
 
 
 def test_ngram_uniform_counts_tie_break(vocab):
@@ -323,24 +354,20 @@ def test_ngram_rows_match_oracle_bit_for_bit(corpus, order, smoothing, copy_bias
     data=st.data(),
 )
 def test_ngram_predictions_equal_its_rows(corpus, order, smoothing, copy_bias, source, tail, data):
-    """predict_positions gives each row's argmax and chosen logit, bit for
-    bit, for a negative, zero or positive copy_bias, in seen contexts and in
-    unseen ones, whose rows are all tied, for any list of positions. Asked
-    for range(n), a pass whose draft is prefix[1:], it answers the rows
-    through the first one whose token differs from the draft's, and ends
-    there."""
+    """The session's predict gives each row's argmax and chosen logit, bit
+    for bit, for a negative, zero or positive copy_bias, in seen contexts
+    and in unseen ones, whose rows are all tied, for trees of 1 to 3
+    branches that copy the source for a while, one-position ones and the
+    PAD slot among them. Each answer is the full one cut after its first
+    row whose token differs from the branch's own, and equals the branch's
+    answer alone."""
     vocab = Vocab(_NGRAM_WORDS)
     scorer = NgramScorer(corpus, order=order, smoothing=smoothing, vocab=vocab, copy_bias=copy_bias)
-    state = scorer.encode(prepare_input(source, vocab))
-    prefix = (vocab.bos,) + tail
-    n = len(prefix)
-    positions = data.draw(st.one_of(st.just(range(n)), st.lists(st.integers(0, n - 1), max_size=2 * n)))
-    prediction = scorer.predict_positions(state, prefix, positions)
-    rows = scorer.score_positions(state, prefix, positions)
-    if type(positions) is range:
-        tokens = scan_predictions(rows)[0]
-        rows = rows[:next((p + 1 for p in range(n - 1) if tokens[p] != prefix[p + 1]), n)]
-    assert same_predictions(prediction, rows)
+    session = scorer.session(prepare_input(source, vocab))
+    prefix = data.draw(st.sampled_from([(vocab.bos,) + tail, (vocab.bos,)]))
+    tree = _trees(data, source[len(prefix) - 1:], _ngram_ids, vocab.pad)
+    _check_tree(session, lambda pseudo, positions: scorer.score_positions(session.state, pseudo, positions),
+                prefix, tree, stops=True)
 
 
 @pytest.mark.parametrize("top, other", [("a", "c"), ("c", "a")])
@@ -359,7 +386,7 @@ def test_ngram_prediction_breaks_an_exact_tie_to_the_smaller_id(top, other):
     bias = float(row[top] - row[other])
     assert row[other] + bias == row[top]  # the tie is exact
     scorer = NgramScorer(corpus, order=2, smoothing=0.5, vocab=vocab, copy_bias=bias)
-    prediction = scorer.predict_positions(state, (vocab.bos,), (0,))
+    prediction = scorer.session(prepare_input((other,), vocab)).predict((vocab.bos,), ((vocab.pad,),))[0]
     assert prediction[0] == [vocab.id_of("a")]
     assert same_predictions(prediction, scorer.score_positions(state, (vocab.bos,), (0,)))
 

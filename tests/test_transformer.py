@@ -6,16 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from aggdec import (
     DecodeConfig,
+    ScriptedEditScorer,
     TinyTransformer,
     TransformerConfig,
     Vocab,
     aggressive_decode,
+    decode,
     decoder_flops_per_position,
     greedy_decode,
     prepare_input,
 )
 from aggdec.decoding import argmax_with_tiebreak
-from aggdec.scorers import DecodeSession, predictions
+from aggdec.scorers import DecodeSession
+from aggdec.transformer import _CachedSession
 from oracles import ReferenceTransformer, same_predictions
 
 
@@ -250,19 +253,90 @@ def test_uncached_scoring_equals_oracle_bit_for_bit(index, raw, tail, data):
 @given(index=_config, raw=st.lists(_token, min_size=1, max_size=10),
        tails=st.lists(st.lists(_token, max_size=12), min_size=1, max_size=3), data=st.data())
 def test_predictions_equal_rows_bit_for_bit(index, raw, tails, data):
-    """The transformer predicts through the default path: predict_positions
-    on the scorer gives each row's argmax and its logit bit for bit. The
-    decode loop predicts from its cached session's rows, so two sessions take
-    the same calls, one read for its predictions and one for its rows,
-    through cache growth and divergence."""
+    """The transformer predicts through the default path: a session's
+    predict gives each row's argmax and its logit bit for bit, for trees of
+    1 to 3 branches, one-position ones and the PAD slot among them. A plain
+    session answers each branch as the scorer's rows and as the branch
+    alone. The decode loop predicts from its cached session, one
+    score_positions call per branch, so a second cached session asked for
+    the same rows, branch by branch, gives them bit for bit, through cache
+    growth and divergence."""
     scorer, _ = _model(index)
     x = prepare_input(tuple(raw), ORACLE_VOCAB)
-    state = scorer.encode(x)
+    plain = DecodeSession(scorer, x)
     predicting, scoring = scorer.session(x), scorer.session(x)
+    pad = ORACLE_VOCAB.pad
+    branch = st.tuples(st.lists(_token, max_size=8), st.booleans()).map(
+        lambda d: (tuple(d[0]) + (pad,) * d[1]) or (pad,))
     for tail in tails:
         prefix = (ORACLE_VOCAB.bos,) + tuple(tail)
-        positions = data.draw(st.lists(st.integers(0, len(prefix) - 1), min_size=1, max_size=8))
-        rows = scorer.score_positions(state, prefix, positions)
-        assert same_predictions(scorer.predict_positions(state, prefix, positions), rows)
-        rows = scoring.score_positions(prefix, positions)
-        assert same_predictions(predictions(predicting.score_positions(prefix, positions)), rows)
+        j = len(prefix) - 1
+        tree = tuple(data.draw(st.lists(st.one_of(st.just((pad,)), branch), min_size=1, max_size=3)))
+        answers, cached = plain.predict(prefix, tree), predicting.predict(prefix, tree)
+        assert len(answers) == len(cached) == len(tree)
+        for b, answer, cached_answer in zip(tree, answers, cached):
+            pseudo, positions = prefix + b[:-1], range(j, j + len(b))
+            rows = scorer.score_positions(plain.state, pseudo, positions)
+            assert same_predictions(answer, rows)
+            assert same_predictions(plain.predict(prefix, (b,))[0], rows)
+            assert same_predictions(cached_answer, scoring.score_positions(pseudo, positions))
+
+
+class _CountingSession(_CachedSession):
+    def __init__(self, scorer, x):
+        super().__init__(scorer, x)
+        self.calls = 0
+
+    def score_positions(self, prefix, positions):
+        self.calls += 1
+        return super().score_positions(prefix, positions)
+
+
+class _CountingTransformer(TinyTransformer):
+    def session(self, x):
+        self.last = _CountingSession(self, x)
+        return self.last
+
+
+class _RowsOnly:
+    """A session by duck typing alone, with score_positions and nothing
+    else, that counts its calls."""
+
+    def __init__(self, session):
+        self._session = session
+        self.calls = 0
+
+    def score_positions(self, prefix, positions):
+        self.calls += 1
+        return self._session.score_positions(prefix, positions)
+
+
+class _RowsOnlyScorer:
+    def __init__(self, scorer):
+        self.vocab = scorer.vocab
+        self._scorer = scorer
+
+    def session(self, x):
+        self.last = _RowsOnly(self._scorer.session(x))
+        return self.last
+
+
+def test_one_scorer_call_per_iteration(small_config, tvocab, rng):
+    """Greedy and aggressive decoding make one score_positions call per
+    iteration on the transformer's cached session, which is not branching,
+    and on a session that has score_positions alone, which the loop asks
+    through the default predict. Handed a tree of several branches, either
+    would take a call per branch."""
+    counting = _CountingTransformer(small_config, tvocab)
+    scorers = (counting, _RowsOnlyScorer(counting), _RowsOnlyScorer(ScriptedEditScorer(
+        [(tuple(range(4, 14)), (4, 5, 20, 6, 7, 21, 9, 10, 12, 13))], tvocab)))
+    inputs = [random_raw(rng, tvocab) for _ in range(12)] + [tuple(range(4, 14))]
+    iterations = 0
+    for scorer in scorers:
+        for raw in inputs:
+            x = prepare_input(raw, tvocab)
+            for mode in ("greedy", "aggressive"):
+                result = decode(scorer, x, DecodeConfig(mode=mode))
+                assert scorer.last.calls == result.trace.sequential_iterations
+                iterations += result.trace.sequential_iterations
+    assert iterations
