@@ -222,8 +222,8 @@ class IterationRecord(NamedTuple):
     fallback: str | None = None
 
 
-@dataclass(frozen=True)
-class DecodeTrace:
+# A NamedTuple, as IterationRecord is: every decode builds one.
+class DecodeTrace(NamedTuple):
     iterations: tuple[IterationRecord, ...]
 
     @property

@@ -12,13 +12,17 @@ autoregressive step. Each prediction is its row's argmax, ties to the
 smallest token id. The loop normalises no row into probabilities: it checks
 only that each accepted row's chosen logit is finite and its token not PAD.
 
-Every iteration makes one call, the session's ``predict``, with a tree of
-branches that share the output so far: a drafted pass is the tree of its
-draft's window, and a step the tree of one PAD slot, which is never
-predicted, so a step keeps its one row. Each answer holds its branch's
-rows' argmaxes and chosen logits, and may end at its first disagreement, as
-the n-gram's does; ``positions_scored`` counts the rows answered. Beam
-search reads the rows themselves.
+Every iteration makes one call, the session's ``predict``, with the output
+list itself, which only grows between calls, and a tree of branches that
+continue it: a drafted pass is the tree of its draft's window, and a step
+the tree of one PAD slot, which is never predicted, so a step keeps its one
+row. No iteration copies the output, so a session that keeps per-decode
+state (the scripted one's on-script boundary) or reads only the output's
+end (the n-gram's context) answers a step in the same time at any output
+length. Each answer holds its branch's rows' argmaxes and chosen logits,
+and may end at its first disagreement, as the n-gram's does;
+``positions_scored`` counts the rows answered. Beam search reads the rows
+themselves.
 
 Aggressive decoding's proposer tries, in this order:
 
@@ -107,8 +111,9 @@ _STEPS = {
 }
 
 
-# SuffixMatch and Draft are NamedTuples, as IterationRecord is: the decode loop
-# builds them on every iteration, and a frozen dataclass takes three times as long.
+# SuffixMatch, Draft and DecodeResult are NamedTuples, as IterationRecord is:
+# the decode loop builds them on every iteration or decode, and a frozen
+# dataclass takes three times as long.
 class SuffixMatch(NamedTuple):
     """Output suffix o[j-q..j] matching input window x[i-q..i] uniquely."""
 
@@ -126,8 +131,7 @@ class Draft(NamedTuple):
     anchor: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class DecodeResult:
+class DecodeResult(NamedTuple):
     output: TokenIds            # BOS-prefixed; EOS-terminated unless max_len hit
     trace: DecodeTrace
 
@@ -299,10 +303,11 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
     """Decode until EOS or max_len. ``propose(o, x, budget)`` returns a Draft
     to verify, or None for one autoregressive step, whose record then names
     the fallback reason; budget is the number of tokens o may still grow by.
-    Each iteration asks the session's predict for one tree: a drafted pass
-    verifies the draft's first _pass_width(...) tokens, and where propose
-    returns None right after a pass that copied the input and bifurcated, a
-    branching session gets an aligned pass in the step's place. A wrong
+    Each iteration asks the session's predict for one tree, passing o
+    itself, which the loop only extends: a drafted pass verifies the
+    draft's first _pass_width(...) tokens, and where propose returns None
+    right after a pass that copied the input and bifurcated, a branching
+    session gets an aligned pass in the step's place. A wrong
     count of answers, or an answer with more rows than its branch, none, or
     ending short of it but not at its first disagreement, raises, naming the
     position. A pass keeps the branch greedy agrees with longest, the first
@@ -337,7 +342,7 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
         else:
             tree = step
         # one block for every tree: check each answer, find its bifurcation, keep the longest-agreeing branch
-        answers = predict(tuple(o), tree)
+        answers = predict(o, tree)  # o itself: the session reads only what it gained since the last call
         if len(answers) != len(tree):
             raise ValueError(f"a tree of {len(tree)} branches got {len(answers)} answers at position {j}")
         agreed = i = 0

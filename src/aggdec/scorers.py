@@ -8,13 +8,16 @@ output. PAD's logit is -inf everywhere, so PAD can never be emitted.
 
 A scorer's rows, ``score_positions``, are what beam search and ``check``
 read. Greedy and aggressive decoding read only predictions, and ask the
-scorer's session for them: ``DecodeSession.predict`` takes a tree of
-branches that share a prefix and returns, for each row, its argmax, ties to
+scorer's session for them: ``DecodeSession.predict`` takes the decode's
+output so far, which only grows from one call to the next, and a tree of
+branches that continue it, and returns, for each row, its argmax, ties to
 the smallest token id, and that token's logit. The default session derives
 them from the rows, one call per branch. The scripted and n-gram sessions
-answer without building any row; the scripted one answers a whole tree in
-one call, and the n-gram's answer to a branch ends at its first
-disagreement with it.
+answer without building any row, and do work only for the rows they answer
+and the tokens the output gained since the last call: the scripted one
+keeps the output's on-script boundary and answers a whole tree in one call,
+and the n-gram's reads the output's last order - 1 tokens and ends its
+answer to a branch at its first disagreement with it.
 """
 
 from __future__ import annotations
@@ -96,12 +99,12 @@ class DecodeSession:
     """Scoring handle owned by a single decode; the default is stateless and
     recomputes from the encoder state every call.
 
-    ``predict`` is all that greedy and aggressive decoding ask of a session.
-    ``branching`` declares that it answers a tree of several branches in one
-    scorer call: aggressive decoding hands such a tree only to a session
-    that declares it, so an iteration never hides several sequential scorer
-    calls. The default, which scores each branch in a call of its own,
-    declares False.
+    ``predict`` is all that greedy and aggressive decoding ask of a session,
+    once per iteration. ``branching`` declares that it answers a tree of
+    several branches in one scorer call: aggressive decoding hands such a
+    tree only to a session that declares it, so an iteration never hides
+    several sequential scorer calls. The default, which scores each branch
+    in a call of its own, declares False.
     """
 
     branching = False
@@ -120,10 +123,21 @@ class DecodeSession:
         smallest id, and that token's logit, equal bit for bit to the row's.
         An answer may end right after its first row whose token differs
         from the branch's own token there: every later row conditions on a
-        token that row rules out, so the decode loop never reads it. This
-        default scores each branch in one score_positions call and answers
-        every row. It reads nothing but score_positions, so the decode loop
-        also uses it for a session that lacks predict."""
+        token that row rules out, so the decode loop never reads it.
+
+        The call shape: prefix is the decode's own output, BOS first, and
+        the decode loop passes the same list on every call, once per
+        iteration, extending it between calls by the tokens it accepted.
+        So each call's prefix starts with the last call's, and a session
+        may keep state over it, such as how far the output follows a
+        script, and read only the tokens added since. A session must not
+        change the list, nor keep it as a snapshot. Beam search and
+        ``check`` read rows alone and never call predict.
+
+        This default scores each branch in one score_positions call and
+        answers every row. It keeps no state and reads nothing but
+        score_positions, so the decode loop also uses it for a session that
+        lacks predict."""
         prefix, j = tuple(prefix), len(prefix) - 1
         return [predictions(self.score_positions(prefix + tuple(b[:-1]), range(j, j + len(b)))) for b in branches]
 
@@ -152,10 +166,12 @@ class ScriptedEditScorer(Scorer):
     output position, then EOS; unknown inputs therefore decode to themselves.
 
     Its session predicts without building rows: each prediction is the
-    token score_positions would one-hot, with chosen logit 0.0. It answers
-    a one-position branch by the rule alone, and a longer one, or a tree of
-    several, from one comparison of the shared prefix with the target: a
-    branch's boundary is where it leaves the target's continuation.
+    token score_positions would one-hot, with chosen logit 0.0. It keeps
+    the decode's on-script boundary, advancing it over the tokens the
+    output gained since its last call, so no call compares the whole output
+    with the target again. It answers a one-position branch by the rule at
+    the boundary, and a longer one, or a tree of several, from the target's
+    continuation there: a branch's boundary is where it leaves it.
 
     It declares no position_cost: a predicted position costs it about
     0.12 us against about 4.2 us for a whole aggressive pass (4.2 / 5.0 /
@@ -191,7 +207,9 @@ class ScriptedEditScorer(Scorer):
         prefix = tuple(prefix)  # a list's slice never equals the target's
         source, target, eos = state
         if type(positions) is not range or positions.step != 1:
-            return [_script_token(source, target, eos, prefix, p) for p in positions]
+            scripted = target is not None
+            return [_script_token(source, target, eos, scripted and prefix[1:p + 1] == target[:p], p)
+                    for p in positions]
         # Position p is on script iff prefix[1:p + 1] == target[:p], which holds
         # for every p up to a boundary b. b stays -1 when even the first
         # requested position is off.
@@ -215,31 +233,45 @@ class ScriptedEditScorer(Scorer):
 
 
 class _ScriptedSession(DecodeSession):
-    """Answers a tree of branches in one call, without rows."""
+    """Answers a tree of branches in one call, without rows, from the
+    output's on-script boundary, which it keeps over the decode."""
 
     branching = True
 
+    def __init__(self, scorer: ScriptedEditScorer, x: TokenIds):
+        super().__init__(scorer, x)
+        # prefix[1:on + 1] == target[:on] for the last call's prefix, or -1
+        # once the output left the script: it only grows, so it never returns
+        self._on = -1 if self.state.target is None else 0
+
     def predict(self, prefix, branches) -> list[tuple[list[int], list[float]]]:
-        prefix = tuple(prefix)  # a list's slice never equals the target's
         j = len(prefix) - 1
         source, target, eos = self.state
-        if len(branches) == 1 and len(branches[0]) == 1:  # greedy's step: the rule costs less than a boundary
-            return [([_script_token(source, target, eos, prefix, j)], [0.0])]
-        rest = target[j:] if target is not None and prefix[1:] == target[:j] else None  # None: off script
+        on = self._on
+        if 0 <= on < j:  # the output gained prefix[on + 1:] since the last call: compare those alone
+            if j <= len(target) and (  # greedy's one new token by index, without building slices
+                prefix[j] == target[on] if on + 1 == j else tuple(prefix[on + 1:]) == target[on:j]
+            ):
+                on = j
+            else:
+                on = -1
+            self._on = on
+        if len(branches) == 1 and len(branches[0]) == 1:  # greedy's step
+            return [([_script_token(source, target, eos, on >= 0, j)], [0.0])]
         answers = []
         for branch in branches:
-            # as in _tokens, with branch[:-1] for prefix[j + 1:]
-            b = -1 if rest is None else j + _agreement(branch[:-1], rest)
-            tokens = _script_run(source, target, eos, b, j, j + len(branch))
-            answers.append((tokens, [0.0] * len(tokens)))
+            # as in _tokens: position j + r is on script while branch[:r] follows target[j:]
+            w = len(branch)
+            b = -1 if on < 0 else j + _agreement(branch[:-1], target[j:j + w - 1])
+            answers.append((_script_run(source, target, eos, b, j, j + w), [0.0] * w))
         return answers
 
 
-def _script_token(source: TokenIds, target: TokenIds | None, eos: int, prefix: TokenIds, p: int) -> int:
-    """The scripted rule for the token after prefix[:p + 1]: target[p] while
-    prefix[1:p + 1] is target[:p], else source[p], and EOS past the end of
-    either."""
-    if target is not None and prefix[1:p + 1] == target[:p]:
+def _script_token(source: TokenIds, target: TokenIds | None, eos: int, on_script: bool, p: int) -> int:
+    """The scripted rule for the token at position p: target[p] when the
+    output through p is on script (prefix[1:p + 1] is target[:p]), else
+    source[p], and EOS past the end of either."""
+    if on_script:
         return target[p] if p < len(target) else eos
     return source[p] if p < len(source) else eos
 
@@ -421,26 +453,28 @@ class NgramScorer(Scorer):
 
 class _NgramSession(DecodeSession):
     """Answers each branch row by row, without building rows, and stops at
-    the branch's first disagreement."""
+    the branch's first disagreement. A row's context is the last order - 1
+    tokens before it, taken from the output's end and carried along the
+    branch, so a call costs the same at any output length."""
 
     def __init__(self, scorer: NgramScorer, x: TokenIds):
         super().__init__(scorer, x)
         # what predict looks up for every row, bound once per decode
-        state = self.state
-        self._lookups = (state.x, state.n, scorer.vocab.eos, scorer.order - 2, scorer._rows.get,
-                         scorer._unseen, scorer.copy_bias)
+        state, size = self.state, scorer.order - 1
+        tail = slice(-size, None) if size else slice(0, 0)  # a sequence's last order - 1 tokens
+        self._lookups = (state.x, state.n, scorer.vocab.eos, tail, scorer._rows.get, scorer._unseen,
+                         scorer.copy_bias)
 
     def predict(self, prefix, branches) -> list[tuple[list[int], list[float]]]:
-        x, n, eos, back, row_of, unseen, bias = self._lookups
-        prefix = tuple(prefix)
+        x, n, eos, tail, row_of, unseen, bias = self._lookups
         j = len(prefix) - 1
+        start = tuple(prefix[tail])  # the first row's context, as score_positions keys it
         answers = []
         for branch in branches:
-            seq, p = prefix + tuple(branch[:-1]), j  # the branch's last token conditions no row
+            context, p = start, j
             tokens, chosen = [], []
             for drafted in branch:
-                lo = p - back
-                row = row_of(seq[lo if lo > 0 else 0: p + 1], unseen)
+                row = row_of(context, unseen)
                 best, top, background, cells = row
                 aligned = x[p + 1] if p < n else eos
                 if aligned != best:
@@ -459,5 +493,6 @@ class _NgramSession(DecodeSession):
                 if best != drafted:  # every later row conditions on drafted, which best rules out
                     break
                 p += 1
+                context = (*context, drafted)[tail]
             answers.append((tokens, chosen))
         return answers

@@ -855,15 +855,38 @@ class _RowsSessionScorer(_Proxy):
         return _RowsSession(self._scorer.session(x))
 
 
+class _CallShapeSession:
+    """A session by duck typing alone that forwards predict and branching,
+    and checks the decode loop's call shape: the same output list on every
+    call, which only grew since the last."""
+
+    def __init__(self, session):
+        self._session, self.branching = session, session.branching
+        self._output = self._seen = None
+
+    def predict(self, prefix, branches):
+        if self._output is not None:
+            assert prefix is self._output and tuple(prefix[:len(self._seen)]) == self._seen
+        self._output, self._seen = prefix, tuple(prefix)
+        return self._session.predict(prefix, branches)
+
+
+class _CallShapeScorer(_Proxy):
+    def session(self, x):
+        return _CallShapeSession(self._scorer.session(x))
+
+
 @pytest.mark.parametrize("wrap", [_RowsScorer, _RowsSessionScorer])
 def test_duck_typed_scorers_and_sessions_decode_from_their_rows(vocab, wrap):
     """A scorer whose session predicts from its rows, or a session without
     predict, decodes as the reference loop does from the same rows, every
     pass answered in full and no branches verified, to the output of the
     scorer it wraps, which predicts without rows. A proxy that forwards
-    session() gets that session's own predictions, and decodes exactly as
-    the scorer does: the n-gram's passes stop at their first disagreement,
-    and the scripted session verifies branches."""
+    session(), or a duck-typed session that forwards predict, gets that
+    session's own predictions, and decodes exactly as the scorer does: the
+    n-gram's passes stop at their first disagreement, and the scripted
+    session verifies branches. Every predict call gets the decode's one
+    output list, grown since the last call and never changed before it."""
     pairs = [(ids("a b c d", vocab), ids("a b X d", vocab)), (ids("c a d", vocab), ids("d a c c", vocab))]
     scripted = ScriptedEditScorer(pairs, vocab)
     ngram = NgramScorer([ids("a b c d", vocab), ids("c c a b", vocab)], order=2, smoothing=0.3,
@@ -880,6 +903,7 @@ def test_duck_typed_scorers_and_sessions_decode_from_their_rows(vocab, wrap):
                     wrapped, x, cfg, mode == "aggressive")
                 assert result.output == expected.output
                 assert decode(_Proxy(scorer), x, cfg) == expected
+                assert decode(_CallShapeScorer(scorer), x, cfg) == expected
 
 
 def _no_rows(state, prefix, positions):

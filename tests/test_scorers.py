@@ -9,6 +9,8 @@ from aggdec import (
     DecodeConfig,
     NgramScorer,
     ScriptedEditScorer,
+    TinyTransformer,
+    TransformerConfig,
     Vocab,
     aggressive_decode,
     greedy_decode,
@@ -17,7 +19,7 @@ from aggdec import (
     tokenize,
 )
 from aggdec.decoding import argmax_with_tiebreak
-from aggdec.scorers import SCRIPTED_OFF_LOGIT, log_softmax
+from aggdec.scorers import SCRIPTED_OFF_LOGIT, DecodeSession, log_softmax
 from oracles import ReferenceNgram, same_predictions, scan_predictions, scripted_next_token
 
 
@@ -69,15 +71,16 @@ def test_scripted_unknown_source_decodes_to_itself(vocab):
 
 
 def test_scripted_off_target_fallback_copies_source(vocab):
-    """A prefix that diverged from the target continues by copying the source."""
+    """An output that diverged from the target continues by copying the
+    source, and stays off script as it grows."""
     pair = (ids("a b c", vocab), ids("a X", vocab))
     scorer = ScriptedEditScorer([pair], vocab)
     session = scorer.session(prepare_input(pair[0], vocab))
     step = ((vocab.pad,),)
-    diverged = (vocab.bos, vocab.id_of("b"), vocab.id_of("b"))
-    assert session.predict(diverged, step)[0][0] == [vocab.id_of("c")]
-    exhausted = (vocab.bos,) + ids("b b b", vocab)
-    assert session.predict(exhausted, step)[0][0] == [vocab.eos]
+    output = [vocab.bos, vocab.id_of("b"), vocab.id_of("b")]  # diverged
+    assert session.predict(output, step)[0][0] == [vocab.id_of("c")]
+    output.append(vocab.id_of("b"))  # the source exhausted
+    assert session.predict(output, step)[0][0] == [vocab.eos]
 
 
 def test_scripted_rejects_duplicate_sources(vocab):
@@ -147,7 +150,8 @@ def _check_tree(session, rows_of, prefix, tree, stops):
     rows, rows_of(prefix + branch[:-1], positions), bit for bit: through the
     first row whose token differs from the branch's own where the session
     stops there, and every row otherwise. Each branch's answer is also the
-    one it gets when asked alone."""
+    one it gets when asked alone, on the same prefix: a prefix that has not
+    grown since the last call is one the call shape allows."""
     answers = session.predict(prefix, tree)
     assert len(answers) == len(tree)
     j = len(prefix) - 1
@@ -188,7 +192,8 @@ def test_scripted_predictions_equal_its_rows(source, target, on_script, tail, da
     """The session's predict gives each row's argmax and chosen logit, bit
     for bit, on script and off it, for a list or tuple prefix and the trees a
     decode asks for: greedy's step, a pass over the whole prefix from BOS,
-    and any one branch."""
+    and any one branch. The prefix is the fresh session's first, so it may
+    start anywhere on or off script."""
     vocab, scorer, session, script, prefix = _scripted_case(source, target, on_script, tail)
     shape = data.draw(st.sampled_from(["step", "whole", "any"]))
     if shape == "step":
@@ -216,6 +221,41 @@ def test_scripted_branches_equal_per_branch_predictions(source, target, on_scrip
     tree = _trees(data, script[len(prefix) - 1:], _words, vocab.pad)
     _check_tree(session, lambda pseudo, positions: scorer.score_positions(session.state, pseudo, positions),
                 prefix, tree, stops=False)
+
+
+class _CountingTarget(tuple):
+    """A target that counts the tokens read from it."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        item = tuple.__getitem__(self, key)
+        self.reads += len(item) if isinstance(key, slice) else 1
+        return item
+
+
+class _CountingScripted(ScriptedEditScorer):
+    """The scripted scorer, its last encoded target a _CountingTarget."""
+
+    def encode(self, x):
+        state = super().encode(x)
+        self.target = _CountingTarget(state.target)
+        return state._replace(target=self.target)
+
+
+@pytest.mark.parametrize("length", [40, 400])
+def test_a_greedy_decode_reads_the_target_linearly(vocab, length):
+    """The scripted session keeps the output's on-script boundary and
+    compares only the token each step added, so a greedy decode reads at
+    most two target tokens a step. Comparing the whole output with the
+    target on every step would read about length^2 / 2: 80 000 at 400."""
+    words = [vocab.id_of(w) for w in "a b c d".split()]
+    source = tuple(words[i % 4] for i in range(length))
+    target = tuple(vocab.id_of("X") if i % 7 == 3 else t for i, t in enumerate(source))
+    scorer = _CountingScripted([(source, target)], vocab)
+    result = greedy_decode(scorer, prepare_input(source, vocab), DecodeConfig())
+    assert result.output == (vocab.bos,) + target + (vocab.eos,)
+    assert 0 < scorer.target.reads <= 2 * len(target)
 
 
 def test_ngram_uniform_counts_tie_break(vocab):
@@ -424,3 +464,79 @@ def test_ngram_memory_grows_with_the_corpus_not_the_vocabulary():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+class _RowsOnlySession:
+    """A session by duck typing alone, with rows and no predict."""
+
+    def __init__(self, session):
+        self._session = session
+
+    def score_positions(self, prefix, positions):
+        return self._session.score_positions(prefix, positions)
+
+
+# The smallest transformer shape: its cached session predicts through the
+# default path, from rows whose bits depend on the cache's history.
+_TINY = TransformerConfig(encoder_layers=1, decoder_layers=1, model_dim=16, heads=2, ffn_dim=24, seed=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["scripted", "scripted without entry", "ngram", "transformer", "rows only"]),
+    source=_words,
+    target=_words,
+    order=st.integers(1, 3),
+    copy_bias=st.sampled_from([-1.5, 0.0, 2.0]),
+    data=st.data(),
+)
+def test_sessions_answer_a_growing_output_as_its_rows(kind, source, target, order, copy_bias, data):
+    """The decode loop's call shape: one output list, passed to every
+    predict call and only extended between calls. Each session is driven
+    through a decode's worth of growth (by none, one or several tokens: the
+    script's continuation, any token in place of its next one and then the
+    continuation, or any tokens) and a random tree after each, and every
+    answer equals the scan of score_positions rows on the same prefix, bit
+    for bit: through the first disagreement with its branch for the n-gram,
+    every row for the rest. The scripted session goes on script, off it and
+    past the target's end, or has no table entry; the n-gram runs at orders
+    1 to 3 with a negative, zero or positive copy_bias; the transformer's
+    cached session and a session with rows alone answer through
+    DecodeSession.predict, and their rows come from a twin session asked
+    for the same rows in the same order."""
+    vocab = Vocab(_NGRAM_WORDS)
+    x = prepare_input(source, vocab)
+    if kind == "ngram":
+        corpus = data.draw(st.lists(_words, min_size=1, max_size=4))
+        scorer = NgramScorer(corpus, order=order, smoothing=0.3, vocab=vocab, copy_bias=copy_bias)
+    elif kind == "transformer":
+        scorer = TinyTransformer(_TINY, vocab)
+    else:
+        scorer = ScriptedEditScorer([] if kind == "scripted without entry" else [(source, target)], vocab)
+    session, twin = scorer.session(x), scorer.session(x)
+    if kind == "rows only":
+        session = _RowsOnlySession(session)
+    if kind in ("transformer", "rows only"):
+        predict, rows_of = lambda o, tree: DecodeSession.predict(session, o, tree), twin.score_positions
+    else:
+        predict = session.predict
+        rows_of = lambda pseudo, positions: scorer.score_positions(twin.state, pseudo, positions)
+    script = target if kind == "scripted" else source
+    o = [vocab.bos]
+    for _ in range(data.draw(st.integers(1, 6))):
+        j = len(o) - 1
+        tree = _trees(data, script[j:], _words, vocab.pad)
+        answers = predict(o, tree)
+        assert len(answers) == len(tree)
+        for branch, answer in zip(tree, answers):
+            rows = rows_of(tuple(o) + tuple(branch[:-1]), range(j, j + len(branch)))
+            if kind == "ngram":
+                tokens = scan_predictions(rows)[0]
+                rows = rows[:next((r + 1 for r, t in enumerate(tokens) if t != branch[r]), len(branch))]
+            assert same_predictions(answer, rows)
+        o += data.draw(st.one_of(
+            st.just(script[j:j + 1]),
+            st.just(script[j:j + 4]),
+            st.tuples(st.integers(4, 8), st.integers(1, 4)).map(lambda d: (d[0],) + script[j + 1:j + d[1]]),
+            _words,
+        ))

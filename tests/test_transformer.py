@@ -255,12 +255,13 @@ def test_uncached_scoring_equals_oracle_bit_for_bit(index, raw, tail, data):
 def test_predictions_equal_rows_bit_for_bit(index, raw, tails, data):
     """The transformer predicts through the default path: a session's
     predict gives each row's argmax and its logit bit for bit, for trees of
-    1 to 3 branches, one-position ones and the PAD slot among them. A plain
-    session answers each branch as the scorer's rows and as the branch
-    alone. The decode loop predicts from its cached session, one
-    score_positions call per branch, so a second cached session asked for
-    the same rows, branch by branch, gives them bit for bit, through cache
-    growth and divergence."""
+    1 to 3 branches, one-position ones and the PAD slot among them. Each
+    session is asked as a decode asks it: one output list, extended by a
+    tail between calls. A plain session answers each branch as the
+    scorer's rows and as the branch alone. The decode loop predicts from its
+    cached session, one score_positions call per branch, so a second cached
+    session asked for the same rows, branch by branch, gives them bit for
+    bit, through cache growth and divergence."""
     scorer, _ = _model(index)
     x = prepare_input(tuple(raw), ORACLE_VOCAB)
     plain = DecodeSession(scorer, x)
@@ -268,17 +269,18 @@ def test_predictions_equal_rows_bit_for_bit(index, raw, tails, data):
     pad = ORACLE_VOCAB.pad
     branch = st.tuples(st.lists(_token, max_size=8), st.booleans()).map(
         lambda d: (tuple(d[0]) + (pad,) * d[1]) or (pad,))
+    o = [ORACLE_VOCAB.bos]
     for tail in tails:
-        prefix = (ORACLE_VOCAB.bos,) + tuple(tail)
-        j = len(prefix) - 1
+        o += tail
+        j = len(o) - 1
         tree = tuple(data.draw(st.lists(st.one_of(st.just((pad,)), branch), min_size=1, max_size=3)))
-        answers, cached = plain.predict(prefix, tree), predicting.predict(prefix, tree)
+        answers, cached = plain.predict(o, tree), predicting.predict(o, tree)
         assert len(answers) == len(cached) == len(tree)
         for b, answer, cached_answer in zip(tree, answers, cached):
-            pseudo, positions = prefix + b[:-1], range(j, j + len(b))
+            pseudo, positions = tuple(o) + b[:-1], range(j, j + len(b))
             rows = scorer.score_positions(plain.state, pseudo, positions)
             assert same_predictions(answer, rows)
-            assert same_predictions(plain.predict(prefix, (b,))[0], rows)
+            assert same_predictions(plain.predict(o, (b,))[0], rows)
             assert same_predictions(cached_answer, scoring.score_positions(pseudo, positions))
 
 
