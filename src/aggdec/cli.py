@@ -34,6 +34,7 @@ from .decoding import ALIGNED, OUTPUT, DecodeResult, decode
 from .metrics import (
     DepthRow,
     LmaxRow,
+    MismatchError,
     SentenceRow,
     bench,
     bench_summary,
@@ -417,15 +418,18 @@ def _nonempty_corpus(lines: list[str], vocab: Vocab, scheme: str) -> dict[int, T
 def _cmd_bench(args: argparse.Namespace) -> int:
     lines = _load_lines(args, "corpus")
     scorer = _make_scorer(args, lines)
-    corpus_ids = list(_nonempty_corpus(lines, scorer.vocab, args.scheme).values())
-    rows = bench(
-        scorer,
-        corpus_ids,
-        cfg=_decode_config(args),
-        repetitions=args.repetitions,
-        warmup=args.warmup,
-        with_beam=args.with_beam,
-    )
+    corpus = _nonempty_corpus(lines, scorer.vocab, args.scheme)
+    try:
+        rows = bench(
+            scorer,
+            list(corpus.values()),
+            cfg=_decode_config(args),
+            repetitions=args.repetitions,
+            warmup=args.warmup,
+            with_beam=args.with_beam,
+        )
+    except MismatchError as exc:  # name the input line, as check does
+        raise MismatchError(list(corpus)[exc.sentence], exc.where) from None
     if args.format == "csv":
         _write(args, rows_csv(SentenceRow, rows))
     elif args.format == "json":
@@ -446,7 +450,7 @@ def _cmd_sweep_depth(args: argparse.Namespace) -> int:
         raise ValueError("sweep-depth requires --seed for the transformer weights")
     lines = _load_lines(args, "corpus")
     vocab = build_vocab(lines, args.scheme)
-    corpus_ids = list(_nonempty_corpus(lines, vocab, args.scheme).values())
+    corpus = _nonempty_corpus(lines, vocab, args.scheme)
     configs = [
         TransformerConfig(
             encoder_layers=enc,
@@ -458,14 +462,17 @@ def _cmd_sweep_depth(args: argparse.Namespace) -> int:
         )
         for enc, dec in _parse_depths(args.depths)
     ]
-    rows = sweep_depth(
-        configs,
-        corpus_ids,
-        vocab,
-        cfg=DecodeConfig(max_len=args.max_len),
-        repetitions=args.repetitions,
-        warmup=args.warmup,
-    )
+    try:
+        rows = sweep_depth(
+            configs,
+            list(corpus.values()),
+            vocab,
+            cfg=DecodeConfig(max_len=args.max_len),
+            repetitions=args.repetitions,
+            warmup=args.warmup,
+        )
+    except MismatchError as exc:
+        raise MismatchError(list(corpus)[exc.sentence], exc.where) from None
     _write(args, rows_json(rows) if args.format == "json" else rows_csv(DepthRow, rows))
     return 0
 

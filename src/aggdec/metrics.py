@@ -19,12 +19,12 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import AGGRESSIVE, BEAM, GREEDY, UNLIMITED, DecodeConfig, TokenIds, Vocab, prepare_input, strip_sentinels
-from .decoding import DecodeResult, aggressive_decode, beam_decode, greedy_decode
+from .decoding import DecodeResult, decode
 from .scorers import Scorer
 from .transformer import TinyTransformer, TransformerConfig
 
@@ -149,22 +149,16 @@ def check_equivalence(
     repetitions: int = 1,
     warmup: int = 0,
 ) -> EquivalenceReport:
-    """Decode every sentence greedily once, untimed, and aggressively at each
-    l_max in turn, timed together; collect any output differences (expected:
-    none) with full traces attached, and each l_max's totals."""
+    """Decode every sentence greedily and aggressively at each l_max, timed
+    together; collect any output differences (expected: none) with full
+    traces attached, and each l_max's totals of its aggressive decodes."""
     if not corpus:
         raise ValueError("equivalence check needs a nonempty corpus")
-    base = cfg or DecodeConfig()
-    agg_cfgs = [replace(base, mode=AGGRESSIVE, l_max=l_max) for l_max in l_max_values]
     rows = [LmaxRow(l_max, 0, 0, 0, 0.0, True) for l_max in l_max_values]
     mismatches: list[Mismatch] = []
-    for idx, raw in enumerate(corpus):
-        x = prepare_input(raw, scorer.vocab)
-        greedy = greedy_decode(scorer, x, replace(base, mode=GREEDY))
-        runs = _timed([lambda c=c: aggressive_decode(scorer, x, c) for c in agg_cfgs], repetitions, warmup)
-        for i, (aggressive, wall) in enumerate(runs):
-            row, trace = rows[i], aggressive.trace
-            match = aggressive.output == greedy.output
+    for idx, _, (greedy, _), aggressive, _ in _paired_runs([scorer], corpus, cfg, l_max_values, repetitions, warmup):
+        for i, (result, wall, match) in enumerate(aggressive):
+            row, trace = rows[i], result.trace
             rows[i] = replace(
                 row,
                 sequential_iterations=row.sequential_iterations + trace.sequential_iterations,
@@ -174,10 +168,10 @@ def check_equivalence(
                 outputs_match_greedy=row.outputs_match_greedy and match,
             )
             if not match:
-                mismatches.append(Mismatch(idx, row.l_max, greedy, aggressive))
+                mismatches.append(Mismatch(idx, row.l_max, greedy, result))
     return EquivalenceReport(
         sentences=len(corpus),
-        decode_pairs=len(corpus) * len(agg_cfgs),
+        decode_pairs=len(corpus) * len(rows),
         mismatches=tuple(mismatches),
         rows=tuple(rows),
     )
@@ -245,10 +239,6 @@ def _timed(
     """Each decode's last result and median wall time. Every repetition runs
     all of them in turn, so a burst of load from other processes slows them
     alike instead of landing on whichever happened to be running."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if warmup < 0:
-        raise ValueError("warmup must be >= 0")
     for _ in range(warmup):
         for fn in fns:
             fn()
@@ -262,6 +252,50 @@ def _timed(
     return [(result, statistics.median(t)) for result, t in zip(results, times)]
 
 
+class MismatchError(ValueError):
+    """An aggressive output that differs from greedy's in a timing report,
+    which would then compare the speed of two different outputs. `sentence`
+    is the corpus index; `where` names the l_max or the depth split."""
+
+    def __init__(self, sentence: int, where: str):
+        super().__init__(f"sentence {sentence} {where}: aggressive output differs from greedy output")
+        self.sentence, self.where = sentence, where
+
+
+def _paired_runs(
+    scorers: Sequence[Scorer],
+    corpus: Sequence[TokenIds],
+    cfg: DecodeConfig | None,
+    l_max_values: Sequence[int | None],
+    repetitions: int,
+    warmup: int,
+    with_beam: bool = False,
+) -> Iterator[tuple]:
+    """The one pass behind check_equivalence, bench and sweep_depth.
+
+    One `_timed` call per sentence decodes it with each scorer in turn:
+    greedy, aggressive at each l_max, then beam when asked. Per sentence and
+    scorer it yields the sentence's index, the scorer's index, the greedy
+    (result, median wall), one aggressive (result, median wall, output equals
+    greedy's) per l_max, and the beam (result, median wall) or None.
+    """
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    if warmup < 0:
+        raise ValueError("warmup must be >= 0")
+    base = cfg or DecodeConfig()
+    modes = [replace(base, mode=GREEDY)] + [replace(base, mode=AGGRESSIVE, l_max=l_max) for l_max in l_max_values]
+    if with_beam:
+        modes.append(replace(base, mode=BEAM))
+    for idx, raw in enumerate(corpus):
+        x = prepare_input(raw, scorers[0].vocab)
+        runs = _timed([lambda s=s, c=c: decode(s, x, c) for s in scorers for c in modes], repetitions, warmup)
+        for s in range(len(scorers)):
+            greedy, *aggressive = runs[s * len(modes): (s + 1) * len(modes)]
+            beam = aggressive.pop() if with_beam else None
+            yield idx, s, greedy, [(res, wall, res.output == greedy[0].output) for res, wall in aggressive], beam
+
+
 def bench(
     scorer: Scorer,
     corpus: Sequence[TokenIds],
@@ -272,44 +306,37 @@ def bench(
 ) -> list[SentenceRow]:
     """Per-sentence greedy vs aggressive comparison (plus beam when asked).
 
-    Each decode is of one sentence; a repetition runs every mode in turn.
+    Each decode is of one sentence; a repetition runs every mode in turn. An
+    aggressive output that differs from greedy's raises MismatchError.
     """
-    base = cfg or DecodeConfig()
-    vocab = scorer.vocab
-
-    def one(idx: int, raw: TokenIds) -> SentenceRow:
+    l_max = (cfg or DecodeConfig()).l_max
+    rows = []
+    for idx, _, (greedy, greedy_wall), [(agg, agg_wall, match)], beam in _paired_runs(
+        [scorer], corpus, cfg, (l_max,), repetitions, warmup, with_beam
+    ):
+        raw = corpus[idx]
         if not raw:
             raise ValueError(f"bench sentence {idx} is empty; edit_ratio needs input tokens")
-        x = prepare_input(raw, vocab)
-        decoders = [
-            lambda: greedy_decode(scorer, x, replace(base, mode=GREEDY)),
-            lambda: aggressive_decode(scorer, x, replace(base, mode=AGGRESSIVE)),
-        ]
-        if with_beam:
-            decoders.append(lambda: beam_decode(scorer, x, replace(base, mode=BEAM)))
-        (greedy_res, greedy_wall), (agg_res, agg_wall), *beam = _timed(
-            decoders, repetitions, warmup
-        )
-        beam_res, beam_wall = beam[0] if beam else (None, None)
-        output = strip_sentinels(agg_res.output, vocab)
-        greedy_iters = greedy_res.trace.sequential_iterations
-        agg_iters = agg_res.trace.sequential_iterations
-        return SentenceRow(
+        if not match:
+            raise MismatchError(idx, f"l_max={UNLIMITED if l_max is None else l_max}")
+        output = strip_sentinels(agg.output, scorer.vocab)
+        greedy_iters = greedy.trace.sequential_iterations
+        agg_iters = agg.trace.sequential_iterations
+        rows.append(SentenceRow(
             sentence=idx,
             input_len=len(raw),
             output_len=len(output),
             edit_ratio=edit_ratio(raw, output),
             greedy_iters=greedy_iters,
             aggressive_iters=agg_iters,
-            beam_iters=beam_res.trace.sequential_iterations if beam_res else None,
+            beam_iters=beam[0].trace.sequential_iterations if beam else None,
             iteration_speedup=greedy_iters / agg_iters,
             wall_speedup=greedy_wall / agg_wall if agg_wall > 0 else float("inf"),
             greedy_wall=greedy_wall,
             aggressive_wall=agg_wall,
-            beam_wall=beam_wall,
-        )
-
-    return [one(idx, raw) for idx, raw in enumerate(corpus)]
+            beam_wall=beam[1] if beam else None,
+        ))
+    return rows
 
 
 # --- sweeps ----------------------------------------------------------------------
@@ -344,34 +371,22 @@ def sweep_depth(
     dims = {(c.model_dim, c.heads) for c in configs}
     if len(dims) > 1:
         raise ValueError("depth sweep configs must share model_dim and heads")
-    greedy_cfg = replace(cfg or DecodeConfig(), mode=GREEDY)
-    agg_cfg = replace(greedy_cfg, mode=AGGRESSIVE)
     scorers = [TinyTransformer(config, vocab) for config in configs]
-    runs = []  # per sentence: (result, wall) of greedy then aggressive, config by config
-    for raw in corpus:
-        x = prepare_input(raw, vocab)
-        decoders = []
-        for scorer in scorers:
-            decoders.append(lambda s=scorer: greedy_decode(s, x, greedy_cfg))
-            decoders.append(lambda s=scorer: aggressive_decode(s, x, agg_cfg))
-        # each repetition runs every config, so load from other processes
-        # cannot favour one depth over another
-        runs.append(_timed(decoders, repetitions, warmup))
-    rows = []
-    for c, config in enumerate(configs):
-        greedy = [run[2 * c] for run in runs]
-        aggressive = [run[2 * c + 1] for run in runs]
-        rows.append(
-            DepthRow(
-                enc_layers=config.encoder_layers,
-                dec_layers=config.decoder_layers,
-                greedy_iterations=sum(res.trace.sequential_iterations for res, _ in greedy),
-                greedy_tokens=sum(res.trace.tokens_accepted for res, _ in greedy),
-                greedy_wall=sum(wall for _, wall in greedy),
-                aggressive_iterations=sum(res.trace.sequential_iterations for res, _ in aggressive),
-                aggressive_tokens=sum(res.trace.tokens_accepted for res, _ in aggressive),
-                aggressive_wall=sum(wall for _, wall in aggressive),
-            )
+    rows = [DepthRow(c.encoder_layers, c.decoder_layers, 0, 0, 0.0, 0, 0, 0.0) for c in configs]
+    for idx, c, (greedy, greedy_wall), [(agg, agg_wall, match)], _ in _paired_runs(
+        scorers, corpus, cfg, ((cfg or DecodeConfig()).l_max,), repetitions, warmup
+    ):
+        row = rows[c]
+        if not match:
+            raise MismatchError(idx, f"depth={row.enc_layers}+{row.dec_layers}")
+        rows[c] = replace(
+            row,
+            greedy_iterations=row.greedy_iterations + greedy.trace.sequential_iterations,
+            greedy_tokens=row.greedy_tokens + greedy.trace.tokens_accepted,
+            greedy_wall=row.greedy_wall + greedy_wall,
+            aggressive_iterations=row.aggressive_iterations + agg.trace.sequential_iterations,
+            aggressive_tokens=row.aggressive_tokens + agg.trace.tokens_accepted,
+            aggressive_wall=row.aggressive_wall + agg_wall,
         )
     return rows
 

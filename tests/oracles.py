@@ -22,6 +22,7 @@ import numpy as np
 
 from aggdec.decoding import Draft
 from aggdec.scorers import ScriptedEditScorer, _NgramSession, _ScriptedSession, log_softmax
+from aggdec.transformer import TinyTransformer, _CachedSession
 
 
 def naive_suffix_match(o, x):
@@ -532,3 +533,26 @@ class SteppingScriptedScorer(ScriptedEditScorer):
 
     def session(self, x):
         return _SteppingSession(self, x)
+
+
+class _PeekingSession(_CachedSession):
+    def __init__(self, scorer, x):
+        super().__init__(scorer, x)
+        self.peeks = scorer.vocab.id_of("X") in x
+
+    def score_positions(self, prefix, positions):
+        rows = super().score_positions(prefix, positions)
+        for r, p in enumerate(positions):
+            if self.peeks and len(prefix) > p + 1:  # the prefix runs past row r
+                rows[r, rows[r].argmax()] = -np.inf
+        return rows
+
+
+class PeekingTransformer(TinyTransformer):
+    """Breaks prefix consistency on purpose, as a near-tie in the real
+    transformer could: in a sentence that holds the token X, a decoder row
+    whose prefix runs past it loses its argmax to the runner-up. Only a
+    pass of two or more positions shows it."""
+
+    def session(self, x):
+        return _PeekingSession(self, x)

@@ -20,7 +20,7 @@ from aggdec import (
 )
 from aggdec import metrics
 from aggdec.cli import emit_trace, main
-from oracles import SteppingScriptedScorer
+from oracles import PeekingTransformer, SteppingScriptedScorer
 
 
 @pytest.fixture
@@ -326,6 +326,43 @@ def test_bench_json(corpus_file, capsys):
     assert payload["mean_edit_ratio"] == 0.0
 
 
+MISMATCH = "aggressive output differs from greedy output"
+
+
+@pytest.mark.parametrize("fmt, lmax", [("text", "unlimited"), ("json", "3"), ("csv", "unlimited")])
+def test_bench_exits_nonzero_on_mismatch(tmp_path, capsys, monkeypatch, fmt, lmax):
+    """bench reports no speedup between two different outputs: on a scorer
+    that breaks prefix consistency it prints nothing and exits 1 in every
+    format, naming the 0-based input line (line 0 is blank) and the l_max."""
+    from aggdec import build_vocab
+    from aggdec import cli as cli_module
+    from test_metrics import _PeekingScorer
+
+    monkeypatch.setattr(cli_module, "_make_scorer",
+                        lambda args, lines: _PeekingScorer(build_vocab(lines, args.scheme)))
+    path = tmp_path / "corpus.txt"
+    path.write_text("\na b c\nc a\n", encoding="utf-8")
+    argv = ["bench", "--corpus", str(path), "--repetitions", "1", "--warmup", "0", "--lmax", lmax]
+    assert main([*argv, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: sentence 1 l_max={lmax}: {MISMATCH}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--scorer", "ngram", "--repetitions", "0"],
+    ["sweep-depth", "--seed", "1", "--repetitions", "0", "--warmup", "-1"],
+], ids=["bench", "sweep-depth"])
+def test_harness_arguments_checked_on_a_blank_corpus(tmp_path, capsys, argv):
+    """A corpus with no sentence to time still has its --repetitions checked."""
+    path = tmp_path / "blank.txt"
+    path.write_text("\n\n", encoding="utf-8")
+    assert main([*argv, "--corpus", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: repetitions must be >= 1\n"
+
+
 def test_sweep_lmax_nonincreasing(corpus_file, capsys):
     code = main([
         "check", "--scorer", "identity", "--corpus", str(corpus_file),
@@ -459,6 +496,19 @@ def test_sweep_depth_smoke(corpus_file, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("enc_layers,dec_layers")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_depth_exits_nonzero_on_mismatch(tmp_path, capsys, monkeypatch, fmt):
+    """A transformer whose aggressive output differs from greedy's fails the
+    sweep in every format, naming the 0-based input line and the depth split."""
+    monkeypatch.setattr(metrics, "TinyTransformer", PeekingTransformer)
+    path = tmp_path / "corpus.txt"
+    path.write_text("a b c\n\na X b\n", encoding="utf-8")
+    assert main([*SWEEP_DEPTH, "--corpus", str(path), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: sentence 2 depth=1+1: {MISMATCH}\n"
 
 
 def test_decode_csv_quotes_text(tmp_path, capsys):

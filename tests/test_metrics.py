@@ -24,10 +24,10 @@ from aggdec import (
     tokenize,
 )
 from aggdec import metrics
-from aggdec.metrics import SentenceRow, rows_csv, rows_json, thread_limit
+from aggdec.metrics import MismatchError, SentenceRow, rows_csv, rows_json, thread_limit
 from aggdec.scorers import Scorer, ScriptedEditScorer
 from aggdec.synthetic import rewrite_pairs, synthetic_vocab
-from oracles import recursive_levenshtein
+from oracles import PeekingTransformer, recursive_levenshtein
 
 
 def test_levenshtein_identical():
@@ -199,6 +199,26 @@ def test_bench_with_beam_populates_stats(vocab):
     assert rows[0].beam_wall > 0
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    corpus=st.lists(st.lists(st.integers(4, len(_PEEK_VOCAB) - 1), min_size=1, max_size=12),
+                    min_size=1, max_size=4),
+    l_max=st.one_of(st.none(), st.integers(1, 20)),
+)
+def test_bench_refuses_an_inconsistent_scorer(corpus, l_max):
+    """bench reports no speedup between two different outputs: past l_max =
+    1 the peeking scorer's first sentence already mismatches, and the error
+    names it and the l_max."""
+    scorer, cfg = _PeekingScorer(_PEEK_VOCAB), DecodeConfig(l_max=l_max)
+    if l_max == 1:
+        assert len(bench(scorer, corpus, cfg, repetitions=1, warmup=0)) == len(corpus)
+        return
+    where = "unlimited" if l_max is None else l_max
+    message = rf"^sentence 0 l_max={where}: aggressive output differs from greedy output$"
+    with pytest.raises(MismatchError, match=message):
+        bench(scorer, corpus, cfg, repetitions=1, warmup=0)
+
+
 def test_bench_rejects_empty_sentence(vocab):
     with pytest.raises(ValueError):
         bench(identity_scorer(vocab), [()], repetitions=1, warmup=0)
@@ -214,7 +234,15 @@ def test_bench_rejects_empty_sentence(vocab):
      "repetitions must be >= 1"),
     (lambda vocab: bench(identity_scorer(vocab), [(4, 5)], warmup=-1),
      "warmup must be >= 0"),
-], ids=["bench", "check_equivalence", "sweep_depth", "bench_negative_warmup"])
+    (lambda vocab: bench(identity_scorer(vocab), [], repetitions=0),
+     "repetitions must be >= 1"),
+    (lambda vocab: sweep_depth([TransformerConfig(1, 1, 16, 2, 16, seed=1)], [], vocab,
+                               repetitions=0, warmup=-1),
+     "repetitions must be >= 1"),
+    (lambda vocab: sweep_depth([TransformerConfig(1, 1, 16, 2, 16, seed=1)], [], vocab, warmup=-1),
+     "warmup must be >= 0"),
+], ids=["bench", "check_equivalence", "sweep_depth", "bench_negative_warmup",
+        "bench_empty_corpus", "sweep_depth_empty_corpus", "sweep_depth_empty_corpus_negative_warmup"])
 def test_harness_rejects_zero_repetitions(vocab, harness, message):
     with pytest.raises(ValueError, match=message):
         harness(vocab)
@@ -252,6 +280,21 @@ def test_sweep_depth_smoke(vocab):
     rows = sweep_depth(configs, [(4, 5, 6)], vocab, repetitions=1, warmup=0)
     assert [(r.enc_layers, r.dec_layers) for r in rows] == [(1, 1), (1, 2)]
     assert all(r.greedy_wall > 0 and r.aggressive_wall > 0 for r in rows)
+
+
+def test_sweep_depth_refuses_an_inconsistent_transformer(vocab, monkeypatch):
+    """A decode pair that differs at any depth fails the whole sweep, naming
+    the sentence and the depth split: the peeking transformer breaks prefix
+    consistency only in sentences that hold X."""
+    monkeypatch.setattr(metrics, "TinyTransformer", PeekingTransformer)
+    configs = [
+        TransformerConfig(1, 2, 16, 2, 16, seed=3),
+        TransformerConfig(1, 1, 16, 2, 16, seed=3),
+    ]
+    message = r"^sentence 1 depth=1\+2: aggressive output differs from greedy output$"
+    with pytest.raises(MismatchError, match=message):
+        sweep_depth(configs, [(4, 5, 6), (4, 8, 5)], vocab, repetitions=1, warmup=0)
+    assert len(sweep_depth(configs, [(4, 5, 6)], vocab, repetitions=1, warmup=0)) == 2
 
 
 def test_sweep_depth_encoder_cost_amortized():
