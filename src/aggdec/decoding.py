@@ -14,15 +14,17 @@ only that each accepted row's chosen logit is finite and its token not PAD.
 
 Every iteration makes one call, the session's ``predict``, with the output
 list itself, which only grows between calls, and a tree of branches that
-continue it: a drafted pass is the tree of its draft's window, and a step
-the tree of one PAD slot, which is never predicted, so a step keeps its one
-row. No iteration copies the output, so a session that keeps per-decode
-state (the scripted one's on-script boundary) or reads only the output's
-end (the n-gram's context) answers a step in the same time at any output
-length. Each answer holds its branch's rows' argmaxes and chosen logits,
-and may end at its first disagreement, as the n-gram's does;
-``positions_scored`` counts the rows answered. Beam search reads the rows
-themselves.
+continue it, and each kind of iteration takes its own path. A step (every
+greedy iteration, and every fallback step) asks for one PAD slot, which is
+never predicted, and appends its one row's prediction with no bifurcation
+to find. A drafted pass checks its draft's window, one branch; only an
+aligned pass (below), of up to two branches, walks them. No iteration
+copies the output, so a session that keeps per-decode state (the scripted
+one's on-script boundary) or reads only the output's end (the n-gram's
+context) answers a step in the same time at any output length. Each
+answer holds its branch's rows' argmaxes and chosen logits, and may end at
+its first disagreement, as the n-gram's does; ``positions_scored`` counts
+the rows answered. Beam search reads the rows themselves.
 
 Aggressive decoding's proposer tries, in this order:
 
@@ -250,16 +252,26 @@ def _check_chosen(chosen: list[float], tokens: list[int], first: int) -> None:
             raise ValueError(f"{what} at position {first + r}")
 
 
-def _broken_answer(scored: int, w: int, j: int) -> ValueError:
-    """The error for a branch of w positions from decoder position j whose
-    answer held `scored` predictions: more than w, none, or fewer than w
-    that do not end at their first disagreement with the branch."""
-    if scored > w:
-        return ValueError(f"{scored} predictions for a window of {w} at position {j}")
-    if not scored:
-        return ValueError(f"no predictions at position {j}")
-    position = j + scored - 1
-    return ValueError(f"answer ends short of its window and not at its first disagreement at position {position}")
+def _miscounted(branches: int, answers: int, j: int) -> ValueError:
+    return ValueError(f"a tree of {branches} branches got {answers} answers at position {j}")
+
+
+def _bifurcation(predicted: list[int], copied: TokenIds, j: int) -> int | None:
+    """find_bifurcation of a branch from decoder position j and its answer,
+    which must hold every row of the branch or end at its first
+    disagreement with it. An answer with more rows, none, or fewer that do
+    not end at a disagreement raises, naming the position."""
+    if len(predicted) == 1 and predicted[0] != copied[0]:  # many a pass's answer
+        return 1
+    w, answered = len(copied), len(predicted)
+    k = find_bifurcation(predicted, copied[:answered]) if 0 < answered <= w else None
+    if answered == w or k == answered:
+        return k
+    if answered > w:
+        raise ValueError(f"{answered} predictions for a window of {w} at position {j}")
+    if not answered:
+        raise ValueError(f"no predictions at position {j}")
+    raise ValueError(f"answer ends short of its window and not at its first disagreement at position {j + answered - 1}")
 
 
 # A sentence's rate is a ratio of small integers and a cap is at most max_len,
@@ -304,17 +316,20 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
     to verify, or None for one autoregressive step, whose record then names
     the fallback reason; budget is the number of tokens o may still grow by.
     Each iteration asks the session's predict for one tree, passing o
-    itself, which the loop only extends: a drafted pass verifies the
-    draft's first _pass_width(...) tokens, and where propose returns None
-    right after a pass that copied the input and bifurcated, a branching
-    session gets an aligned pass in the step's place. A wrong
-    count of answers, or an answer with more rows than its branch, none, or
-    ending short of it but not at its first disagreement, raises, naming the
-    position. A pass keeps the branch greedy agrees with longest, the first
-    on a tie, and accepts nothing past its first EOS, as greedy emits
-    nothing past it. Every token is its row's argmax, and only accepted rows
-    are checked, so a contract breach (a NaN or non-finite chosen logit, or
-    PAD as the chosen token) raises where greedy would raise."""
+    itself, which the loop only extends, and takes one of three paths. A
+    drafted pass verifies the draft's first _pass_width(...) tokens, one
+    branch, and checks its one answer. Where propose returns None right
+    after a pass that copied the input and bifurcated, a branching session
+    gets an aligned pass, the only tree that may hold two branches and the
+    one path that walks them: it keeps the one greedy agrees with longest,
+    the first on a tie. Otherwise a step appends its one row's prediction,
+    with no bifurcation or slicing to work out. A wrong count of answers, or an
+    answer with more rows than its branch, none, or ending short of it but
+    not at its first disagreement, raises, naming the position. A pass
+    accepts nothing past its first EOS, as greedy emits nothing past it.
+    Every token is its row's argmax, and only accepted rows are checked, so
+    a contract breach (a NaN or non-finite chosen logit, or PAD as the
+    chosen token) raises where greedy would raise."""
     vocab = scorer.vocab
     n = len(x) - 2
     max_len = cfg.resolve_max_len(n)
@@ -332,60 +347,62 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callab
     while o[-1] != eos and j < max_len:
         if propose is not None and (draft := propose(o, x, max_len - j)) is not None:
             drafted, source, anchor = draft
-            tree = (drafted[:_pass_width(len(drafted), l_max, cost, drafted_accepted / drafted_compared)],)
-            anchors = (anchor,)
+            copied = drafted[:_pass_width(len(drafted), l_max, cost, drafted_accepted / drafted_compared)]
+            answers = predict(o, (copied,))  # o itself: the session reads only what it gained since the last call
+            if len(answers) != 1:
+                raise _miscounted(1, len(answers), j)
+            predicted, chosen = answers[0]
+            k = _bifurcation(predicted, copied, j)
+            agreed = k or len(copied)
+            scored = len(predicted)
         elif reentry is not None and (
             aligned := _reentries(x, reentry, l_max, cost, drafted_accepted / drafted_compared)
         ):
             tree, anchors = zip(*aligned)
-            source = ALIGNED
-        else:
-            tree = step
-        # one block for every tree: check each answer, find its bifurcation, keep the longest-agreeing branch
-        answers = predict(o, tree)  # o itself: the session reads only what it gained since the last call
-        if len(answers) != len(tree):
-            raise ValueError(f"a tree of {len(tree)} branches got {len(answers)} answers at position {j}")
-        agreed = i = 0
-        for copied in tree:  # indexed by hand: on a one-branch tree enumerate costs more
-            predicted = answers[i][0]
-            if len(predicted) == 1 and predicted[0] != copied[0]:  # every step's answer, and many a pass's
-                k = 1
-            else:  # the answer holds every row of its branch, or ends at its first disagreement
-                w, answered = len(copied), len(predicted)
-                k = find_bifurcation(predicted, copied[:answered]) if 0 < answered <= w else None
-                if answered != w and k != answered:
-                    raise _broken_answer(answered, w, j)
-            if (k or len(copied)) > agreed:  # k is never 0; the first branch on a tie
-                agreed, kept, k_kept = k or len(copied), i, k
-            i += 1
-        predicted, chosen = answers[kept]
-        if tree is step:  # its one row: j < max_len, and an EOS ends it
-            tokens, accepted = predicted, 1
+            answers = predict(o, tree)
+            if len(answers) != len(tree):
+                raise _miscounted(len(tree), len(answers), j)
+            agreed = 0
+            for i, copied in enumerate(tree):
+                k = _bifurcation(answers[i][0], copied, j)
+                if (k or len(copied)) > agreed:  # k is never 0; the first branch on a tie
+                    agreed, kept, k_kept = k or len(copied), i, k
+            predicted, chosen = answers[kept]
+            k, anchor, source = k_kept, anchors[kept], ALIGNED
+            scored = sum(len(answer[0]) for answer in answers) - len(tree) + 1  # the shared first row once
+        else:  # a step: its one row, where j < max_len, and an EOS ends the decode
+            answers = predict(o, step)
+            if len(answers) != 1:
+                raise _miscounted(1, len(answers), j)
+            tokens, chosen = answers[0]
+            if len(tokens) != 1:
+                _bifurcation(tokens, step[0], j)  # raises: a step's answer holds one row
+            if not math.isfinite(chosen[0]):
+                _check_chosen(chosen, tokens, j)
+            if tokens[0] == pad:
+                raise ValueError(f"PAD emitted at position {j}")
             # o[j] is never PAD, so searching all of x searches x[0..n]
-            record = _STEPS[None if propose is None else "ambiguous" if o[j] in x else "absent"]
+            records.append(_STEPS[None if propose is None else "ambiguous" if o[j] in x else "absent"])
+            o.append(tokens[0])
             reentry = None
-        else:
-            accepted = agreed if agreed < max_len - j else max_len - j  # greedy truncates at max_len; so do we
-            tokens = predicted[:accepted]
-            if eos in tokens:  # and stops at its first EOS, which a draft may hold
-                accepted = tokens.index(eos) + 1
-                tokens = tokens[:accepted]
-            k = k_kept
-            drafted_accepted += agreed if k is None else k - 1
-            drafted_compared += agreed  # the matched tokens and the rejected one, if any
-            bifurcation = None if k is None or k > accepted else j + k
-            anchor = anchors[kept]
-            # the rows answered, the shared first row once
-            scored = len(predicted) if len(tree) == 1 else sum(len(answer[0]) for answer in answers) - len(tree) + 1
-            record = IterationRecord(AGGRESSIVE, scored, accepted, anchor, bifurcation, source)
-            # an input copy x[anchor[0] + 1:] rejected its k-th token
-            reentry = None if not branching or bifurcation is None or source == OUTPUT else anchor[0] + 1 + k
+            j += 1
+            continue
+        accepted = agreed if agreed < max_len - j else max_len - j  # greedy truncates at max_len; so do we
+        tokens = predicted[:accepted]
+        if eos in tokens:  # and stops at its first EOS, which a draft may hold
+            accepted = tokens.index(eos) + 1
+            tokens = tokens[:accepted]
+        drafted_accepted += agreed if k is None else k - 1
+        drafted_compared += agreed  # the matched tokens and the rejected one, if any
+        bifurcation = None if k is None or k > accepted else j + k
+        records.append(IterationRecord(AGGRESSIVE, scored, accepted, anchor, bifurcation, source))
+        # an input copy x[anchor[0] + 1:] rejected its k-th token
+        reentry = None if not branching or bifurcation is None or source == OUTPUT else anchor[0] + 1 + k
         if not math.isfinite(sum(chosen[:accepted])):  # finite only if every term is
             _check_chosen(chosen, tokens, j)
         if pad in tokens:
             raise ValueError(f"PAD emitted at position {j + tokens.index(pad)}")
         o.extend(tokens)
-        records.append(record)
         j += accepted
     trace = DecodeTrace(iterations=tuple(records))
     validate_trace(trace, len(o) - 1)

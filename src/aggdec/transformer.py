@@ -20,6 +20,7 @@ are bit-identical to those of the plain implementation that
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,9 +304,6 @@ class _CachedSession(DecodeSession):
         return logits[[p - keep for p in positions]]
 
     def fork(self) -> "_CachedSession":
-        dup = object.__new__(_CachedSession)
-        dup.scorer = self.scorer
-        dup.state = self.state
-        dup._ids = self._ids
+        dup = copy.copy(self)  # keeps a subclass's type and attributes
         dup._cache = self._cache.copy()
         return dup

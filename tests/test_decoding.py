@@ -239,33 +239,54 @@ def test_a_broken_step_answer_raises_naming_the_position(vocab, cut, message):
 
 
 class _MiscountsAnswers(ScriptedEditScorer):
-    """Scripted scorer whose session answers a tree of several branches with
-    ``change(answers)``: one answer too few, or one too many."""
+    """Scripted scorer whose session answers some trees with
+    ``change(answers)``: one answer too few, or one too many. With
+    ``steps``, the trees are steps, one branch of one row, and the session
+    is not branching; otherwise they are trees of several branches."""
 
-    def __init__(self, pairs, vocab, change):
+    def __init__(self, pairs, vocab, change, steps):
         super().__init__(pairs, vocab)
-        self.change = change
+        self.change, self.steps = change, steps
 
     def session(self, x):
         return _MiscountingSession(self, x)
 
 
 class _MiscountingSession(_ScriptedSession):
+    def __init__(self, scorer, x):
+        super().__init__(scorer, x)
+        self.branching = not scorer.steps
+
     def predict(self, prefix, branches):
         answers = super().predict(prefix, branches)
-        return self.scorer.change(answers) if len(branches) > 1 else answers
+        if self.scorer.steps:
+            miscounted = len(branches) == 1 and len(branches[0]) == 1
+        else:
+            miscounted = len(branches) > 1
+        return self.scorer.change(answers) if miscounted else answers
 
 
 @pytest.mark.parametrize("change, count", [(lambda answers: answers[:-1], 1), (lambda answers: answers * 2, 4)])
 def test_a_tree_answered_for_the_wrong_number_of_branches_raises(vocab, change, count):
     """a b c d -> a b X d: the second iteration is an aligned pass, a tree of
-    two branches from decoder position 3 (see test_aggressive_hand_trace).
-    Answers for fewer or more branches raise there, rather than leaving a
-    branch unchecked or counting an extra answer's rows."""
+    two branches from decoder position 3 (see test_aggressive_hand_trace),
+    and without branching it is a step there (see
+    test_aggressive_hand_trace_without_branches), as greedy's first
+    iteration is at position 0. Answers for fewer or more branches raise
+    there, rather than leaving a branch unchecked, counting an extra
+    answer's rows, or going on from a step with no answer."""
     pair = (ids("a b c d", vocab), ids("a b X d", vocab))
     x = prepare_input(pair[0], vocab)
     with pytest.raises(ValueError, match=f"^a tree of 2 branches got {count} answers at position 3$"):
-        aggressive_decode(_MiscountsAnswers([pair], vocab, change), x, DecodeConfig(mode="aggressive"))
+        aggressive_decode(_MiscountsAnswers([pair], vocab, change, False), x, DecodeConfig(mode="aggressive"))
+    one = len(change([None]))  # a step's one answer, changed
+    for mode, position, index in (("greedy", 0, 0), ("aggressive", 3, 1)):
+        cfg = DecodeConfig(mode=mode)
+        result = decode(_MiscountsAnswers([pair], vocab, lambda answers: answers, True), x, cfg)
+        assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
+        assert result.trace.iterations[index].mode == AUTOREGRESSIVE
+        with pytest.raises(ValueError, match=f"^a tree of 1 branches got {one} answers at position {position}$"):
+            decode(_MiscountsAnswers([pair], vocab, change, True), x, cfg)
 
 
 class _BreaksOffPath(ScriptedEditScorer):

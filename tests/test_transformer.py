@@ -19,7 +19,7 @@ from aggdec import (
 from aggdec.decoding import argmax_with_tiebreak
 from aggdec.scorers import DecodeSession
 from aggdec.transformer import _CachedSession
-from oracles import ReferenceTransformer, same_predictions
+from oracles import PeekingTransformer, ReferenceTransformer, same_predictions
 
 
 class UncachedTransformer(TinyTransformer):
@@ -234,6 +234,21 @@ def test_forked_session_leaves_its_parent_unchanged(index, raw, data):
     _walk(data, fork, reference_fork, o[:cut], data.draw(st.integers(1, 4)))
     o = _walk(data, session, reference, o, data.draw(st.integers(1, 4)))
     _walk(data, fork, reference_fork, o[:cut], 1)
+
+
+def test_a_fork_keeps_its_sessions_class_and_attributes(vocab, small_config):
+    """A fork of a subclass's session is that subclass, with the attributes
+    it set, so every beam hypothesis scores as the first one does: the
+    peeking session's fork peeks, and at the same prefix scores the rows
+    its parent scores."""
+    scorer = PeekingTransformer(small_config, vocab)
+    x = prepare_input(tuple(vocab.id_of(w) for w in "a X b c".split()), vocab)
+    session = scorer.session(x)
+    prefix = x[:4]
+    session.score_positions(prefix, range(2))
+    fork = session.fork()
+    assert type(fork) is type(session) and fork.peeks is session.peeks is True
+    assert np.array_equal(fork.score_positions(prefix, range(3)), session.score_positions(prefix, range(3)))
 
 
 @settings(max_examples=60, deadline=None)
