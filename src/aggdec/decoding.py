@@ -1,32 +1,34 @@
 """Greedy, beam, and aggressive (parallel draft-and-verify) decoding.
 
-Greedy and aggressive decoding run one verify loop. Each iteration asks a
-proposer for a draft: the tokens it expects to come next. The loop feeds them
-into the decoder as pseudo inputs, scores all of them in one call, and
-accepts predictions up to and including the first disagreement with the
-draft. Everything after the disagreement is discarded and recomputed, which
-is exactly why the emitted tokens match greedy decoding token for token
-whenever the scorer is prefix consistent, wherever the draft came from.
-Without a draft (greedy never asks for one) the loop takes a single
-autoregressive step. Each prediction is its row's argmax, ties to the
-smallest token id. The loop normalises no row into probabilities: it checks
-only that each accepted row's chosen logit is finite and its token not PAD.
+Aggressive decoding has two halves, and each lives in one place. A
+per-decode proposer (_proposer) makes every drafting decision: which tokens
+to draft, from where, how many of them a pass verifies, and, without a
+draft, whether to re-enter the input or take a step, and why. The verify
+loop (_verify_loop) only verifies: it feeds a draft into the decoder as
+pseudo inputs, scores all of them in one call, and accepts predictions up
+to and including the first disagreement with it. Everything after the
+disagreement is discarded and recomputed, which is exactly why the emitted
+tokens match greedy decoding token for token whenever the scorer is prefix
+consistent, wherever the draft came from. Greedy decoding is the loop with
+no proposer: a single autoregressive step per iteration. Each prediction is
+its row's argmax, ties to the smallest token id. The loop normalises no row
+into probabilities: it checks only that each accepted row's chosen logit is
+finite and its token not PAD.
 
 Every iteration makes one call, the session's ``predict``, with the output
 list itself, which only grows between calls, and a tree of branches that
-continue it, and each kind of iteration takes its own path. A step (every
-greedy iteration, and every fallback step) asks for one PAD slot, which is
-never predicted, and appends its one row's prediction with no bifurcation
-to find. A drafted pass checks its draft's window, one branch; only an
-aligned pass (below), of up to two branches, walks them. No iteration
+continue it. A step (every greedy iteration, and every fallback step) asks
+for one PAD slot, which is never predicted, and appends its one row's
+prediction with no bifurcation to find; a drafted pass checks its one
+branch; only an aligned pass, of two branches, walks them. No iteration
 copies the output, so a session that keeps per-decode state (the scripted
 one's on-script boundary) or reads only the output's end (the n-gram's
-context) answers a step in the same time at any output length. Each
-answer holds its branch's rows' argmaxes and chosen logits, and may end at
-its first disagreement, as the n-gram's does; ``positions_scored`` counts
-the rows answered. Beam search reads the rows themselves.
+context) answers a step in the same time at any output length. An answer
+holds its branch's rows' argmaxes and chosen logits, and may end at its
+first disagreement, as the n-gram's does; ``positions_scored`` counts the
+rows answered. Beam search reads the rows themselves.
 
-Aggressive decoding's proposer tries, in this order:
+The proposer tries, in this order:
 
 1. An input anchor of two or more tokens: the output ends in a suffix that
    occurs exactly once in the input, and the input agrees with at least the
@@ -34,42 +36,36 @@ Aggressive decoding's proposer tries, in this order:
    occurrence, through the trailing PAD.
 2. The output's own repeats (prompt-lookup decoding): the output's last two
    tokens also occur earlier in the output. The draft is what followed their
-   latest earlier occurrence, repeated: an output that has started a loop is
-   drafted as running on in it, then a PAD slot, in as many tokens as the
-   output may still grow by. This catches an output that repeats itself
-   where the input does not.
+   latest earlier occurrence, repeated, then a PAD slot, in as many tokens
+   as the output may still grow by. PAD is never emitted, so a pass
+   accepted up to its PAD slot still earns the token that slot's row
+   predicts.
 3. A one-token input anchor, drafted as in 1.
-
-Without a draft, the loop can still re-enter the input where the last pass
-left it (input-guided re-entry; Ge et al., arXiv 2205.10350). If that pass
-copied x[s:] and rejected its k-th token, the token emitted in its place was
-either inserted before x[s+k-1] or replaced it, so the copy goes on at
-x[s+k-1:] or at x[s+k:]. An aligned pass verifies both as a tree of two
-branches sharing their first row (SpecInfer, Miao et al., arXiv
-2305.09781), and keeps the one greedy agrees with longest; its own
-bifurcation sets the next re-entry. Only a session that declares
-``branching`` is handed such a tree; another takes the autoregressive step.
-
-PAD is never emitted, so a pass whose draft is accepted up to its PAD slot
-still earns the token that slot's row predicts.
+4. Input-guided re-entry (Ge et al., arXiv 2205.10350), for a session that
+   declares ``branching``. If the last pass copied x[s:] and rejected its
+   k-th token, the token emitted in its place was either inserted before
+   x[s+k-1] or replaced it, so the copy goes on at x[s+k-1:] or at
+   x[s+k:]. An aligned pass verifies both as a tree of two branches sharing
+   their first row (SpecInfer, Miao et al., arXiv 2305.09781), and the loop
+   keeps the one greedy agrees with longest.
 
 How much of a draft a pass verifies comes from a cost model, the optimal
 draft length of speculative decoding (Leviathan et al., arXiv 2211.17192,
 section 3.5). A pass that scores w positions costs 1 + c(w - 1) one-position
 passes, where c is the scorer's declared ``position_cost``, and if each
 drafted token is accepted with probability a it emits (1 - a^w) / (1 - a)
-tokens on average. Each pass scores the w, up to the draft's length and
-l_max, that maximises emitted tokens per unit cost. a is the sentence's
-running rate of drafted tokens accepted out of those compared, pooled over
-both draft sources from a prior of 9 of 10: a pass that matches m drafted
-tokens adds m accepted and min(w, m + 1) compared. So a scorer that keeps
-rejecting drafts soon verifies one or two positions a pass, and one that
-keeps accepting them verifies long ones; a scorer whose extra positions are
-free (c = 0), or whose answer stops at the disagreement, verifies every
-draft in full. This only narrows the window a pass verifies, never what a
-scored row means, so the output is greedy's by the same argument as for an
-``l_max`` cap. c is a fixed property of the scorer, never timed, so
-iteration counts repeat exactly.
+tokens on average. The proposer cuts each branch to the w, up to its length
+and l_max, that maximises emitted tokens per unit cost, before copying it.
+a is the sentence's running rate of drafted tokens accepted out of those
+compared, pooled over every source from a prior of 9 of 10: a pass that
+matches m drafted tokens adds m accepted and min(w, m + 1) compared. So a
+scorer that keeps rejecting drafts soon verifies one or two positions a
+pass, and one that keeps accepting them verifies long ones; a scorer whose
+extra positions are free (c = 0) verifies every draft in full. This only
+narrows the window a pass verifies, never what a scored row means, so the
+output is greedy's by the same argument as for an ``l_max`` cap. c is a
+fixed property of the scorer, never timed, so iteration counts repeat
+exactly.
 """
 
 from __future__ import annotations
@@ -79,7 +75,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress, count
 from operator import ne
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,7 +109,7 @@ _STEPS = {
 }
 
 
-# SuffixMatch, Draft and DecodeResult are NamedTuples, as IterationRecord is:
+# SuffixMatch and DecodeResult are NamedTuples, as IterationRecord is:
 # the decode loop builds them on every iteration or decode, and a frozen
 # dataclass takes three times as long.
 class SuffixMatch(NamedTuple):
@@ -121,16 +117,6 @@ class SuffixMatch(NamedTuple):
 
     i: int
     q: int
-
-
-class Draft(NamedTuple):
-    """Tokens to verify from the next output position on, and their source:
-    INPUT or OUTPUT. anchor is the (index, anchor length - 1) pair in that
-    source whose continuation the tokens are."""
-
-    tokens: TokenIds
-    source: str
-    anchor: tuple[int, int]
 
 
 class DecodeResult(NamedTuple):
@@ -178,42 +164,6 @@ def find_suffix_match(o: Sequence[int], x: Sequence[int]) -> SuffixMatch | None:
         candidates = [i for i in candidates if i >= q and x[i - q] == tok]
 
 
-def propose_draft(o: list[int], x: TokenIds, budget: int) -> Draft | None:
-    """Aggressive decoding's proposer; the longer anchor wins.
-
-    An input suffix match whose input agrees with o's last two tokens drafts
-    the input after it: every match of two or more tokens does, and so does
-    a one-token match (find_suffix_match stops at the shortest unique
-    suffix) whose input token before it agrees too. Otherwise, if o's last
-    two tokens occur earlier in o, at latest at index best, the draft is
-    o[best+1:] repeated with period len(o) - 1 - best, then a PAD slot, cut
-    so that the draft is ``budget`` tokens long: budget is the number of
-    tokens o may still grow by, so a pass that accepts the draft through its
-    PAD slot fills o exactly. Otherwise a one-token input match drafts the
-    input after it, and without one the answer is None, for one
-    autoregressive step. A last token that x lacks has no input match, so
-    the suffix search is skipped for it. The output lookup walks only the
-    earlier occurrences of the last token, with list.index, so it keeps no
-    index between calls and costs about a microsecond.
-    """
-    j = len(o) - 1
-    last, prev = o[j], o[j - 1]
-    match = find_suffix_match(o, x) if last in x else None  # o never holds PAD, x's last token
-    if match is not None and match.i and x[match.i - 1] == prev:  # a two-token input anchor
-        return Draft(x[match.i + 1:], INPUT, (match.i, match.q))
-    p = best = -1
-    for _ in range(o.count(last) - 1):  # the occurrences before o[j], in order
-        p = o.index(last, p + 1)
-        if p and o[p - 1] == prev:
-            best = p
-    if best >= 0:
-        loop = o[best + 1:]
-        return Draft(tuple((loop * -(-budget // len(loop)))[:budget - 1]) + (x[-1],), OUTPUT, (best, 1))
-    if match is None:
-        return None
-    return Draft(x[match.i + 1:], INPUT, (match.i, 0))
-
-
 def find_bifurcation(predictions: Sequence[int], copied: Sequence[int]) -> int | None:
     """Smallest 1-based k where predictions[k] differs from copied[k], else None.
 
@@ -256,14 +206,18 @@ def _miscounted(branches: int, answers: int, j: int) -> ValueError:
     return ValueError(f"a tree of {branches} branches got {answers} answers at position {j}")
 
 
-def _bifurcation(predicted: list[int], copied: TokenIds, j: int) -> int | None:
+def _bifurcation(predicted: list[int], chosen: list[float], copied: TokenIds, j: int) -> int | None:
     """find_bifurcation of a branch from decoder position j and its answer,
-    which must hold every row of the branch or end at its first
-    disagreement with it. An answer with more rows, none, or fewer that do
-    not end at a disagreement raises, naming the position."""
-    if len(predicted) == 1 and predicted[0] != copied[0]:  # many a pass's answer
+    which must hold one chosen logit per prediction and every row of the
+    branch, or end at its first disagreement with it. An answer with other
+    counts, more rows, none, or fewer that do not end at a disagreement
+    raises, naming the position."""
+    answered = len(predicted)
+    if answered != len(chosen):
+        raise ValueError(f"{answered} predictions and {len(chosen)} chosen logits at position {j}")
+    if answered == 1 and predicted[0] != copied[0]:  # many a pass's answer
         return 1
-    w, answered = len(copied), len(predicted)
+    w = len(copied)
     k = find_bifurcation(predicted, copied[:answered]) if 0 < answered <= w else None
     if answered == w or k == answered:
         return k
@@ -301,103 +255,147 @@ def _pass_width(length: int, l_max: int | None, cost: float, rate: float) -> int
     return _window(rate, cost, w) if cost else w
 
 
-def _reentries(x: TokenIds, start: int, l_max: int | None, cost: float, rate: float) -> list:
-    """(branch, suffix_match) per re-entry, x[start - 1:] and x[start:], windowed; one-position windows left out."""
-    aligned = []
-    for t in (start - 1, start):
-        w = _pass_width(len(x) - t, l_max, cost, rate)
-        if w > 1:
-            aligned.append((x[t:t + w], (t - 1, -1)))
-    return aligned
+def _proposer(x: TokenIds, o: list[int], max_len: int, l_max: int | None, cost: float, branching: bool) -> Generator:
+    """Aggressive decoding's drafting for one decode of x into o: a generator.
+
+    Each ``send`` returns the next iteration's (tree, anchors, source): the
+    branches that continue o, in the module docstring's order of
+    preference, each cut to its _pass_width window at the running rate
+    before it is copied; each one's anchor, (i, q) for the q + 1 tokens of x
+    or o ending at index i that it continues, or (t - 1, -1) for a re-entry
+    x[t:]; and their source. An output draft holds as many tokens as o may
+    still grow by, so a pass that accepts it through its PAD slot fills o
+    to max_len. Without a branch it returns (None, None, fallback) for a
+    step: "absent" when x lacks o's last token, which also skips the suffix
+    search, else "ambiguous". The output lookup walks only the earlier
+    occurrences of the last token, with list.index, and keeps no index.
+
+    After a pass, the next send brings what its kept branch did: (anchor,
+    source, k, agreed, bifurcation), its 1-based first disagreement k (None
+    without one), the tokens it agreed through, and the record's
+    bifurcation (None when the pass emitted no token in a rejected one's
+    place). That moves the rate and sets the re-entry a branching session's
+    next aligned tree starts from. The first send, and one after a step,
+    bring nothing. The generator reads o, which the decode loop extends
+    between sends, and never changes it."""
+    accepted, compared = _PRIOR_ACCEPTED, _PRIOR_COMPARED
+    reentry = None  # x[reentry - 1] is the input token the last pass rejected, when branches may follow
+    while True:
+        j = len(o) - 1
+        last, prev = o[j], o[j - 1]
+        present = last in x  # o never holds PAD, x's last token
+        match = find_suffix_match(o, x) if present else None
+        p = best = -1
+        if match is None or not match.i or x[match.i - 1] != prev:  # no two-token input anchor
+            for _ in range(o.count(last) - 1):  # the occurrences before o[j], in order
+                p = o.index(last, p + 1)
+                if p and o[p - 1] == prev:
+                    best = p
+        if best >= 0:
+            budget, loop = max_len - j, o[best + 1:]
+            drafted = tuple((loop * -(-budget // len(loop)))[:budget - 1]) + (x[-1],)
+            told = yield (drafted[:_pass_width(budget, l_max, cost, accepted / compared)],), ((best, 1),), OUTPUT
+        elif match is not None:
+            s = match.i + 1  # a one-token match here has q == 0: a longer one agrees with prev
+            w = _pass_width(len(x) - s, l_max, cost, accepted / compared)
+            told = yield (x[s:s + w],), ((match.i, match.q),), INPUT
+        else:
+            tree = anchors = ()
+            for t in () if reentry is None else (reentry - 1, reentry):  # x[reentry - 1:], x[reentry:]
+                w = _pass_width(len(x) - t, l_max, cost, accepted / compared)
+                if w > 1:
+                    tree, anchors = tree + (x[t:t + w],), anchors + ((t - 1, -1),)
+            reentry = None
+            if not tree:
+                yield None, None, "ambiguous" if present else "absent"
+                continue
+            told = yield tree, anchors, ALIGNED
+        anchor, source, k, agreed, bifurcation = told
+        # the matched tokens out of those compared: them and the rejected one, if any
+        accepted, compared = accepted + (agreed if k is None else k - 1), compared + agreed
+        # an input copy x[anchor[0] + 1:] rejected its k-th token
+        reentry = anchor[0] + 1 + k if branching and bifurcation is not None and source != OUTPUT else None
 
 
-def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, propose: Callable | None) -> DecodeResult:
-    """Decode until EOS or max_len. ``propose(o, x, budget)`` returns a Draft
-    to verify, or None for one autoregressive step, whose record then names
-    the fallback reason; budget is the number of tokens o may still grow by.
-    Each iteration asks the session's predict for one tree, passing o
-    itself, which the loop only extends, and takes one of three paths. A
-    drafted pass verifies the draft's first _pass_width(...) tokens, one
-    branch, and checks its one answer. Where propose returns None right
-    after a pass that copied the input and bifurcated, a branching session
-    gets an aligned pass, the only tree that may hold two branches and the
-    one path that walks them: it keeps the one greedy agrees with longest,
-    the first on a tie. Otherwise a step appends its one row's prediction,
-    with no bifurcation or slicing to work out. A wrong count of answers, or an
-    answer with more rows than its branch, none, or ending short of it but
-    not at its first disagreement, raises, naming the position. A pass
-    accepts nothing past its first EOS, as greedy emits nothing past it.
-    Every token is its row's argmax, and only accepted rows are checked, so
-    a contract breach (a NaN or non-finite chosen logit, or PAD as the
-    chosen token) raises where greedy would raise."""
+def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, proposer: Callable | None) -> DecodeResult:
+    """Decode until EOS or max_len, verifying what a proposer drafts.
+
+    ``proposer(x, o, max_len, l_max, cost, branching)``, as _proposer, is
+    the decode's drafting generator; greedy has none and steps at every
+    position. Each iteration sends the proposer what the last pass's kept
+    branch did and gets a tree, then makes one predict call, passing o
+    itself, which the loop only extends. A step (no tree) appends its one
+    row's prediction, with no bifurcation or slicing to work out, and its
+    record names the proposer's fallback. A tree of one branch is checked
+    by its one answer; only a tree of two walks them, keeping the one greedy
+    agrees with longest, the first on a tie. A wrong count of answers, or an
+    answer with chosen logits not one per prediction, more rows than its
+    branch, none, or ending short of it but not at its first disagreement,
+    raises, naming the position. A pass accepts nothing past its first EOS,
+    as greedy emits nothing past it. Every token is its row's argmax, and
+    only accepted rows are checked, so a contract breach (a NaN or
+    non-finite chosen logit, or PAD as the chosen token) raises where
+    greedy would."""
     vocab = scorer.vocab
-    n = len(x) - 2
-    max_len = cfg.resolve_max_len(n)
+    max_len = cfg.resolve_max_len(len(x) - 2)
     session = scorer.session(x)
     predict = getattr(session, "predict", None) or partial(DecodeSession.predict, session)  # duck-typed: from rows
-    branching = propose is not None and getattr(session, "branching", False)
-    cost = getattr(scorer, "position_cost", 0.0)  # scorers are duck-typed; 0 verifies drafts in full
-    l_max, eos, pad = cfg.l_max, vocab.eos, vocab.pad
+    eos, pad = vocab.eos, vocab.pad
     step = ((pad,),)  # PAD is never predicted, so a step's one row disagrees
     o = [vocab.bos]
+    if proposer is not None:  # scorers are duck-typed; a cost of 0 verifies drafts in full
+        propose = proposer(x, o, max_len, cfg.l_max, getattr(scorer, "position_cost", 0.0),
+                           getattr(session, "branching", False)).send
     records: list[IterationRecord] = []
-    drafted_accepted, drafted_compared = _PRIOR_ACCEPTED, _PRIOR_COMPARED
-    reentry = None  # x[reentry - 1] is the input token the last pass rejected, when branches may follow
+    tree = source = told = None  # greedy: a step at every position, with no fallback to name
     j = 0  # the decoder position the next iteration scores first: o's last index
     while o[-1] != eos and j < max_len:
-        if propose is not None and (draft := propose(o, x, max_len - j)) is not None:
-            drafted, source, anchor = draft
-            copied = drafted[:_pass_width(len(drafted), l_max, cost, drafted_accepted / drafted_compared)]
-            answers = predict(o, (copied,))  # o itself: the session reads only what it gained since the last call
-            if len(answers) != 1:
-                raise _miscounted(1, len(answers), j)
-            predicted, chosen = answers[0]
-            k = _bifurcation(predicted, copied, j)
-            agreed = k or len(copied)
-            scored = len(predicted)
-        elif reentry is not None and (
-            aligned := _reentries(x, reentry, l_max, cost, drafted_accepted / drafted_compared)
-        ):
-            tree, anchors = zip(*aligned)
-            answers = predict(o, tree)
-            if len(answers) != len(tree):
-                raise _miscounted(len(tree), len(answers), j)
-            agreed = 0
-            for i, copied in enumerate(tree):
-                k = _bifurcation(answers[i][0], copied, j)
-                if (k or len(copied)) > agreed:  # k is never 0; the first branch on a tie
-                    agreed, kept, k_kept = k or len(copied), i, k
-            predicted, chosen = answers[kept]
-            k, anchor, source = k_kept, anchors[kept], ALIGNED
-            scored = sum(len(answer[0]) for answer in answers) - len(tree) + 1  # the shared first row once
-        else:  # a step: its one row, where j < max_len, and an EOS ends the decode
+        if proposer is not None:
+            tree, anchors, source = propose(told)
+        if tree is None:  # a step: its one row, where j < max_len, and an EOS ends the decode
             answers = predict(o, step)
             if len(answers) != 1:
                 raise _miscounted(1, len(answers), j)
-            tokens, chosen = answers[0]
-            if len(tokens) != 1:
-                _bifurcation(tokens, step[0], j)  # raises: a step's answer holds one row
-            if not math.isfinite(chosen[0]):
-                _check_chosen(chosen, tokens, j)
-            if tokens[0] == pad:
+            try:
+                (token,), (logit,) = answers[0]
+            except ValueError:
+                _bifurcation(*answers[0], step[0], j)  # raises: a step's answer holds one row and one logit
+            if not math.isfinite(logit):
+                _check_chosen([logit], [token], j)
+            if token == pad:
                 raise ValueError(f"PAD emitted at position {j}")
-            # o[j] is never PAD, so searching all of x searches x[0..n]
-            records.append(_STEPS[None if propose is None else "ambiguous" if o[j] in x else "absent"])
-            o.append(tokens[0])
-            reentry = None
+            records.append(_STEPS[source])
+            o.append(token)
             j += 1
             continue
+        answers = predict(o, tree)  # o itself: the session reads only what it gained since the last call
+        if len(answers) != len(tree):
+            raise _miscounted(len(tree), len(answers), j)
+        if len(tree) == 1:
+            copied, anchor = tree[0], anchors[0]
+            predicted, chosen = answers[0]
+            k = _bifurcation(predicted, chosen, copied, j)
+            agreed, scored = k or len(copied), len(predicted)
+        else:
+            agreed = 0
+            for i, copied in enumerate(tree):
+                k = _bifurcation(*answers[i], copied, j)
+                if (k or len(copied)) > agreed:  # k is never 0; the first branch on a tie
+                    agreed, kept, k_kept = k or len(copied), i, k
+            predicted, chosen = answers[kept]
+            k, anchor = k_kept, anchors[kept]
+            scored = sum(len(answer[0]) for answer in answers) - len(tree) + 1  # the shared first row once
         accepted = agreed if agreed < max_len - j else max_len - j  # greedy truncates at max_len; so do we
         tokens = predicted[:accepted]
         if eos in tokens:  # and stops at its first EOS, which a draft may hold
             accepted = tokens.index(eos) + 1
             tokens = tokens[:accepted]
-        drafted_accepted += agreed if k is None else k - 1
-        drafted_compared += agreed  # the matched tokens and the rejected one, if any
         bifurcation = None if k is None or k > accepted else j + k
-        records.append(IterationRecord(AGGRESSIVE, scored, accepted, anchor, bifurcation, source))
-        # an input copy x[anchor[0] + 1:] rejected its k-th token
-        reentry = None if not branching or bifurcation is None or source == OUTPUT else anchor[0] + 1 + k
+        # every field, fallback's None too: tuple.__new__ skips the NamedTuple's Python-level
+        # __new__, about 0.2 us a pass on a 2-CPU x86 machine
+        record = (AGGRESSIVE, scored, accepted, anchor, bifurcation, source, None)
+        records.append(tuple.__new__(IterationRecord, record))
+        told = anchor, source, k, agreed, bifurcation  # for the proposer's next send
         if not math.isfinite(sum(chosen[:accepted])):  # finite only if every term is
             _check_chosen(chosen, tokens, j)
         if pad in tokens:
@@ -418,39 +416,24 @@ def greedy_decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeResul
 def aggressive_decode(scorer: Scorer, x: TokenIds, cfg: DecodeConfig) -> DecodeResult:
     """Parallel draft-and-verify decoding; emits exactly greedy_decode's tokens.
 
-    Starts from the BOS suffix match (i=0, q=0), so the first pass copies the
-    whole input. Each later pass verifies the draft of propose_draft: the
-    input after a unique suffix match of two or more tokens, else the tokens
-    that followed the latest earlier occurrence of the output's last two
-    tokens, repeated up to max_len with a PAD slot last, else the input after
-    a one-token match. Records name the draft's source, "input" or "output".
-    Without a draft, decoding falls back to one autoregressive step,
-    recorded as "absent" (the last token is not in the input) or
-    "ambiguous" (no unique suffix and no output draft).
-
-    Where the scorer's session is ``branching`` and the last pass copied
-    the input x[s:] and bifurcated at its k-th token, a missing draft gets
-    an "aligned" pass instead of the step: it verifies the insertion
-    re-entry x[s+k-1:] and the substitution re-entry x[s+k:] as one tree,
-    each in its own window, and keeps the branch greedy agrees with longest,
-    the insertion on a tie. A branch windowed to one position is left out,
-    and with none left (at l_max = 1, say) the step is taken as before. The
-    record's suffix_match is (t - 1, -1) for the kept branch x[t:], its
+    The verify loop with _proposer's drafts (see the module docstring). The
+    first pass copies the whole input after the BOS suffix match (i=0, q=0).
+    A pass's record names its source: "input" or "output" for a draft, and
+    "aligned" for the re-entry tree, whose suffix_match is (t - 1, -1) for
+    the kept branch x[t:] (the insertion on a tie) and whose
     positions_scored counts every branch's rows with the shared first one
-    once, and the rate moves by the kept branch alone.
-
-    A pass scores the w positions, at most l_max and the draft's length,
-    that maximise (1 - a^w) / ((1 - a)(1 + c(w - 1))): the expected tokens
-    per unit cost, where a is the sentence's running rate of drafted tokens
-    accepted out of those compared (prior 9 of 10) and c is the scorer's
-    ``position_cost`` (0 when it declares none, which verifies every draft
-    in full). Only the window changes and every accepted row is still
-    verified against its scored prefix, so the output stays greedy's; a
-    scorer that keeps disagreeing with the draft then costs about what
-    greedy costs.
+    once; the rate moves by the kept branch alone. A branch windowed to one
+    position is left out, and with none left (at l_max = 1, say) the
+    proposer asks for a step. A step's record names its fallback, "absent"
+    (the input lacks the output's last token) or "ambiguous" (no unique
+    suffix, no output draft and no re-entry). Only the window depends on the
+    rate and on the scorer's ``position_cost``, and every accepted row is
+    still verified against its scored prefix, so the output stays greedy's;
+    a scorer that keeps disagreeing with the draft costs about what greedy
+    costs.
     """
     _require_mode(cfg, AGGRESSIVE)
-    return _verify_loop(scorer, x, cfg, propose_draft)
+    return _verify_loop(scorer, x, cfg, _proposer)
 
 
 @dataclass

@@ -6,12 +6,12 @@ depend only on prefix[0..j] and the encoder state, never on later positions,
 which is what makes parallel copy-and-verify decoding emit exactly the greedy
 output. PAD's logit is -inf everywhere, so PAD can never be emitted.
 
-A scorer's rows, ``score_positions``, are what beam search and ``check``
-read. Greedy and aggressive decoding read only predictions, and ask the
-scorer's session for them: ``DecodeSession.predict`` takes the decode's
-output so far, which only grows from one call to the next, and a tree of
-branches that continue it, and returns, for each row, its argmax, ties to
-the smallest token id, and that token's logit. The default session derives
+A scorer's rows, ``score_positions``, are what beam search reads. Greedy
+and aggressive decoding, and so ``check``, read only predictions, from the
+scorer's session: ``DecodeSession.predict`` takes the decode's output so
+far, which only grows from one call to the next, and a tree of branches
+that continue it, and returns, for each row, its argmax, ties to the
+smallest token id, and that token's logit. The default session derives
 them from the rows, one call per branch. The scripted and n-gram sessions
 answer without building any row, and do work only for the rows they answer
 and the tokens the output gained since the last call: the scripted one
@@ -131,8 +131,8 @@ class DecodeSession:
         So each call's prefix starts with the last call's, and a session
         may keep state over it, such as how far the output follows a
         script, and read only the tokens added since. A session must not
-        change the list, nor keep it as a snapshot. Beam search and
-        ``check`` read rows alone and never call predict.
+        change the list, nor keep it as a snapshot. Beam search reads rows
+        alone and never calls predict; ``check`` decodes through it.
 
         This default scores each branch in one score_positions call and
         answers every row. It keeps no state and reads nothing but

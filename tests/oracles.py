@@ -20,7 +20,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from aggdec.decoding import Draft
 from aggdec.scorers import ScriptedEditScorer, _NgramSession, _ScriptedSession, log_softmax
 from aggdec.transformer import TinyTransformer, _CachedSession
 
@@ -152,12 +151,16 @@ def stops_at_disagreement(scorer, session):
 
 
 def greedy_draft_proposer(greedy_output, tail):
-    """A proposer, as _verify_loop takes it, that drafts the rest of greedy's
-    output, EOS included, then the tokens of tail: a perfect draft that runs
-    on past the end."""
-    def propose(o, x, budget):
-        return Draft(tuple(greedy_output[len(o):]) + tuple(tail), "output", (len(o) - 1, 0))
-    return propose
+    """A proposer, as _verify_loop takes it: a generator that drafts the
+    rest of greedy's output, EOS included, then the tokens of tail, cut to
+    l_max: a perfect draft that runs on past the end. It ignores the
+    position cost, which the scorers it serves do not declare, and what it
+    is sent."""
+    def proposer(x, o, max_len, l_max, cost, branching):
+        while True:
+            drafted = tuple(greedy_output[len(o):]) + tuple(tail)
+            yield (drafted[:l_max],), ((len(o) - 1, 0),), "output"
+    return proposer
 
 
 def reference_decode(scorer, x, cfg, aggressive, branching=True):

@@ -28,3 +28,12 @@ def test_the_tier1_workflow_runs_the_suite_as_pyproject_declares_it():
     runs = re.findall(r"^\s*(?:- )?run:\s*(.+)$", workflow, re.M)
     assert any(re.search(r"\bpython -m pip install\b.*\.\[test\]", run) for run in runs)
     assert any(re.match(r"PYTHONPATH=src\b.* python -m pytest\b", run) for run in runs)
+
+
+def test_the_tier1_job_has_a_timeout():
+    """The job sets timeout-minutes, at most 30, so that a hung test (a
+    decode loop that never grows its output, say) is cancelled rather than
+    holding a runner for GitHub's 360-minute default."""
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    timeout = re.search(r"^\s*timeout-minutes:\s*(\d+)\s*$", workflow, re.M)
+    assert timeout and 0 < int(timeout.group(1)) <= 30

@@ -24,18 +24,21 @@ from aggdec import (
     tokenize,
 )
 from aggdec import decoding
-from aggdec.decoding import Draft, _check_chosen, argmax_with_tiebreak, propose_draft
+from aggdec.decoding import _check_chosen, _proposer, argmax_with_tiebreak
 from aggdec.scorers import DecodeSession, _ScriptedSession, predictions
 from aggdec.synthetic import rewrite_pairs, synthetic_vocab
 from oracles import (
     greedy_draft_proposer,
     naive_suffix_match,
     reference_beam,
+    reference_branches,
     reference_check_chosen,
     reference_decode,
     reference_find_bifurcation,
+    reference_propose_draft,
     reference_window,
     scan_argmax,
+    scan_predictions,
     scan_suffix_match,
     SteppingScriptedScorer,
     stops_at_disagreement,
@@ -161,10 +164,11 @@ def test_contract_breach_raises_at_greedys_position_in_both_modes(vocab, cells, 
 
 class _AnswersBrokenly(ScriptedEditScorer):
     """Scripted scorer whose session answers the tree from decoder position
-    ``at`` with ``cut(tokens)`` of its predictions: more than the window,
-    none, or fewer that do not end at a disagreement. Its session is not
-    branching, and fails the decode after 100 calls, so a loop that never
-    grows its output fails instead of hanging."""
+    ``at`` with ``cut(tokens, chosen)`` of its predictions and their chosen
+    logits: more predictions than the window, none, fewer that do not end at
+    a disagreement, or chosen logits that are not one per prediction. Its
+    session is not branching, and fails the decode after 100 calls, so a
+    loop that never grows its output fails instead of hanging."""
 
     def __init__(self, pairs, vocab, cut, at=3):
         super().__init__(pairs, vocab)
@@ -183,17 +187,24 @@ class _BrokenSession(_ScriptedSession):
         assert self.calls <= 100, "the decode loop keeps asking"
         answers = super().predict(prefix, branches)
         if len(prefix) - 1 == self.scorer.at:
-            tokens = self.scorer.cut(answers[0][0])
-            answers = [(tokens, [0.0] * len(tokens))]
+            answers = [self.scorer.cut(*answers[0])]
         return answers
+
+
+def _answered(tokens, chosen):
+    return tokens, chosen
 
 
 @pytest.mark.parametrize(
     "cut, message",
     [
-        (lambda tokens: tokens + tokens[-1:], "3 predictions for a window of 2 at position 3"),
-        (lambda tokens: [], "no predictions at position 3"),
-        (lambda tokens: tokens[:1], "answer ends short of its window and not at its first disagreement at position 3"),
+        (lambda tokens, chosen: (tokens + tokens[-1:], chosen + chosen[-1:]),
+         "3 predictions for a window of 2 at position 3"),
+        (lambda tokens, chosen: ([], []), "no predictions at position 3"),
+        (lambda tokens, chosen: (tokens[:1], chosen[:1]),
+         "answer ends short of its window and not at its first disagreement at position 3"),
+        (lambda tokens, chosen: (tokens, chosen[:1]), "2 predictions and 1 chosen logits at position 3"),
+        (lambda tokens, chosen: (tokens, []), "2 predictions and 0 chosen logits at position 3"),
     ],
 )
 def test_a_broken_answer_raises_naming_the_position(vocab, cut, message):
@@ -202,11 +213,13 @@ def test_a_broken_answer_raises_naming_the_position(vocab, cut, message):
     decoder position 3 whose draft d the script accepts. An answer to it
     with three predictions, none, or only d's (the window's first, which
     agrees) breaks the rule that a short answer ends at its first
-    disagreement, and the loop raises rather than decoding on."""
+    disagreement, and the loop raises rather than decoding on. So does an
+    answer of both predictions that lists only the first one's chosen
+    logit, or none, which would leave an accepted row unchecked."""
     pair = (ids("a b c d", vocab), ids("a X c d", vocab))
     x = prepare_input(pair[0], vocab)
     cfg = DecodeConfig(mode="aggressive")
-    result = aggressive_decode(_AnswersBrokenly([pair], vocab, lambda tokens: tokens), x, cfg)
+    result = aggressive_decode(_AnswersBrokenly([pair], vocab, _answered), x, cfg)
     assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
     last = result.trace.iterations[-1]
     assert (last.source, last.positions_scored) == ("input", 2)
@@ -217,8 +230,10 @@ def test_a_broken_answer_raises_naming_the_position(vocab, cut, message):
 @pytest.mark.parametrize(
     "cut, message",
     [
-        (lambda tokens: [], "no predictions at position 2"),
-        (lambda tokens: tokens * 2, "2 predictions for a window of 1 at position 2"),
+        (lambda tokens, chosen: ([], []), "no predictions at position 2"),
+        (lambda tokens, chosen: (tokens * 2, chosen * 2), "2 predictions for a window of 1 at position 2"),
+        (lambda tokens, chosen: (tokens, []), "1 predictions and 0 chosen logits at position 2"),
+        (lambda tokens, chosen: (tokens, chosen * 2), "1 predictions and 2 chosen logits at position 2"),
     ],
 )
 def test_a_broken_step_answer_raises_naming_the_position(vocab, cut, message):
@@ -226,12 +241,13 @@ def test_a_broken_step_answer_raises_naming_the_position(vocab, cut, message):
     decoding's first pass bifurcates at X, which the input lacks, so it
     steps at decoder position 2 as well. A step's answer is checked like any
     other: none, or two predictions for its one position, raises there
-    rather than decoding on, or looping without growing the output."""
+    rather than decoding on, or looping without growing the output; and so
+    does its one prediction with no chosen logit, or with two."""
     pair = (ids("a b c", vocab), ids("a X c", vocab))
     x = prepare_input(pair[0], vocab)
     for mode in ("greedy", "aggressive"):
         cfg = DecodeConfig(mode=mode)
-        result = decode(_AnswersBrokenly([pair], vocab, lambda tokens: tokens, at=2), x, cfg)
+        result = decode(_AnswersBrokenly([pair], vocab, _answered, at=2), x, cfg)
         assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
         assert result.trace.iterations[-2].mode == AUTOREGRESSIVE
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -596,6 +612,25 @@ def test_an_aligned_pass_keeps_the_insertion_on_a_tie(vocab):
     ]
 
 
+def test_an_output_pass_leaves_no_reentry(vocab):
+    """The output `a b a b X` shares no token with the input. After the
+    first pass rejects c for a, aligned passes re-enter x[1:] and x[2:] and
+    emit one token each, until `a b` repeats and the output draft
+    (a, b, ...) is rejected for X. Its anchor indexes the output, not the
+    input, so it leaves no re-entry: the proposer has no draft after X and
+    steps."""
+    pair = (ids("c d c d c d", vocab), ids("a b a b X", vocab))
+    result = aggressive_decode(ScriptedEditScorer([pair], vocab), prepare_input(pair[0], vocab),
+                               DecodeConfig(mode="aggressive"))
+    assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
+    assert [tuple(r) for r in result.trace.iterations] == [
+        (AGGRESSIVE, 7, 1, (0, 0), 1, "input", None),
+        *[(AGGRESSIVE, 7 + 6 - 1, 1, (0, -1), j, "aligned", None) for j in (2, 3, 4)],
+        (AGGRESSIVE, 24, 1, (2, 1), 5, "output", None),
+        (AUTOREGRESSIVE, 1, 1, None, None, None, "absent"),
+    ]
+
+
 def test_aggressive_hand_trace_without_branches(vocab):
     """The same rewrite under a scorer whose session is not branching: one
     pass to the disagreement, one autoregressive step, one re-entry pass."""
@@ -953,6 +988,14 @@ def test_the_cheap_scorers_decode_without_building_rows(vocab, monkeypatch):
 # --- drafts from the output -------------------------------------------------------
 
 
+def _propose(o, x, budget):
+    """The proposer's first answer for o, which may grow by budget tokens,
+    with no l_max and no position cost, where a branch is its whole draft:
+    (tokens, source, anchor) of its one branch, or a step's fallback."""
+    tree, anchors, source = _proposer(x, o, len(o) - 1 + budget, None, 0.0, False).send(None)
+    return source if tree is None else (*tree, source, *anchors)
+
+
 def test_output_lookup_drafts_after_the_latest_earlier_bigram(vocab):
     """`a b` occurs twice before the end of the output, followed by `c a` and
     by `d a b`; the draft runs on in the later loop, `d a b`, and ends in a
@@ -960,14 +1003,14 @@ def test_output_lookup_drafts_after_the_latest_earlier_bigram(vocab):
     x = prepare_input(ids("X", vocab), vocab)  # b is absent: no input anchor
     o = [vocab.bos, *ids("a b c a b d a b", vocab)]
     a, b, d, pad = vocab.id_of("a"), vocab.id_of("b"), vocab.id_of("d"), vocab.pad
-    assert propose_draft(o, x, 6) == Draft((d, a, b, d, a, pad), "output", (5, 1))
-    assert propose_draft(o, x, 2) == Draft((d, pad), "output", (5, 1))
-    assert propose_draft(o, x, 1) == Draft((pad,), "output", (5, 1))
+    assert _propose(o, x, 6) == ((d, a, b, d, a, pad), "output", (5, 1))
+    assert _propose(o, x, 2) == ((d, pad), "output", (5, 1))
+    assert _propose(o, x, 1) == ((pad,), "output", (5, 1))
     # a single repeated token is no anchor, and neither is a bigram seen only at the end
-    assert propose_draft([vocab.bos, *ids("a b X b", vocab)], x, 6) is None
-    assert propose_draft([vocab.bos, *ids("a b", vocab)], x, 6) is None
+    assert _propose([vocab.bos, *ids("a b X b", vocab)], x, 6) == "absent"
+    assert _propose([vocab.bos, *ids("a b", vocab)], x, 6) == "absent"
     # a repeat that reaches the end of the output is a loop of period 1
-    assert propose_draft([vocab.bos, *ids("b b b", vocab)], x, 4) == Draft((b, b, b, pad), "output", (2, 1))
+    assert _propose([vocab.bos, *ids("b b b", vocab)], x, 4) == ((b, b, b, pad), "output", (2, 1))
 
 
 def test_longer_anchor_wins_between_input_and_output(vocab):
@@ -975,16 +1018,16 @@ def test_longer_anchor_wins_between_input_and_output(vocab):
     a, b, d, X, pad = vocab.id_of("a"), vocab.id_of("b"), vocab.id_of("d"), vocab.id_of("X"), vocab.pad
     # `a b` is unique in the input: a two-token input anchor beats the output's
     x = prepare_input(ids("b c a b d", vocab), vocab)
-    assert propose_draft(o, x, 9) == Draft((d, pad), "input", (4, 1))
+    assert _propose(o, x, 9) == ((d, pad), "input", (4, 1))
     # `b` alone is unique in the input, and the input agrees on `a b` there:
     # that is a two-token input anchor too
     x = prepare_input(ids("c a b d", vocab), vocab)
-    assert propose_draft(o, x, 9) == Draft((d, pad), "input", (3, 0))
+    assert _propose(o, x, 9) == ((d, pad), "input", (3, 0))
     # `b` alone is unique in the input: the output's two-token anchor wins
     x = prepare_input(ids("c b d", vocab), vocab)
-    assert propose_draft(o, x, 5) == Draft((X, a, b, X, pad), "output", (2, 1))
+    assert _propose(o, x, 5) == ((X, a, b, X, pad), "output", (2, 1))
     # with no repeat in the output, the one-token input anchor drafts
-    assert propose_draft(o[:3], x, 9) == Draft((d, pad), "input", (2, 0))
+    assert _propose(o[:3], x, 9) == ((d, pad), "input", (2, 0))
 
 
 @pytest.mark.parametrize("scorer_type", [ScriptedEditScorer, _Costly])
@@ -1248,7 +1291,7 @@ def test_equivalence_property(data, label, l_max, max_len):
         caps = []
         previous = None
         for b, record in _boundaries(aggressive.trace.iterations):
-            draft = propose_draft(list(greedy.output[:b]), x, limit - b + 1)
+            draft = reference_propose_draft(list(greedy.output[:b]), x, limit - b + 1)
             if record.source == "aligned":
                 # only where the proposer has no draft, right after a pass that
                 # copied the input from s and rejected its k-th token
@@ -1257,7 +1300,7 @@ def test_equivalence_property(data, label, l_max, max_len):
                 start = last.suffix_match[0] + 1 + last.bifurcation - (before - 1)
                 caps.append({t: len(x) - t if l_max is None else min(len(x) - t, l_max) for t in (start - 1, start)})
             elif record.mode == AGGRESSIVE:
-                caps.append(len(draft.tokens) if l_max is None else min(len(draft.tokens), l_max))
+                caps.append(len(draft[0]) if l_max is None else min(len(draft[0]), l_max))
             previous = b, record
         _check_windows(aggressive.trace.iterations, getattr(scorer, "position_cost", 0.0), caps,
                        stops_at_disagreement(scorer, scorer.session(x)))
@@ -1306,6 +1349,84 @@ def test_decode_loop_equals_the_reference_loop(data, kind, l_max, cost, max_len)
             output, records = reference_decode(scorer, x, cfg, aggressive)
             assert result.output == output
             assert [tuple(record) for record in result.trace.iterations] == records
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["scripted", "ngram", "table"]),
+    l_max=st.sampled_from([None, 1, 2, 7]),
+    cost=st.sampled_from([0.0, 0.15]),
+    max_len=st.sampled_from([1, 5, None]),
+    branching=st.booleans(),
+)
+def test_the_proposer_drafts_what_the_references_draft(data, kind, l_max, cost, max_len, branching):
+    """Driven along greedy's output, at every iteration the proposer answers
+    reference_propose_draft's draft cut to the window reference_window
+    picks at the running rate; else, right after a pass that copied the
+    input and bifurcated, reference_branches' re-entries as an aligned tree;
+    else a step whose fallback says whether x holds o's last token. After
+    each pass it is told what the kept branch (the one greedy agrees with
+    longest, the first on a tie) agreed through, and the rate and re-entry
+    it keeps move as the reference loop's do."""
+    vocab = Vocab(WORDS)
+    corpus = data.draw(
+        st.lists(
+            st.lists(st.integers(min_value=4, max_value=8), min_size=0, max_size=16).map(tuple),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    if kind == "table":
+        scorer = _TableScorer(vocab, data.draw(st.integers(0, 2**32 - 1)), data.draw(st.floats(0.0, 6.0)), cost)
+    else:
+        scorer = _scorer_from_label(kind, vocab, corpus)
+    for raw in corpus:
+        x = prepare_input(raw, vocab)
+        cfg = DecodeConfig(mode="greedy", max_len=max_len)
+        greedy = greedy_decode(scorer, x, cfg).output
+        limit = cfg.resolve_max_len(len(raw))
+        session = scorer.session(x)
+        o = [vocab.bos]
+        propose = _proposer(x, o, limit, l_max, cost, branching).send
+        accepted, compared, reentry, told = 9, 10, None, None
+        while o[-1] != vocab.eos and len(o) - 1 < limit:
+            j, rate = len(o) - 1, accepted / compared
+            tree, anchors, source = propose(told)
+            draft = reference_propose_draft(o, x, limit - j)
+            branches = []
+            if draft is None and reentry is not None:
+                branches = reference_branches(session, o, x, reentry, l_max, cost, rate)
+            if draft is not None:
+                w = len(draft[0]) if l_max is None else min(len(draft[0]), l_max)
+                w = reference_window(rate, cost, w) if cost else w
+                copied = draft[0][:w]
+                assert (tree, anchors, source) == ((copied,), (draft[2],), draft[1])
+                predicted, _ = scan_predictions(session.score_positions(tuple(o) + copied[:-1], range(j, j + w)))
+                anchor = draft[2]
+            elif branches:
+                assert tree == tuple(copied for _, copied, _, _ in branches)
+                assert (anchors, source) == (tuple((t - 1, -1) for t, *_ in branches), "aligned")
+                lengths = [reference_find_bifurcation(p, c) or len(c) for _, c, p, _ in branches]
+                t, copied, predicted, _ = branches[lengths.index(max(lengths))]
+                anchor = (t - 1, -1)
+            else:
+                assert (tree, anchors, source) == (None, None, "ambiguous" if o[j] in x[:-1] else "absent")
+                o.append(greedy[j + 1])
+                reentry = None
+                continue
+            k = reference_find_bifurcation(predicted, copied)
+            agreed = len(copied) if k is None else k
+            take = min(agreed, limit - j)
+            if vocab.eos in predicted[:take]:
+                take = predicted.index(vocab.eos) + 1
+            bifurcation = j + k if k is not None and k <= take else None
+            told = anchor, source, k, agreed, bifurcation
+            accepted += agreed if k is None else k - 1
+            compared += agreed
+            reentry = anchor[0] + 1 + k if branching and source != "output" and bifurcation is not None else None
+            o.extend(predicted[:take])
+        assert tuple(o) == greedy
 
 
 def test_aligned_passes_cut_the_iterations_of_a_scripted_rewrite_corpus():
