@@ -9,7 +9,7 @@ share across concurrent decode sessions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, filterfalse, groupby, repeat
+from itertools import count, filterfalse, groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -29,10 +29,19 @@ WHITESPACE = "whitespace"
 CHARACTER = "character"
 
 
+class _TextIds(dict):
+    """tokenize's map, surface -> id: a surface it lacks is an unknown word."""
+
+    def __missing__(self, surface: str) -> int:
+        return 3  # Vocab's fixed UNK id
+
+
 class Vocab:
     """Token inventory with reserved BOS/EOS/PAD/UNK ids fixed at 0..3.
 
-    Surface strings must be unique. Immutable after construction.
+    Surface strings must be unique and nonempty: neither scheme splits text
+    into an empty token, and detokenize drops empty strings with the
+    sentinels. Immutable after construction.
     """
 
     def __init__(self, tokens: Iterable[str] = ()):
@@ -41,6 +50,8 @@ class Vocab:
         for tok in tokens:
             if tok in seen:
                 raise ValueError(f"duplicate surface string: {tok!r}")
+            if not tok:
+                raise ValueError("empty surface string")
             seen.add(tok)
             surfaces.append(tok)
         self._surfaces: tuple[str, ...] = tuple(surfaces)
@@ -51,8 +62,10 @@ class Vocab:
         self.unk: int = 3
         self.sentinel_ids: frozenset[int] = frozenset((self.bos, self.eos, self.pad))
         # tokenize's map: in text, the sentinel surfaces are unknown words
-        self._text_ids: dict[str, int] = {
-            s: i for s, i in self._ids.items() if i not in self.sentinel_ids
+        self._text_ids = _TextIds((s, i) for s, i in self._ids.items() if i not in self.sentinel_ids)
+        # detokenize's map: a sentinel renders as nothing
+        self._texts: dict[int, str | None] = {
+            i: None if i in self.sentinel_ids else s for i, s in enumerate(surfaces)
         }
 
     @classmethod
@@ -99,7 +112,7 @@ def tokenize(text: str, scheme: str, vocab: Vocab) -> TokenIds:
         pieces = list(text)
     else:
         raise ValueError(f"unsupported scheme: {scheme!r}")
-    return tuple(map(vocab._text_ids.get, pieces, repeat(vocab.unk)))
+    return tuple(map(vocab._text_ids.__getitem__, pieces))
 
 
 def join_surfaces(surfaces: Iterable[str], scheme: str = WHITESPACE) -> str:
@@ -116,13 +129,19 @@ def join_surfaces(surfaces: Iterable[str], scheme: str = WHITESPACE) -> str:
 
 def detokenize(seq: Sequence[int], vocab: Vocab, scheme: str = WHITESPACE) -> str:
     """Ids -> surfaces joined by `join_surfaces`. Sentinels render as empty;
-    UNK renders as "<unk>"."""
-    surfaces = vocab._surfaces
-    if seq and not (0 <= min(seq) and max(seq) < len(surfaces)):
+    UNK renders as "<unk>". An id out of range, or not an integer, raises
+    for the first such id."""
+    # A float id hashes as the int it equals, and would find that id's
+    # surface, so a sum that is no int sends the ids through the check.
+    if type(sum(seq)) is not int:
+        for t in seq:
+            vocab.surface(t)
+    try:
+        return join_surfaces(filter(None, map(vocab._texts.__getitem__, seq)), scheme)
+    except KeyError:
         for t in seq:
             vocab.surface(t)  # raises for the first id out of range
-    kept = filterfalse(vocab.sentinel_ids.__contains__, seq)
-    return join_surfaces(map(surfaces.__getitem__, kept), scheme)
+        raise
 
 
 def prepare_input(raw: Sequence[int], vocab: Vocab) -> TokenIds:

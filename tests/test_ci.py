@@ -15,8 +15,9 @@ def _version(text: str) -> tuple[int, int]:
 
 def test_the_tier1_workflow_runs_the_suite_as_pyproject_declares_it():
     """Its lowest matrix Python is the requires-python floor; it installs
-    the test extra, pins OpenBLAS to one thread, and runs pytest from the
-    sources."""
+    the test extra, pins OpenBLAS, OpenMP and MKL to one thread each, as
+    perfbench/run.py does, so that the wall-clock tests run single-threaded
+    under any BLAS build, and runs pytest from the sources."""
     project = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     floor = re.search(r'^requires-python\s*=\s*">=\s*([\d.]+)"', project, re.M)
@@ -24,7 +25,8 @@ def test_the_tier1_workflow_runs_the_suite_as_pyproject_declares_it():
     assert floor and matrix
     assert min(map(_version, re.findall(r'"([\d.]+)"', matrix.group(1)))) == _version(floor.group(1))
     assert re.search(r"^\[project\.optional-dependencies\]\ntest\s*=", project, re.M)
-    assert re.search(r'^\s*OPENBLAS_NUM_THREADS:\s*"1"\s*$', workflow, re.M)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert re.search(rf'^\s*{var}:\s*"1"\s*$', workflow, re.M), var
     runs = re.findall(r"^\s*(?:- )?run:\s*(.+)$", workflow, re.M)
     assert any(re.search(r"\bpython -m pip install\b.*\.\[test\]", run) for run in runs)
     assert any(re.match(r"PYTHONPATH=src\b.* python -m pytest\b", run) for run in runs)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -118,6 +119,23 @@ def test_detokenize_names_the_first_id_out_of_range(vocab):
         with pytest.raises(ValueError, match=f"^token id {bad} out of range for vocab of size {size}$"):
             detokenize(seq, vocab)
     assert detokenize((vocab.bos, size - 1, vocab.pad), vocab) == vocab.surface(size - 1)
+
+
+def test_detokenize_rejects_an_id_that_is_not_an_integer(vocab):
+    """A float equal to an id hashes as the id does, so it must not find the
+    id's surface; numpy's integers are ids."""
+    a = vocab.id_of("a")
+    for seq in ((4.0,), (a, float(a)), (vocab.bos, 1.0), (a, 2.5, 999)):
+        with pytest.raises(TypeError):
+            detokenize(seq, vocab)
+    assert detokenize((np.int64(vocab.bos), np.int64(a), np.int64(vocab.eos)), vocab) == "a"
+
+
+def test_vocab_rejects_an_empty_surface():
+    """Neither scheme splits text into an empty token, and detokenize would
+    drop it as it drops the sentinels."""
+    with pytest.raises(ValueError, match="^empty surface string$"):
+        Vocab(["a", ""])
 
 
 def test_sentinel_ids_are_built_once(vocab):

@@ -631,6 +631,21 @@ def test_an_output_pass_leaves_no_reentry(vocab):
     ]
 
 
+def test_a_reentry_at_the_inputs_end_is_a_step(vocab):
+    """`a b c` -> `a b c X`: the first pass copies the whole input and
+    rejects its PAD slot for X. Re-entry would go on at x[4:] = (PAD,) or
+    x[5:] = (), branches of one position and none, which are left out, so
+    the proposer steps, and names X's absence from the input."""
+    pair = (ids("a b c", vocab), ids("a b c X", vocab))
+    result = aggressive_decode(ScriptedEditScorer([pair], vocab), prepare_input(pair[0], vocab),
+                               DecodeConfig(mode="aggressive"))
+    assert result.output == (vocab.bos,) + pair[1] + (vocab.eos,)
+    assert [tuple(r) for r in result.trace.iterations] == [
+        (AGGRESSIVE, 4, 4, (0, 0), 4, "input", None),
+        (AUTOREGRESSIVE, 1, 1, None, None, None, "absent"),
+    ]
+
+
 def test_aggressive_hand_trace_without_branches(vocab):
     """The same rewrite under a scorer whose session is not branching: one
     pass to the disagreement, one autoregressive step, one re-entry pass."""
@@ -1318,25 +1333,32 @@ def test_equivalence_property(data, label, l_max, max_len):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    data=st.data(),
+    corpus=st.lists(
+        st.lists(st.integers(min_value=4, max_value=8), min_size=0, max_size=16).map(tuple),
+        min_size=1,
+        max_size=5,
+    ),
     kind=st.sampled_from(["scripted", "ngram", "table"]),
     l_max=st.sampled_from([None, 1, 2, 3, 7]),
     cost=st.sampled_from([0.0, 0.1, 0.15]),
     max_len=st.sampled_from([1, 2, 5, None]),
+    seed=st.integers(0, 2**32 - 1),
+    copy_bias=st.floats(0.0, 6.0),
 )
-def test_decode_loop_equals_the_reference_loop(data, kind, l_max, cost, max_len):
+# `d c c c c` -> `X c c c c`: at l_max = 1 the output draft after `c c c`
+# is verified one position at a time, not in full
+@example(corpus=[(7, 6, 6, 6, 6)], kind="scripted", l_max=1, cost=0.0, max_len=None, seed=0, copy_bias=0.0)
+# an output pass (anchor (2, 1)) bifurcates and the proposer then has no
+# draft: it steps, for the anchor indexes the output, not the input
+@example(corpus=[(5, 6, 6, 4, 6, 8, 5, 6, 6, 4, 7, 4)], kind="scripted", l_max=2, cost=0.0, max_len=5,
+         seed=0, copy_bias=0.0)
+def test_decode_loop_equals_the_reference_loop(corpus, kind, l_max, cost, max_len, seed, copy_bias):
     """Greedy and aggressive decoding return the reference loop's output and
-    every field of every IterationRecord, under any position cost."""
+    every field of every IterationRecord, under any position cost. seed and
+    copy_bias set the table scorer."""
     vocab = Vocab(WORDS)
-    corpus = data.draw(
-        st.lists(
-            st.lists(st.integers(min_value=4, max_value=8), min_size=0, max_size=16).map(tuple),
-            min_size=1,
-            max_size=5,
-        )
-    )
     if kind == "table":
-        scorer = _TableScorer(vocab, data.draw(st.integers(0, 2**32 - 1)), data.draw(st.floats(0.0, 6.0)), cost)
+        scorer = _TableScorer(vocab, seed, copy_bias, cost)
     else:
         scorer = _scorer_from_label(kind, vocab, corpus)
         scorer.position_cost = cost
