@@ -252,6 +252,19 @@ def _load_lines(args: argparse.Namespace, attr: str) -> list[str]:
     return load_corpus(_require_file(getattr(args, attr), f"--{attr} corpus"))
 
 
+def _transformer_config(args: argparse.Namespace, enc: int, dec: int) -> TransformerConfig:
+    """The transformer of `enc` encoder and `dec` decoder layers that the
+    width, head, FFN and seed flags describe."""
+    return TransformerConfig(
+        encoder_layers=enc,
+        decoder_layers=dec,
+        model_dim=args.model_dim,
+        heads=args.heads,
+        ffn_dim=args.ffn_dim,
+        seed=args.seed,
+    )
+
+
 def _make_scorer(args: argparse.Namespace, lines: list[str]) -> Scorer:
     """The `--scorer` over a vocabulary of the corpus (and scripted pairs)."""
     pool = list(lines)
@@ -279,15 +292,7 @@ def _make_scorer(args: argparse.Namespace, lines: list[str]) -> Scorer:
     if args.scorer == "transformer":
         if args.seed is None:
             raise ValueError("--scorer transformer requires --seed")
-        config = TransformerConfig(
-            encoder_layers=args.enc_layers,
-            decoder_layers=args.dec_layers,
-            model_dim=args.model_dim,
-            heads=args.heads,
-            ffn_dim=args.ffn_dim,
-            seed=args.seed,
-        )
-        return TinyTransformer(config, vocab)
+        return TinyTransformer(_transformer_config(args, args.enc_layers, args.dec_layers), vocab)
     raise ValueError(f"unknown scorer kind: {args.scorer!r}")
 
 
@@ -451,17 +456,7 @@ def _cmd_sweep_depth(args: argparse.Namespace) -> int:
     lines = _load_lines(args, "corpus")
     vocab = build_vocab(lines, args.scheme)
     corpus = _nonempty_corpus(lines, vocab, args.scheme)
-    configs = [
-        TransformerConfig(
-            encoder_layers=enc,
-            decoder_layers=dec,
-            model_dim=args.model_dim,
-            heads=args.heads,
-            ffn_dim=args.ffn_dim,
-            seed=args.seed,
-        )
-        for enc, dec in _parse_depths(args.depths)
-    ]
+    configs = [_transformer_config(args, enc, dec) for enc, dec in _parse_depths(args.depths)]
     try:
         rows = sweep_depth(
             configs,

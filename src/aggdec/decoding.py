@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
@@ -234,14 +234,16 @@ def _bifurcation(predicted: list[int], chosen: list[float], copied: TokenIds, j:
     raise ValueError(f"answer ends short of its window and not at its first disagreement at position {j + answered - 1}")
 
 
-# A sentence's rate is a ratio of small integers and a cap is at most max_len,
-# so a few distinct (rate, cost, cap) keys recur across passes and sentences.
-@lru_cache(maxsize=4096)
-def _window(rate: float, cost: float, cap: int) -> int:
-    """The w in 1..cap that maximises (1 - rate^w) / ((1 - rate)(1 + cost(w - 1))),
-    the tokens a pass of w positions emits per unit cost when each drafted
-    token is accepted with probability rate. The ratio rises to one peak and
-    then falls, so the search stops at the first w past it."""
+def _pass_width(length: int, l_max: int | None, cost: float, rate: float) -> int:
+    """How many of a draft's `length` tokens a pass verifies: at most l_max,
+    and when the scorer prices its positions, the w up to that cap that
+    maximises (1 - rate^w) / ((1 - rate)(1 + cost(w - 1))), the tokens a
+    pass of w positions emits per unit cost when each drafted token is
+    accepted with probability rate. The ratio rises to one peak and then
+    falls, so the search stops at the first w past it."""
+    cap = length if l_max is None or l_max >= length else l_max
+    if not cost:
+        return cap
     w, term, tokens, best = 1, 1.0, 1.0, 1.0
     while w < cap:
         term *= rate
@@ -252,13 +254,6 @@ def _window(rate: float, cost: float, cap: int) -> int:
         best = value
         w += 1
     return w
-
-
-def _pass_width(length: int, l_max: int | None, cost: float, rate: float) -> int:
-    """How many of a draft's `length` tokens a pass verifies: at most l_max,
-    and the _window of that cap when the scorer prices its positions."""
-    w = length if l_max is None or l_max >= length else l_max
-    return _window(rate, cost, w) if cost else w
 
 
 def _proposer(x: TokenIds, o: list[int], max_len: int, l_max: int | None, cost: float, branching: bool) -> Generator:
@@ -276,13 +271,17 @@ def _proposer(x: TokenIds, o: list[int], max_len: int, l_max: int | None, cost: 
     search, else "ambiguous". The output lookup walks only the earlier
     occurrences of the last token, with list.index, and keeps no index.
 
-    After a pass, the next send brings what its kept branch did: (anchor,
-    source, k, agreed, bifurcation), its 1-based first disagreement k (None
-    without one), the tokens it agreed through, and the record's
-    bifurcation (None when the pass emitted no token in a rejected one's
-    place). That moves the rate and sets the re-entry a branching session's
-    next aligned tree starts from. The first send, and one after a step,
-    bring nothing. The generator reads o, which the decode loop extends
+    After a pass, the next send brings the loop's reply, (kept, k): the
+    index of the branch it kept in the tree, and that branch's 1-based
+    first disagreement k, None when it agreed throughout. The generator
+    keeps the tree, anchors and source it yielded, so the kept branch agreed
+    through k, or through all its tokens. That moves the rate, and a
+    rejected input copy sets the re-entry a branching session's next aligned
+    tree starts from. A pass that emits fewer tokens than it agreed through,
+    cut by max_len or by its first EOS, ends the decode, so at every reply
+    read here k is None exactly when the pass's record has no bifurcation.
+    The first send brings None, and one after a step the last reply again;
+    neither is read. The generator reads o, which the decode loop extends
     between sends, and never changes it."""
     accepted, compared = _PRIOR_ACCEPTED, _PRIOR_COMPARED
     reentry = None  # x[reentry - 1] is the input token the last pass rejected, when branches may follow
@@ -300,13 +299,14 @@ def _proposer(x: TokenIds, o: list[int], max_len: int, l_max: int | None, cost: 
         if best >= 0:
             budget, loop = max_len - j, o[best + 1:]
             drafted = tuple((loop * -(-budget // len(loop)))[:budget - 1]) + (x[-1],)
-            told = yield (drafted[:_pass_width(budget, l_max, cost, accepted / compared)],), ((best, 1),), OUTPUT
+            w = _pass_width(budget, l_max, cost, accepted / compared)
+            tree, anchors, source = (drafted[:w],), ((best, 1),), OUTPUT
         elif match is not None:
             s = match.i + 1  # a one-token match here has q == 0: a longer one agrees with prev
             w = _pass_width(len(x) - s, l_max, cost, accepted / compared)
-            told = yield (x[s:s + w],), ((match.i, match.q),), INPUT
+            tree, anchors, source = (x[s:s + w],), ((match.i, match.q),), INPUT
         else:
-            tree = anchors = ()
+            tree, anchors, source = (), (), ALIGNED
             for t in () if reentry is None else (reentry - 1, reentry):  # x[reentry - 1:], x[reentry:]
                 w = _pass_width(len(x) - t, l_max, cost, accepted / compared)
                 if w > 1:
@@ -315,12 +315,12 @@ def _proposer(x: TokenIds, o: list[int], max_len: int, l_max: int | None, cost: 
             if not tree:
                 yield None, None, "ambiguous" if present else "absent"
                 continue
-            told = yield tree, anchors, ALIGNED
-        anchor, source, k, agreed, bifurcation = told
+        kept, k = yield tree, anchors, source
+        agreed = k or len(tree[kept])
         # the matched tokens out of those compared: them and the rejected one, if any
         accepted, compared = accepted + (agreed if k is None else k - 1), compared + agreed
-        # an input copy x[anchor[0] + 1:] rejected its k-th token
-        reentry = anchor[0] + 1 + k if branching and bifurcation is not None and source != OUTPUT else None
+        # an input copy x[anchors[kept][0] + 1:] rejected its k-th token
+        reentry = anchors[kept][0] + 1 + k if branching and k is not None and source != OUTPUT else None
 
 
 def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, proposer: Callable | None) -> DecodeResult:
@@ -328,11 +328,12 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, proposer: Calla
 
     ``proposer(x, o, max_len, l_max, cost, branching)``, as _proposer, is
     the decode's drafting generator; greedy has none and steps at every
-    position. Each iteration sends the proposer what the last pass's kept
-    branch did and gets a tree, then makes one predict call, passing o
-    itself, which the loop only extends. A step (no tree) appends its one
-    row's prediction, with no bifurcation or slicing to work out, and its
-    record names the proposer's fallback. A tree of one branch is checked
+    position. Each iteration sends the proposer its reply to the last pass,
+    (kept, k), the index of the branch it kept and that branch's 1-based
+    first disagreement or None, and gets a tree, then makes one predict
+    call, passing o itself, which the loop only extends. A step (no tree)
+    appends its one row's prediction, with no bifurcation or slicing to
+    work out, and its record names the proposer's fallback. A tree of one branch is checked
     by its one answer; only a tree of two walks them, keeping the one greedy
     agrees with longest, the first on a tie. A wrong count of answers, or an
     answer with chosen logits not one per prediction, more rows than its
@@ -378,7 +379,7 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, proposer: Calla
         if len(answers) != len(tree):
             raise _miscounted(len(tree), len(answers), j)
         if len(tree) == 1:
-            copied, anchor = tree[0], anchors[0]
+            copied, anchor, kept = tree[0], anchors[0], 0
             predicted, chosen = answers[0]
             if len(predicted) == 1 == len(chosen) and predicted[0] != copied[0]:  # many an n-gram pass's answer
                 k = 1
@@ -405,7 +406,7 @@ def _verify_loop(scorer: Scorer, x: TokenIds, cfg: DecodeConfig, proposer: Calla
         # __new__, about 0.2 us a pass on a 2-CPU x86 machine
         record = (AGGRESSIVE, scored, accepted, anchor, bifurcation, source, None)
         records.append(tuple.__new__(IterationRecord, record))
-        told = anchor, source, k, agreed, bifurcation  # for the proposer's next send
+        told = kept, k  # the proposer's next send
         if not math.isfinite(sum(chosen[:accepted])):  # finite only if every term is
             _check_chosen(chosen, tokens, j)
         if pad in tokens:

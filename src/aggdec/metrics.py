@@ -69,17 +69,9 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def _ranks(values: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    order = np.argsort(arr, kind="mergesort")
-    ranks = np.empty(len(arr))
-    i = 0
-    while i < len(arr):
-        j = i
-        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        ranks[order[i: j + 1]] = (i + j) / 2 + 1
-        i = j + 1
-    return ranks
+    """Each value's 1-based rank, ties sharing their average rank."""
+    _, inverse, counts = np.unique(np.asarray(values, dtype=float), return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 # --- per-sentence accounting ---------------------------------------------------

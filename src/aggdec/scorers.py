@@ -202,22 +202,12 @@ class ScriptedEditScorer(Scorer):
         return _ScriptedState(source, self._table.get(source), self.vocab.eos)
 
     def _tokens(self, state: _ScriptedState, prefix, positions) -> list[int]:
-        """The scripted token after prefix[:p + 1] for each p in positions: a
-        contiguous range from two slices around one boundary, else the rule."""
+        """The scripted token after prefix[:p + 1] for each p in positions,
+        by _script_token's rule."""
         prefix = tuple(prefix)  # a list's slice never equals the target's
         source, target, eos = state
-        if type(positions) is not range or positions.step != 1:
-            scripted = target is not None
-            return [_script_token(source, target, eos, scripted and prefix[1:p + 1] == target[:p], p)
-                    for p in positions]
-        # Position p is on script iff prefix[1:p + 1] == target[:p], which holds
-        # for every p up to a boundary b. b stays -1 when even the first
-        # requested position is off.
-        lo = positions.start
-        b = -1
-        if target is not None and prefix[1:lo + 1] == target[:lo]:
-            b = lo + _agreement(prefix[lo + 1:], target[lo:])
-        return _script_run(source, target, eos, b, lo, positions.stop)
+        scripted = target is not None
+        return [_script_token(source, target, eos, scripted and prefix[1:p + 1] == target[:p], p) for p in positions]
 
     def score_positions(self, state, prefix, positions) -> np.ndarray:
         """Row k is the one-hot of the scripted token at positions[k] (see
@@ -260,7 +250,7 @@ class _ScriptedSession(DecodeSession):
             return [([_script_token(source, target, eos, on >= 0, j)], [0.0])]
         answers = []
         for branch in branches:
-            # as in _tokens: position j + r is on script while branch[:r] follows target[j:]
+            # by _script_token's rule, position j + r is on script while branch[:r] follows target[j:]
             w = len(branch)
             b = -1 if on < 0 else j + _agreement(branch[:-1], target[j:j + w - 1])
             answers.append((_script_run(source, target, eos, b, j, j + w), [0.0] * w))

@@ -1,7 +1,9 @@
-"""The tier-1 workflow agrees with pyproject.toml. Both files are read as
-text, so that the test needs neither a YAML parser nor tomllib, which the
-oldest supported Python lacks."""
+"""The tier-1 workflow agrees with pyproject.toml, and every Python file
+parses as the oldest Python it admits. Both files are read as text, so
+that the test needs neither a YAML parser nor tomllib, which the oldest
+supported Python lacks."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -39,3 +41,14 @@ def test_the_tier1_job_has_a_timeout():
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     timeout = re.search(r"^\s*timeout-minutes:\s*(\d+)\s*$", workflow, re.M)
     assert timeout and 0 < int(timeout.group(1)) <= 30
+
+
+def test_every_python_file_parses_as_python_3_10():
+    """Every .py file under src/, tests/, perfbench/ and scripts/ parses
+    with Python 3.10's grammar, the oldest that pyproject.toml admits, so
+    that syntax newer than it fails here, on any interpreter that runs the
+    suite."""
+    paths = sorted(p for top in ("src", "tests", "perfbench", "scripts") for p in (ROOT / top).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

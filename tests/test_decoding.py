@@ -1388,9 +1388,9 @@ def test_the_proposer_drafts_what_the_references_draft(data, kind, l_max, cost, 
     picks at the running rate; else, right after a pass that copied the
     input and bifurcated, reference_branches' re-entries as an aligned tree;
     else a step whose fallback says whether x holds o's last token. After
-    each pass it is told what the kept branch (the one greedy agrees with
-    longest, the first on a tie) agreed through, and the rate and re-entry
-    it keeps move as the reference loop's do."""
+    each pass it is told which branch was kept (the one greedy agrees with
+    longest, the first on a tie) and where that branch first disagreed, and
+    the rate and re-entry it keeps move as the reference loop's do."""
     vocab = Vocab(WORDS)
     corpus = data.draw(
         st.lists(
@@ -1425,12 +1425,13 @@ def test_the_proposer_drafts_what_the_references_draft(data, kind, l_max, cost, 
                 copied = draft[0][:w]
                 assert (tree, anchors, source) == ((copied,), (draft[2],), draft[1])
                 predicted, _ = scan_predictions(session.score_positions(tuple(o) + copied[:-1], range(j, j + w)))
-                anchor = draft[2]
+                anchor, kept = draft[2], 0
             elif branches:
                 assert tree == tuple(copied for _, copied, _, _ in branches)
                 assert (anchors, source) == (tuple((t - 1, -1) for t, *_ in branches), "aligned")
                 lengths = [reference_find_bifurcation(p, c) or len(c) for _, c, p, _ in branches]
-                t, copied, predicted, _ = branches[lengths.index(max(lengths))]
+                kept = lengths.index(max(lengths))
+                t, copied, predicted, _ = branches[kept]
                 anchor = (t - 1, -1)
             else:
                 assert (tree, anchors, source) == (None, None, "ambiguous" if o[j] in x[:-1] else "absent")
@@ -1443,12 +1444,69 @@ def test_the_proposer_drafts_what_the_references_draft(data, kind, l_max, cost, 
             if vocab.eos in predicted[:take]:
                 take = predicted.index(vocab.eos) + 1
             bifurcation = j + k if k is not None and k <= take else None
-            told = anchor, source, k, agreed, bifurcation
+            told = kept, k
             accepted += agreed if k is None else k - 1
             compared += agreed
             reentry = anchor[0] + 1 + k if branching and source != "output" and bifurcation is not None else None
             o.extend(predicted[:take])
         assert tuple(o) == greedy
+
+
+def _replies_recorded(proposals, sends):
+    """A proposer, as _verify_loop takes it, that forwards every send to
+    _proposer and appends what it answers to proposals and each send to
+    sends, the first one's None included."""
+    def proposer(*args):
+        inner, reply = _proposer(*args), None
+        while True:
+            sends.append(reply)
+            proposals.append(inner.send(reply))
+            reply = yield proposals[-1]
+    return proposer
+
+
+@pytest.mark.parametrize("kind", ["scripted", "ngram", "table"])
+@pytest.mark.parametrize("l_max", [None, 1, 2, 7])
+@pytest.mark.parametrize("max_len", [1, 5, None])
+def test_the_loop_replies_with_the_kept_branch_and_its_bifurcation(kind, l_max, max_len):
+    """After every pass but a decode's last, the loop sends the proposer
+    (kept, k): kept indexes the anchor the pass's record names, and k is the
+    record's bifurcation less the pass's first position, None where the
+    record has none. A step's send re-sends the last reply. On a seeded
+    rewrite corpus over 30 words; the scripted scorer branches, and the
+    table scorer prices its positions. With the scripted scorer, l_max 2 or
+    7 and no max_len, some reply keeps an aligned tree's second branch, once
+    with a disagreement and once without."""
+    synth = synthetic_vocab(30)
+    pairs = rewrite_pairs(np.random.default_rng(21), 40, synth, 5, 30, (0.0, 0.2))
+    if kind == "scripted":
+        scorer = ScriptedEditScorer(pairs, synth)
+    elif kind == "ngram":
+        scorer = NgramScorer([target for _, target in pairs], 3, 0.1, synth, copy_bias=2.0)
+    else:
+        scorer = _TableScorer(synth, 21, 3.0, 0.15)
+    kept_second = set()
+    for source, _ in pairs:
+        x = prepare_input(source, synth)
+        proposals, sends = [], []
+        cfg = DecodeConfig(mode="aggressive", l_max=l_max, max_len=max_len)
+        records = decoding._verify_loop(scorer, x, cfg, _replies_recorded(proposals, sends)).trace.iterations
+        assert len(proposals) == len(sends) == len(records)
+        j = 0
+        for i, record in enumerate(records[:-1]):
+            reply = sends[i + 1]
+            if record.mode == AUTOREGRESSIVE:
+                assert reply == sends[i]
+            else:
+                kept, k = reply
+                _, anchors, source_ = proposals[i]
+                assert (anchors[kept], source_) == (record.suffix_match, record.source)
+                assert k == (None if record.bifurcation is None else record.bifurcation - j)
+                if kept:
+                    kept_second.add(k is None)
+            j += record.accepted
+    if kind == "scripted" and l_max in (2, 7) and max_len is None:
+        assert kept_second == {True, False}
 
 
 def test_aligned_passes_cut_the_iterations_of_a_scripted_rewrite_corpus():
